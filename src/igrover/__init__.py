@@ -4,8 +4,8 @@ Given Y inside X inside [0, n-1], with a cheap membership oracle for X and
 an expensive one for Y, the schedule L cheap / 1 expensive / 2L cheap
 iterations finds a member of Y with far fewer expensive queries than
 searching with the expensive oracle alone.  This package simulates that
-schedule two ways (an O(1)-per-step three-coordinate model and a full
-n-amplitude vector), verifies they agree, and prices the query savings.
+schedule two ways (a three-coordinate model, O(1) per untraced run, and
+a full n-amplitude vector), verifies they agree, and prices the query savings.
 """
 
 from .errors import (
@@ -17,6 +17,7 @@ from .errors import (
     IndexOutOfRange,
     InstanceTooLarge,
     InsufficientTrace,
+    NormDrift,
     NotClassUniform,
     NotSubset,
     SpecFormatError,
@@ -42,6 +43,7 @@ from .reduced import (
     apply_diffusion,
     apply_oracle_x,
     apply_oracle_y,
+    final_point,
     initial_point,
     phase1_coplanarity_residual,
     phase1_rotation_check,

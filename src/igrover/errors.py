@@ -43,6 +43,10 @@ class NotClassUniform(IGroverError):
     """Amplitudes within one index class spread wider than the tolerance."""
 
 
+class NormDrift(IGroverError):
+    """A simulated state ended a run off the unit sphere."""
+
+
 class InsufficientTrace(IGroverError):
     """A trace holds too few points for the requested geometric check."""
 

@@ -22,7 +22,7 @@ from .errors import (
     SpecFormatError,
 )
 from .instance import ProblemInstance, partition_classes
-from .reduced import ReducedState, TraceRecord
+from .reduced import ReducedState, TraceRecord, check_norm
 from .scheduling import QueryStats, Schedule
 
 DEFAULT_FULL_CAP = 1 << 20
@@ -177,7 +177,7 @@ def run_schedule_full(inst: ProblemInstance, sched: Schedule,
             if record_trace:
                 pt = project(state)
                 trace.append(TraceRecord(phase, step, "diffusion", pt, pt.z * pt.z))
-    assert abs(float(state @ state) - 1.0) <= 1e-9, "full state norm drifted"
+    check_norm(float(state @ state), "full")
     return state, trace, QueryStats(count_x=count_x, count_y=count_y, repetitions=1)
 
 

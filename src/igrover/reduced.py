@@ -11,7 +11,23 @@ losslessly to one point on the unit sphere:
 The cheap oracle negates y and z, the expensive oracle negates z alone, and
 diffusion reflects through the fixed unit vector s whose components are the
 square roots of the class weights.  Success probability is exactly z**2.
-Runtime per operation is O(1), independent of n.
+
+A whole schedule also has a closed form, so an untraced run costs O(1)
+whatever n and L are.  Write e = (1, 0, 0), u = (0, sqrt(k10), sqrt(k11)) /
+sqrt(|X|) and w = (0, sqrt(k11), -sqrt(k10)) / sqrt(|X|); then s = cos(theta)
+e + sin(theta) u with sin(theta) = sqrt(|X| / n).  In the (e, u) plane a
+cheap iteration (oracle, then diffusion) is two reflections whose mirrors
+meet at angle theta, i.e. a rotation by 2*theta, so phase 1 ends at
+
+    cos((2L+1) theta) e + sin((2L+1) theta) u
+
+(the sin((2k+1) theta) law of Boyer-Brassard-Hoyer-Tapp,
+arXiv:quant-ph/9605034).  The expensive iteration is applied as it stands.
+In phase 3, w is orthogonal to s and lies inside X, so the cheap oracle and
+the diffusion each negate it: the w component stays fixed while the (e, u)
+part turns by 4 L theta.  `final_point` evaluates exactly that with `math`
+alone; the stepwise loop in `run_schedule` remains for traces and as the
+reference the tests hold the closed form to.
 """
 
 from __future__ import annotations
@@ -21,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientTrace
+from .errors import InsufficientTrace, NormDrift
 from .instance import ClassCounts
 from .scheduling import QueryStats, Schedule
 
@@ -100,20 +116,61 @@ def success_probability(p: ReducedState) -> float:
     return p.z * p.z
 
 
+def check_norm(norm_sq: float, engine: str) -> None:
+    """End-of-run invariant: the final state is still a unit vector.
+
+    Raises NormDrift (an IGroverError, so the CLI exits 1) rather than
+    asserting, so the check also holds under ``python -O``.
+    """
+    drift = abs(norm_sq - 1.0)
+    if not drift <= _NORM_TOL:  # written so that a NaN fails too
+        raise NormDrift(
+            f"{engine} state left the unit sphere: |norm^2 - 1| = {drift:.3g}"
+            f" > {_NORM_TOL:g}"
+        )
+
+
+def final_point(counts: ClassCounts, L: int) -> ReducedState:
+    """The state after init, L cheap, 1 expensive and 2L cheap iterations.
+
+    O(1) closed form (see the module docstring): phase 1 and phase 3 are
+    rotations by 2*theta per iteration in the (e, u) plane, and phase 3
+    leaves the w component alone.  Matches the stepwise loop of
+    `run_schedule` to rounding, without accumulating error over L.
+    """
+    s = sphere_point(counts)
+    kx = counts.k10 + counts.k11
+    uy, uz = math.sqrt(counts.k10 / kx), math.sqrt(counts.k11 / kx)
+    theta = math.atan2(math.sqrt(kx), math.sqrt(counts.k00))
+    phi = (2 * L + 1) * theta
+    p = ReducedState(math.cos(phi), math.sin(phi) * uy, math.sin(phi) * uz)
+    p = apply_diffusion(apply_oracle_y(p), s)
+    a, b = p.x, p.y * uy + p.z * uz        # (e, u) plane coordinates
+    g = p.y * uz - p.z * uy                # along w: fixed by phase 3
+    c, sn = math.cos(4 * L * theta), math.sin(4 * L * theta)
+    a, b = a * c - b * sn, a * sn + b * c
+    return ReducedState(a, b * uy + g * uz, b * uz - g * uy)
+
+
 def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
                  ) -> tuple[ReducedState, list[TraceRecord], QueryStats]:
     """Execute init, L cheap iterations, 1 expensive, 2L cheap.
 
-    Every iteration is oracle-then-diffusion and appends two trace records;
-    the init state is recorded once up front, so a trace holds 1 + 2*(3L+1)
-    records.  Counters are incremented per actual oracle call, not computed
-    from L.
+    Untraced, the final state comes from `final_point` in O(1), the trace is
+    empty and the counters are the schedule's 3L cheap and 1 expensive
+    queries.  Traced, every iteration is stepped as oracle-then-diffusion
+    and appends two trace records; the init state is recorded once up
+    front, so a trace holds 1 + 2*(3L+1) records, and the counters are
+    incremented per actual oracle call.  Either way the final state must
+    still have unit norm, or NormDrift is raised.
     """
+    if not record_trace:
+        p = final_point(counts, sched.L)
+        check_norm(p.norm_sq(), "reduced")
+        return p, [], QueryStats(count_x=3 * sched.L, count_y=1, repetitions=1)
     s = sphere_point(counts)
     p = initial_point(counts)
-    trace: list[TraceRecord] = []
-    if record_trace:
-        trace.append(TraceRecord(0, 0, "init", p, success_probability(p)))
+    trace = [TraceRecord(0, 0, "init", p, success_probability(p))]
     count_x = 0
     count_y = 0
     plan = (
@@ -128,12 +185,10 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
                 count_x += 1
             else:
                 count_y += 1
-            if record_trace:
-                trace.append(TraceRecord(phase, step, op_name, p, success_probability(p)))
+            trace.append(TraceRecord(phase, step, op_name, p, success_probability(p)))
             p = apply_diffusion(p, s)
-            if record_trace:
-                trace.append(TraceRecord(phase, step, "diffusion", p, success_probability(p)))
-            assert abs(p.norm_sq() - 1.0) <= _NORM_TOL, "reduced state left the unit sphere"
+            trace.append(TraceRecord(phase, step, "diffusion", p, success_probability(p)))
+    check_norm(p.norm_sq(), "reduced")
     return p, trace, QueryStats(count_x=count_x, count_y=count_y, repetitions=1)
 
 

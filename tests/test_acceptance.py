@@ -69,33 +69,50 @@ def test_criterion_1_engine_equivalence():
 
 
 def test_criterion_2_query_counters():
-    """Every run spends exactly 3L cheap and 1 expensive query; L stays bounded."""
+    """Every run spends exactly 3L cheap and 1 expensive query; L stays bounded.
+
+    The stepwise (traced) path counts per oracle call, and its counters must
+    match the oracle rows of its own trace; the closed-form (untraced) path
+    reports the schedule's counts, and both must equal (3L, 1).
+    """
     rng = np.random.default_rng(77)
     violations = []
     for _ in range(60):
         inst = random_instance(rng)
         counts = ig.partition_classes(inst)
         sched = ig.choose_L(counts)
+        _, trace, stepped = ig.run_schedule(counts, sched)
         _, _, stats = ig.run_schedule(counts, sched, record_trace=False)
-        if (stats.count_x, stats.count_y) != (3 * sched.L, 1):
-            violations.append(("counters", counts, stats))
+        calls = (sum(r.op == "oracle_x" for r in trace),
+                 sum(r.op == "oracle_y" for r in trace))
+        if (stepped.count_x, stepped.count_y) != calls:
+            violations.append(("stepwise-vs-trace", counts, stepped, calls))
+        for path, got in (("stepwise", stepped), ("untraced", stats)):
+            if (got.count_x, got.count_y) != (3 * sched.L, 1):
+                violations.append((path, counts, got))
         bound = math.ceil((math.pi / 4.0) * math.sqrt(counts.n / (counts.k11 + counts.k10))) + 1
         if sched.L > bound:
             violations.append(("L-bound", counts, sched.L, bound))
     ok = not violations
     line = report("criterion-2 query-counters", ok,
-                  "60 runs, all counters exactly (3L, 1), L within ceil((pi/4)sqrt(n/|X|))+1"
+                  "60 runs, stepwise and untraced counters exactly (3L, 1), "
+                  "L within ceil((pi/4)sqrt(n/|X|))+1"
                   if ok else f"violations: {violations[:3]}")
     assert ok, line
 
 
 def test_criterion_3_norm_drift():
-    """Unit norm survives 1e5 reduced operations and a full 2^20-amplitude run."""
+    """Unit norm survives 1e5 reduced operations and a full 2^20-amplitude run.
+
+    The reduced run is traced, which steps every operation (the untraced
+    path is a closed form and applies none); each trace row after init is
+    one applied operation, and drift is the worst over all of them.
+    """
     counts = make_counts(4096, 64, 4)
     L = 16667  # 2*(3L+1) > 1e5 operations applied in one schedule
-    final, _, stats = ig.run_schedule(counts, ig.Schedule(L), record_trace=False)
-    ops_reduced = 2 * (3 * L + 1)
-    drift_reduced = abs(final.norm_sq() - 1.0)
+    _, trace, _ = ig.run_schedule(counts, ig.Schedule(L))
+    ops_reduced = len(trace) - 1
+    drift_reduced = max(abs(r.point.norm_sq() - 1.0) for r in trace)
 
     inst = ig.build_instance({
         "n": 1 << 20,

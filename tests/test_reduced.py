@@ -8,9 +8,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import igrover as ig
-from conftest import make_counts
+from igrover import cli, fullstate, reduced
+from conftest import make_counts, range_instance
 
 
 def bits(v: float) -> bytes:
@@ -133,10 +136,98 @@ class TestRunSchedule:
         assert ig.success_probability(final) >= 1.0 - 1e-9
 
     def test_norm_preserved_along_long_run(self):
+        # traced, so all 2*(3L+1) operations are really stepped
         counts = make_counts(4096, 64, 4)
-        final, _, stats = ig.run_schedule(counts, ig.Schedule(5000), record_trace=False)
+        final, trace, stats = ig.run_schedule(counts, ig.Schedule(5000))
         assert stats.count_x == 15000
+        assert len(trace) == 1 + 2 * 15001
         assert abs(final.norm_sq() - 1.0) <= 1e-9
+
+
+def max_gap(a: ig.ReducedState, b: ig.ReducedState) -> float:
+    return max(abs(a.x - b.x), abs(a.y - b.y), abs(a.z - b.z))
+
+
+@st.composite
+def cells(draw, n_max: int, L_max: int):
+    """(n, |X|, |Y|, L) with 1 <= |Y| <= |X| <= n and 0 <= L <= L_max."""
+    n = draw(st.integers(2, n_max))
+    kx = draw(st.integers(1, n))
+    ky = draw(st.integers(1, kx))
+    return n, kx, ky, draw(st.integers(0, L_max))
+
+
+class TestClosedForm:
+    """`final_point` against the stepwise loop and the full engine, within 1e-9."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(cells(n_max=10 ** 12, L_max=400))
+    @example((2, 1, 1, 3))          # n = 2
+    @example((64, 16, 16, 5))       # k10 = 0: Y = X
+    @example((64, 64, 4, 5))        # k00 = 0: X is the whole universe
+    @example((64, 64, 64, 2))       # both: every index is a target
+    @example((1000, 10, 3, 0))      # L = 0
+    def test_matches_stepwise(self, cell):
+        n, kx, ky, L = cell
+        counts = make_counts(n, kx, ky)
+        stepped, _, _ = ig.run_schedule(counts, ig.Schedule(L))
+        assert max_gap(ig.final_point(counts, L), stepped) <= 1e-9
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(cells(n_max=1 << 12, L_max=60))
+    @example((2, 1, 1, 0))
+    @example((32, 8, 8, 3))
+    @example((32, 32, 5, 3))
+    def test_matches_full_engine(self, cell):
+        n, kx, ky, L = cell
+        inst = range_instance(n, kx, ky)
+        state, _, _ = ig.run_schedule_full(inst, ig.Schedule(L), record_trace=False)
+        full = ig.project_to_reduced(state, inst)
+        assert max_gap(ig.final_point(ig.partition_classes(inst), L), full) <= 1e-9
+
+    def test_large_L_cell(self):
+        # n = 1e9, |X| = |Y| = 1 at the paper L (24,836): 74.5k stepped iterations
+        counts = make_counts(10 ** 9, 1, 1)
+        sched = ig.choose_L(counts)
+        assert sched.L > 20000
+        stepped, _, _ = ig.run_schedule(counts, sched)
+        closed, trace, stats = ig.run_schedule(counts, sched, record_trace=False)
+        assert max_gap(closed, stepped) <= 1e-9
+        assert trace == [] and (stats.count_x, stats.count_y) == (3 * sched.L, 1)
+
+
+class TestNormDrift:
+    """A state that leaves the unit sphere raises NormDrift, also under -O."""
+
+    @pytest.fixture
+    def leaky_diffusion(self, monkeypatch):
+        real = reduced.apply_diffusion
+
+        def scaled(p, s):
+            q = real(p, s)
+            return ig.ReducedState(1.001 * q.x, 1.001 * q.y, 1.001 * q.z)
+
+        monkeypatch.setattr(reduced, "apply_diffusion", scaled)
+
+    @pytest.mark.parametrize("record_trace", [True, False])
+    def test_reduced_paths(self, leaky_diffusion, record_trace):
+        with pytest.raises(ig.NormDrift, match="reduced state left the unit sphere"):
+            ig.run_schedule(make_counts(64, 8, 2), ig.Schedule(3), record_trace)
+
+    def test_full_engine(self, monkeypatch):
+        real = fullstate.apply_diffusion_full
+        monkeypatch.setattr(fullstate, "apply_diffusion_full",
+                            lambda st: 1.001 * real(st))
+        inst = range_instance(64, 8, 2)
+        with pytest.raises(ig.NormDrift, match="full state"):
+            ig.run_schedule_full(inst, ig.Schedule(3), record_trace=False)
+
+    def test_cli_exits_1(self, leaky_diffusion, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text('{"n": 64, "x": {"kind": "range", "lo": 0, "hi": 7},'
+                        ' "y": {"kind": "list", "members": [3]}}')
+        assert cli.main(["run", "--instance", str(path)]) == 1
+        assert "left the unit sphere" in capsys.readouterr().err
 
 
 class TestPhase1Geometry:

@@ -221,9 +221,11 @@ class TestRepetitions:
 
     def test_sparse_target_asymptote(self):
         # as |Y|/|X| -> 0 (with |X|/n -> 0) the run's success probability
-        # approaches 9*|Y|/|X|: phase 2 deposits 2*sqrt(|Y|/|X|) onto the
-        # phase-3 rotation axis and the ~pi in-plane turn contributes the
-        # third sqrt(|Y|/|X|)
+        # approaches 9*|Y|/|X|, read off the closed form in `final_point`
+        # with eps = uz = sqrt(|Y|/|X|), uy ~ 1: phase 1 ends on u; the
+        # expensive iteration leaves u-part b ~ -1 and w-part g = -2*uy*uz
+        # ~ -2*eps; the ~pi phase-3 turn flips b to ~ +1 and keeps g, so
+        # z = b*uz - g*uy ~ eps + 2*eps = 3*eps
         for n, kx, ky in ((10 ** 12, 10 ** 6, 1), (10 ** 12, 10 ** 6, 2),
                           (10 ** 10, 10 ** 5, 1)):
             counts = make_counts(n, kx, ky)
