@@ -39,6 +39,7 @@ from .instance import (
 from .reduced import (
     ReducedState,
     SpherePoint,
+    Trace,
     TraceRecord,
     apply_diffusion,
     apply_oracle_x,

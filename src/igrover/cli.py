@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .errors import ExhaustedRepetitions, IGroverError
 from .fullstate import run_schedule_full
 from .instance import load_instance, partition_classes, ClassCounts
@@ -63,22 +65,14 @@ def _schedule_for(args, counts) -> Schedule:
 
 
 def _trace_mismatch(trace_a, trace_b, tol: float) -> str | None:
-    """First pointwise discrepancy beyond tol between two traces, or None."""
-    if len(trace_a) != len(trace_b):
-        return f"trace lengths differ: {len(trace_a)} vs {len(trace_b)}"
-    for ra, rb in zip(trace_a, trace_b):
-        deltas = (
-            abs(ra.point.x - rb.point.x),
-            abs(ra.point.y - rb.point.y),
-            abs(ra.point.z - rb.point.z),
-            abs(ra.p_success - rb.p_success),
-        )
-        if max(deltas) > tol:
-            return (
-                f"phase {ra.phase} step {ra.step} op {ra.op}: "
-                f"max delta {max(deltas):.3g} > tol {tol:.3g}"
-            )
-    return None
+    """First row where two traces differ by more than tol, or None."""
+    gaps = trace_a.gaps(trace_b)
+    bad = np.flatnonzero(gaps > tol)
+    if bad.size == 0:
+        return None
+    phase, step, op = trace_a.label(int(bad[0]))
+    return (f"phase {phase} step {step} op {op}: "
+            f"max delta {gaps[bad[0]]:.3g} > tol {tol:.3g}")
 
 
 def cmd_run(args) -> int:
@@ -87,25 +81,28 @@ def cmd_run(args) -> int:
     sched = _schedule_for(args, counts)
     model = CostModel(args.tx, args.ty)
 
-    trace = None
-    if args.engine in ("reduced", "both") and (args.trace or args.engine == "both"):
+    trace = evolved = None
+    traced = args.trace or args.engine == "both"
+    if traced and args.engine != "full":
         _, trace, _ = run_schedule(counts, sched)
-    if args.engine in ("full", "both") and (args.trace or args.engine == "both"):
-        _, full_trace, _ = run_schedule_full(inst, sched)
-        if args.engine == "both":
+    if traced and args.engine != "reduced":
+        state, full_trace, stats = run_schedule_full(inst, sched)
+        if args.engine == "full":
+            # the repetitions reuse this run instead of evolving again
+            trace, evolved = full_trace, (state, stats)
+        else:
             problem = _trace_mismatch(trace, full_trace, args.tol)
             if problem is not None:
                 print(f"engine disagreement: {problem}", file=sys.stderr)
                 return 2
-        if trace is None:
-            trace = full_trace
-    if args.trace and trace is not None:
+    if args.trace:
         write_trace_csv(args.trace, trace)
 
     code = 0
     engine = "full" if args.engine == "full" else "reduced"
     try:
-        outcome = run_with_repetitions(inst, sched, args.reps, args.seed, engine=engine)
+        outcome = run_with_repetitions(inst, sched, args.reps, args.seed, engine=engine,
+                                       evolved=evolved)
     except ExhaustedRepetitions as exc:
         outcome = exc.outcome
         code = 3

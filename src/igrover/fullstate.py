@@ -22,7 +22,7 @@ from .errors import (
     SpecFormatError,
 )
 from .instance import ProblemInstance, partition_classes
-from .reduced import ReducedState, TraceRecord, check_norm
+from .reduced import ReducedState, Trace, check_norm
 from .scheduling import QueryStats, Schedule
 
 DEFAULT_FULL_CAP = 1 << 20
@@ -123,12 +123,13 @@ def project_to_reduced(state: np.ndarray, inst: ProblemInstance,
 
 def run_schedule_full(inst: ProblemInstance, sched: Schedule,
                       record_trace: bool = True, cap: int | None = None
-                      ) -> tuple[np.ndarray, list[TraceRecord], QueryStats]:
-    """Execute the full schedule on n amplitudes; trace records are projected.
+                      ) -> tuple[np.ndarray, Trace, QueryStats]:
+    """Execute the full schedule on n amplitudes; trace rows are projected.
 
-    Trace layout matches the reduced engine record for record, so the two
-    runs can be compared pointwise.  Raises InstanceTooLarge when n exceeds
-    the cap (default 2**20, env-overridable).
+    The state is flipped and diffused in place.  Trace layout matches the
+    reduced engine row for row, so the two runs can be compared pointwise;
+    untraced, the trace has no rows.  Raises InstanceTooLarge when n
+    exceeds the cap (default 2**20, env-overridable).
     """
     if cap is None:
         cap = full_state_cap()
@@ -139,46 +140,39 @@ def run_schedule_full(inst: ProblemInstance, sched: Schedule,
         )
     idx = _class_indices(inst)
     flip_for = {"oracle_x": idx["x"], "oracle_y": idx["k11"]}
-    sqrt_sizes = {cls: math.sqrt(idx[cls].size) for cls in ("k00", "k10", "k11")}
-
-    def project(st: np.ndarray) -> ReducedState:
-        coords = []
-        for cls in ("k00", "k10", "k11"):
-            members = idx[cls]
-            if members.size == 0:
-                coords.append(0.0)
-            else:
-                coords.append(sqrt_sizes[cls] * float(st[members].mean()))
-        return ReducedState(*coords)
-
+    # (column, members, sqrt(size)) per non-empty class; empty ones stay 0.0
+    classes = [(col, idx[cls], math.sqrt(idx[cls].size))
+               for col, cls in enumerate(("k00", "k10", "k11")) if idx[cls].size]
+    xyz = np.zeros((1 + 2 * (3 * sched.L + 1) if record_trace else 0, 3))
     state = init_uniform(inst.n)
-    trace: list[TraceRecord] = []
+    row = 0
+
+    def project() -> None:
+        for col, members, root in classes:
+            xyz[row, col] = root * float(state[members].mean())
+
     if record_trace:
-        p0 = project(state)
-        trace.append(TraceRecord(0, 0, "init", p0, p0.z * p0.z))
+        project()
     count_x = 0
     count_y = 0
-    plan = (
-        (1, sched.L, "oracle_x"),
-        (2, 1, "oracle_y"),
-        (3, 2 * sched.L, "oracle_x"),
-    )
-    for phase, steps, op_name in plan:
-        for step in range(steps):
-            state[flip_for[op_name]] *= -1.0
-            if op_name == "oracle_x":
+    for _, op, steps in sched.segments():
+        flip = flip_for[op]
+        for _ in range(steps):
+            state[flip] *= -1.0
+            if op == "oracle_x":
                 count_x += 1
             else:
                 count_y += 1
             if record_trace:
-                pt = project(state)
-                trace.append(TraceRecord(phase, step, op_name, pt, pt.z * pt.z))
-            state = apply_diffusion_full(state)
+                row += 1
+                project()
+            np.subtract(2.0 * state.mean(), state, out=state)
             if record_trace:
-                pt = project(state)
-                trace.append(TraceRecord(phase, step, "diffusion", pt, pt.z * pt.z))
+                row += 1
+                project()
     check_norm(float(state @ state), "full")
-    return state, trace, QueryStats(count_x=count_x, count_y=count_y, repetitions=1)
+    return (state, Trace(sched.L, xyz),
+            QueryStats(count_x=count_x, count_y=count_y, repetitions=1))
 
 
 def sample_measurement(state: np.ndarray, rng) -> int:

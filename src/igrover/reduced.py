@@ -28,11 +28,17 @@ the diffusion each negate it: the w component stays fixed while the (e, u)
 part turns by 4 L theta.  `final_point` evaluates exactly that with `math`
 alone; the stepwise loop in `run_schedule` remains for traces and as the
 reference the tests hold the closed form to.
+
+A trace is columnar (`Trace`): one float64 (x, y, z) row per state the
+schedule passes through, 24 bytes a row.  Every oracle row is the row
+before it with signs flipped, which `write_trace_csv` exploits to format
+only the init and diffusion rows.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +80,52 @@ class TraceRecord:
     op: str
     point: ReducedState
     p_success: float
+
+
+@dataclass(eq=False, slots=True)
+class Trace:
+    """A recorded run as columns: one (x, y, z) row per state passed through.
+
+    Row 0 is the init state; iteration i of the 3L+1 adds its oracle row
+    1 + 2i and its diffusion row 2 + 2i.  Phase, step and op labels follow
+    from L and are not stored, and p_success is z*z.  Untraced runs return
+    a trace with no rows.  Iterating yields one `TraceRecord` per row.
+    """
+
+    L: int
+    xyz: np.ndarray  # float64, shape (rows, 3)
+
+    def __len__(self) -> int:
+        return len(self.xyz)
+
+    def label(self, row: int) -> tuple[int, int, str]:
+        """(phase, step, op) of one row."""
+        if row == 0:
+            return 0, 0, "init"
+        i, diffusion = divmod(row - 1, 2)
+        for phase, op, steps in Schedule(self.L).segments():
+            if i < steps:
+                return phase, i, "diffusion" if diffusion else op
+            i -= steps
+        raise IndexError(f"row {row} is past the end of a trace with L={self.L}")
+
+    def __iter__(self):
+        for row, (x, y, z) in enumerate(self.xyz.tolist()):
+            yield TraceRecord(*self.label(row), ReducedState(x, y, z), z * z)
+
+    def gaps(self, other: Trace) -> np.ndarray:
+        """Per row, the largest absolute difference in x, y, z or p_success."""
+        if self.L != other.L or len(self) != len(other):
+            raise ValueError(
+                f"traces of different runs: L={self.L}, {len(self)} rows"
+                f" vs L={other.L}, {len(other)} rows"
+            )
+        a, b = self.xyz, other.xyz
+        return np.maximum(np.abs(a - b).max(axis=1),
+                          np.abs(a[:, 2] * a[:, 2] - b[:, 2] * b[:, 2]))
+
+
+_NO_ROWS = np.empty((0, 3))  # shared by the traces of all untraced runs
 
 
 def sphere_point(counts: ClassCounts) -> SpherePoint:
@@ -153,66 +205,112 @@ def final_point(counts: ClassCounts, L: int) -> ReducedState:
 
 
 def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
-                 ) -> tuple[ReducedState, list[TraceRecord], QueryStats]:
+                 ) -> tuple[ReducedState, Trace, QueryStats]:
     """Execute init, L cheap iterations, 1 expensive, 2L cheap.
 
-    Untraced, the final state comes from `final_point` in O(1), the trace is
-    empty and the counters are the schedule's 3L cheap and 1 expensive
-    queries.  Traced, every iteration is stepped as oracle-then-diffusion
-    and appends two trace records; the init state is recorded once up
-    front, so a trace holds 1 + 2*(3L+1) records, and the counters are
-    incremented per actual oracle call.  Either way the final state must
-    still have unit norm, or NormDrift is raised.
+    Untraced, the final state comes from `final_point` in O(1), the trace has
+    no rows and the counters are the schedule's 3L cheap and 1 expensive
+    queries.  Traced, every iteration is stepped as oracle-then-diffusion on
+    plain floats (the arithmetic of `apply_oracle_x`/`_y` and
+    `apply_diffusion`, in the same order, so every value is bit-identical)
+    and appends two rows after the init row, so a trace holds 1 + 2*(3L+1)
+    rows, and the counters are incremented per actual oracle call.  Either
+    way the final state must still have unit norm, or NormDrift is raised.
     """
     if not record_trace:
         p = final_point(counts, sched.L)
         check_norm(p.norm_sq(), "reduced")
-        return p, [], QueryStats(count_x=3 * sched.L, count_y=1, repetitions=1)
+        return (p, Trace(sched.L, _NO_ROWS),
+                QueryStats(count_x=3 * sched.L, count_y=1, repetitions=1))
     s = sphere_point(counts)
-    p = initial_point(counts)
-    trace = [TraceRecord(0, 0, "init", p, success_probability(p))]
+    sx, sy, sz = s.x_s, s.y_s, s.z_s
+    x, y, z = sx, sy, sz
+    rows = array("d", (x, y, z))
     count_x = 0
     count_y = 0
-    plan = (
-        (1, sched.L, apply_oracle_x, "oracle_x"),
-        (2, 1, apply_oracle_y, "oracle_y"),
-        (3, 2 * sched.L, apply_oracle_x, "oracle_x"),
-    )
-    for phase, steps, oracle, op_name in plan:
-        for step in range(steps):
-            p = oracle(p)
-            if op_name == "oracle_x":
+    for _, op, steps in sched.segments():
+        cheap = op == "oracle_x"
+        for _ in range(steps):
+            if cheap:
+                y = -y
                 count_x += 1
             else:
                 count_y += 1
-            trace.append(TraceRecord(phase, step, op_name, p, success_probability(p)))
-            p = apply_diffusion(p, s)
-            trace.append(TraceRecord(phase, step, "diffusion", p, success_probability(p)))
+            z = -z
+            rows.extend((x, y, z))
+            d = x * sx + y * sy + z * sz
+            x, y, z = 2.0 * d * sx - x, 2.0 * d * sy - y, 2.0 * d * sz - z
+            rows.extend((x, y, z))
+    p = ReducedState(x, y, z)
     check_norm(p.norm_sq(), "reduced")
+    trace = Trace(sched.L, np.frombuffer(rows, dtype=np.float64).reshape(-1, 3))
     return p, trace, QueryStats(count_x=count_x, count_y=count_y, repetitions=1)
 
 
-def write_trace_csv(path, trace: list[TraceRecord]) -> None:
-    """Trace export; floats printed with 17 significant digits (lossless)."""
+_CSV_CHUNK = 2048  # iterations (two rows each) formatted per write
+
+
+def _negated(text: str) -> str:
+    return text[1:] if text[0] == "-" else "-" + text
+
+
+def _formatted(x: float, y: float, z: float) -> tuple[str, str, str, str]:
+    """The x, y, z and p_success fields of one CSV row."""
+    return f"{x:.17g}", f"{y:.17g}", f"{z:.17g}", f"{z * z:.17g}"
+
+
+def write_trace_csv(path, trace: Trace) -> None:
+    """Trace export; floats printed with 17 significant digits (lossless).
+
+    Only the init and diffusion rows are formatted.  An oracle row is the
+    row before it with z negated (and y too, for the cheap oracle), so its
+    strings are that row's with a leading '-' toggled and the same
+    p_success; this is exact because format(-v, '.17g') is '-' +
+    format(v, '.17g'), signed zeros included.  An oracle row whose values
+    are not exactly that (the full engine projects an all-zero class to
+    +0.0 either way) is formatted as it stands.  Rows are written a chunk
+    at a time, so memory stays bounded whatever L is.
+    """
+    xyz = trace.xyz
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("phase,step,op,x,y,z,p_success\n")
-        for r in trace:
-            fh.write(
-                f"{r.phase},{r.step},{r.op},"
-                f"{r.point.x:.17g},{r.point.y:.17g},{r.point.z:.17g},"
-                f"{r.p_success:.17g}\n"
-            )
+        if not len(xyz):
+            return
+        sx, sy, sz, sp = _formatted(*xyz[0].tolist())
+        fh.write(f"0,0,init,{sx},{sy},{sz},{sp}\n")
+        first = 0  # iterations before this phase
+        for phase, op, steps in Schedule(trace.L).segments():
+            cheap = op == "oracle_x"
+            flip = np.array([1.0, -1.0 if cheap else 1.0, -1.0])
+            for lo in range(0, steps, _CSV_CHUNK):
+                hi = min(steps, lo + _CSV_CHUNK)
+                block = xyz[2 * (first + lo):2 * (first + hi) + 1]
+                flipped = (block[1::2].view(np.int64)
+                           == (block[:-1:2] * flip).view(np.int64)).all(axis=1)
+                lines = []
+                for step, exact, (x, y, z) in zip(range(lo, hi), flipped.tolist(),
+                                                  block[2::2].tolist()):
+                    if exact:
+                        if cheap:
+                            sy = _negated(sy)
+                        sz = _negated(sz)
+                    else:
+                        sx, sy, sz, sp = _formatted(*block[2 * (step - lo) + 1].tolist())
+                    lines.append(f"{phase},{step},{op},{sx},{sy},{sz},{sp}\n")
+                    sx, sy, sz, sp = _formatted(x, y, z)
+                    lines.append(f"{phase},{step},diffusion,{sx},{sy},{sz},{sp}\n")
+                fh.write("".join(lines))
+            first += steps
 
 
-def phase1_circle_points(trace: list[TraceRecord]) -> list[ReducedState]:
+def phase1_circle_points(trace: Trace) -> np.ndarray:
     """The init point plus every post-diffusion point of the first cheap phase.
 
-    These are the L+1 successive stops of the phase-1 trajectory; the oracle
-    half-steps in between are reflections off the circle and are excluded.
+    These are the L+1 successive stops of the phase-1 trajectory (rows 0, 2,
+    ..., 2L); the oracle half-steps in between are reflections off the
+    circle and are excluded.
     """
-    pts = [r.point for r in trace if r.phase == 0 and r.op == "init"]
-    pts += [r.point for r in trace if r.phase == 1 and r.op == "diffusion"]
-    return pts
+    return trace.xyz[0:2 * trace.L + 1:2]
 
 
 def _fit_plane(points: np.ndarray) -> tuple[np.ndarray, float]:
@@ -224,18 +322,17 @@ def _fit_plane(points: np.ndarray) -> tuple[np.ndarray, float]:
     return normal, resid
 
 
-def phase1_coplanarity_residual(trace: list[TraceRecord]) -> float:
+def phase1_coplanarity_residual(trace: Trace) -> float:
     """Largest out-of-plane deviation of the phase-1 stops (0 for a true circle)."""
     pts = phase1_circle_points(trace)
     if len(pts) < 3:
         raise InsufficientTrace(
             f"coplanarity needs at least 3 phase-1 points, trace has {len(pts)}"
         )
-    arr = np.array([(p.x, p.y, p.z) for p in pts])
-    return _fit_plane(arr)[1]
+    return _fit_plane(pts)[1]
 
 
-def phase1_rotation_check(trace: list[TraceRecord]) -> list[float]:
+def phase1_rotation_check(trace: Trace) -> list[float]:
     """Per-step turning angles of the phase-1 trajectory about its own axis.
 
     Fits the circle the stops lie on (plane normal via SVD, center from the
@@ -245,12 +342,11 @@ def phase1_rotation_check(trace: list[TraceRecord]) -> list[float]:
     angle.  Raises InsufficientTrace when fewer than 3 points are available
     (a circle needs three).
     """
-    pts = phase1_circle_points(trace)
-    if len(pts) < 3:
+    arr = phase1_circle_points(trace)
+    if len(arr) < 3:
         raise InsufficientTrace(
-            f"rotation check needs at least 3 phase-1 points, trace has {len(pts)}"
+            f"rotation check needs at least 3 phase-1 points, trace has {len(arr)}"
         )
-    arr = np.array([(p.x, p.y, p.z) for p in pts])
     normal, _ = _fit_plane(arr)
     center = float((arr @ normal).mean()) * normal
     radial = arr - center

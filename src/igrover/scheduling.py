@@ -59,8 +59,6 @@ def compute_theta(counts: ClassCounts) -> AngleParams:
     ratio = (counts.k11 + counts.k10) / counts.n
     ds = math.sqrt(ratio)
     chord = 2.0 * math.asin(0.5 * ds)
-    # series bound: chord - ds = ds^3/24 + ..., comfortably under ds^3/12
-    assert 0.0 <= chord - ds <= ds ** 3 / 12.0
     return AngleParams(
         theta_chord=chord,
         theta_approx=ds,
@@ -86,6 +84,10 @@ class Schedule:
             raise ValueError(f"L must be >= 0, got {self.L}")
         if self.selection_policy not in POLICIES:
             raise ValueError(f"unknown selection policy {self.selection_policy!r}")
+
+    def segments(self) -> tuple[tuple[int, str, int], ...]:
+        """(phase, oracle op, iterations) of the three search phases, in order."""
+        return ((1, "oracle_x", self.L), (2, "oracle_y", 1), (3, "oracle_x", 2 * self.L))
 
 
 def choose_L(counts: ClassCounts, policy: str = POLICY_PAPER_FORMULA,
@@ -223,14 +225,19 @@ def sample_from_reduced(point, inst: ProblemInstance, rng: np.random.Generator) 
 
 
 def run_with_repetitions(inst: ProblemInstance, sched: Schedule, max_reps: int,
-                         seed: int, engine: str = "reduced") -> RunOutcome:
+                         seed: int, engine: str = "reduced",
+                         evolved: tuple[np.ndarray, QueryStats] | None = None
+                         ) -> RunOutcome:
     """Run the schedule, measure, verify; repeat on failure up to max_reps.
 
     Each repetition is an independent fresh start of the whole schedule, but
     the evolution is deterministic, so the final state is computed once and
-    only the measurement is redrawn.  Query counters still charge every
-    repetition in full.  Raises ExhaustedRepetitions (carrying the final
-    outcome) if no repetition verifies.
+    only the measurement is redrawn.  With the full engine, `evolved` may
+    carry the (final state, counters) of a `run_schedule_full` call on this
+    schedule, which is then reused instead of evolving again.  Query
+    counters still charge every repetition in full.  Raises
+    ExhaustedRepetitions (carrying the final outcome) if no repetition
+    verifies.
     """
     if max_reps < 1:
         raise ValueError(f"max_reps must be >= 1, got {max_reps}")
@@ -245,7 +252,10 @@ def run_with_repetitions(inst: ProblemInstance, sched: Schedule, max_reps: int,
     elif engine == "full":
         from .fullstate import project_to_reduced, run_schedule_full, sample_measurement
 
-        state, _, run_stats = run_schedule_full(inst, sched, record_trace=False)
+        if evolved is None:
+            state, _, run_stats = run_schedule_full(inst, sched, record_trace=False)
+        else:
+            state, run_stats = evolved
         point = project_to_reduced(state, inst)
         p = point.z * point.z
         draw = lambda: sample_measurement(state, rng)

@@ -26,19 +26,6 @@ def report(name: str, ok: bool, detail: str) -> str:
     return line
 
 
-def trace_delta(trace_a, trace_b) -> float:
-    assert len(trace_a) == len(trace_b)
-    worst = 0.0
-    for a, b in zip(trace_a, trace_b):
-        assert (a.phase, a.step, a.op) == (b.phase, b.step, b.op)
-        worst = max(worst,
-                    abs(a.point.x - b.point.x),
-                    abs(a.point.y - b.point.y),
-                    abs(a.point.z - b.point.z),
-                    abs(a.p_success - b.p_success))
-    return worst
-
-
 def test_criterion_1_engine_equivalence():
     """Reduced and full traces agree pointwise within 1e-9 on 200 random instances."""
     rng = np.random.default_rng(20250821)
@@ -60,7 +47,7 @@ def test_criterion_1_engine_equivalence():
         _, trace_r, stats_r = ig.run_schedule(counts, sched)
         _, trace_f, stats_f = ig.run_schedule_full(inst, sched)
         assert stats_r == stats_f
-        worst = max(worst, trace_delta(trace_r, trace_f))
+        worst = max(worst, float(trace_r.gaps(trace_f).max()))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-9 and elapsed < 60.0
     line = report("criterion-1 engine-equivalence", ok,

@@ -8,7 +8,6 @@ import pytest
 
 import igrover as ig
 from igrover import cli
-from igrover.reduced import ReducedState, TraceRecord
 
 REF = {"n": 16, "x": {"kind": "range", "lo": 0, "hi": 3},
        "y": {"kind": "list", "members": [2]}}
@@ -81,19 +80,40 @@ class TestRun:
 
         def corrupted(inst, sched, **kw):
             state, trace, stats = real(inst, sched, **kw)
-            bad = trace[-1]
-            wrong = ReducedState(bad.point.x + 1e-6, bad.point.y, bad.point.z)
-            trace[-1] = TraceRecord(bad.phase, bad.step, bad.op, wrong, bad.p_success)
+            trace.xyz[-1, 0] += 1e-6  # x of the last row
             return state, trace, stats
 
         monkeypatch.setattr(cli, "run_schedule_full", corrupted)
         code = run_cli("run", "--instance", inst_path, "--engine", "both")
         assert code == 2
-        assert "engine disagreement" in capsys.readouterr().err
+        # the first bad row is named: the last diffusion of phase 3 (L = 2)
+        assert ("engine disagreement: phase 3 step 3 op diffusion"
+                in capsys.readouterr().err)
         # a tolerance wider than the corruption hides it again
         monkeypatch.setattr(cli, "run_schedule_full", corrupted)
         assert run_cli("run", "--instance", inst_path, "--engine", "both",
                        "--tol", "1e-3") == 0
+
+    def test_full_engine_evolves_once(self, inst_path, tmp_path, capsys, monkeypatch):
+        # the traced run's final state also serves the repetition draws
+        real = ig.fullstate.run_schedule_full
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(kw.get("record_trace", True))
+            return real(*args, **kw)
+
+        monkeypatch.setattr(cli, "run_schedule_full", counted)
+        monkeypatch.setattr(ig.fullstate, "run_schedule_full", counted)
+        tr = tmp_path / "trace.csv"
+        assert run_cli("run", "--instance", inst_path, "--engine", "full",
+                       "--trace", str(tr)) == 0
+        assert calls == [True]
+        traced = capsys.readouterr().out
+        # the record is the one an untraced full run prints
+        assert run_cli("run", "--instance", inst_path, "--engine", "full") == 0
+        assert calls == [True, False]
+        assert capsys.readouterr().out == traced
 
     def test_exit_1_on_bad_inputs(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")

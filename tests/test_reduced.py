@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import json
 import math
 import struct
 
@@ -193,7 +194,7 @@ class TestClosedForm:
         stepped, _, _ = ig.run_schedule(counts, sched)
         closed, trace, stats = ig.run_schedule(counts, sched, record_trace=False)
         assert max_gap(closed, stepped) <= 1e-9
-        assert trace == [] and (stats.count_x, stats.count_y) == (3 * sched.L, 1)
+        assert len(trace) == 0 and (stats.count_x, stats.count_y) == (3 * sched.L, 1)
 
 
 class TestNormDrift:
@@ -201,13 +202,15 @@ class TestNormDrift:
 
     @pytest.fixture
     def leaky_diffusion(self, monkeypatch):
-        real = reduced.apply_diffusion
+        # a diffusion axis 0.1% off the unit sphere: the traced loop starts
+        # on it and reflects through it, the closed form reflects through it
+        real = reduced.sphere_point
 
-        def scaled(p, s):
-            q = real(p, s)
-            return ig.ReducedState(1.001 * q.x, 1.001 * q.y, 1.001 * q.z)
+        def scaled(counts):
+            s = real(counts)
+            return ig.SpherePoint(1.001 * s.x_s, 1.001 * s.y_s, 1.001 * s.z_s)
 
-        monkeypatch.setattr(reduced, "apply_diffusion", scaled)
+        monkeypatch.setattr(reduced, "sphere_point", scaled)
 
     @pytest.mark.parametrize("record_trace", [True, False])
     def test_reduced_paths(self, leaky_diffusion, record_trace):
@@ -215,9 +218,9 @@ class TestNormDrift:
             ig.run_schedule(make_counts(64, 8, 2), ig.Schedule(3), record_trace)
 
     def test_full_engine(self, monkeypatch):
-        real = fullstate.apply_diffusion_full
-        monkeypatch.setattr(fullstate, "apply_diffusion_full",
-                            lambda st: 1.001 * real(st))
+        # the engine flips and diffuses in place, so the leak goes in at init
+        real = fullstate.init_uniform
+        monkeypatch.setattr(fullstate, "init_uniform", lambda n: 1.001 * real(n))
         inst = range_instance(64, 8, 2)
         with pytest.raises(ig.NormDrift, match="full state"):
             ig.run_schedule_full(inst, ig.Schedule(3), record_trace=False)
@@ -267,7 +270,56 @@ class TestPhase1Geometry:
             ig.phase1_coplanarity_residual(trace)
 
 
+def write_rows_one_at_a_time(path, trace) -> None:
+    """The row-at-a-time writer that `write_trace_csv` must match byte for byte."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("phase,step,op,x,y,z,p_success\n")
+        for r in trace:
+            fh.write(
+                f"{r.phase},{r.step},{r.op},"
+                f"{r.point.x:.17g},{r.point.y:.17g},{r.point.z:.17g},"
+                f"{r.p_success:.17g}\n"
+            )
+
+
 class TestTraceCsv:
+    @pytest.mark.parametrize("cell", [
+        (64, 16, 4, 0),                           # L = 0: init plus 2 rows
+        (4096, 64, 64, 25),                       # k10 = 0: y is +-0.0
+        (1024, 1024, 3, 7),                       # k00 = 0: X is everything
+        (10 ** 9, 100, 1, reduced._CSV_CHUNK + 1),  # phases span chunks
+    ])
+    def test_matches_row_at_a_time_writer(self, tmp_path, cell):
+        n, kx, ky, L = cell
+        _, trace, _ = ig.run_schedule(make_counts(n, kx, ky), ig.Schedule(L))
+        ig.write_trace_csv(tmp_path / "fast.csv", trace)
+        write_rows_one_at_a_time(tmp_path / "ref.csv", trace)
+        fast = (tmp_path / "fast.csv").read_bytes()
+        assert fast == (tmp_path / "ref.csv").read_bytes()
+        assert fast.count(b"\n") == 2 + 2 * (3 * L + 1)
+        if kx == ky:
+            assert b",-0," in fast  # the cheap oracle's -0.0 is printed
+
+    @pytest.mark.parametrize("cell", [
+        (16, 4, 1, None),
+        (4096, 64, 64, None),   # k10 = 0: the empty class stays +0.0 on oracle rows
+        (256, 256, 2, 3),
+        (4, 1, 1, 0),
+        (4000, 40, 5, 40),
+    ])
+    def test_full_engine_trace_matches_row_at_a_time_writer(self, tmp_path, cell):
+        n, kx, ky, L = cell
+        inst = range_instance(n, kx, ky)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(ig.instance_to_json(inst)))
+        flags = [] if L is None else ["--L", str(L)]
+        assert cli.main(["run", "--instance", str(path), "--engine", "full",
+                         "--trace", str(tmp_path / "fast.csv"), *flags]) in (0, 3)
+        sched = ig.choose_L(ig.partition_classes(inst)) if L is None else ig.Schedule(L)
+        _, trace, _ = ig.run_schedule_full(inst, sched)
+        write_rows_one_at_a_time(tmp_path / "ref.csv", trace)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_roundtrip_is_lossless(self, tmp_path):
         counts = make_counts(64, 16, 4)
         _, trace, _ = ig.run_schedule(counts, ig.choose_L(counts))

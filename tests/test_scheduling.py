@@ -51,6 +51,16 @@ class TestAngles:
         assert dense.theta_approx == 1.0
         assert dense.theta_chord == pytest.approx(math.pi / 3.0, abs=1e-15)
 
+    def test_series_bound_on_random_ratios(self):
+        # chord - ds = ds^3/24 + ..., under ds^3/12 for every |X|/n in (0, 1]
+        rng = np.random.default_rng(41)
+        for _ in range(2000):
+            n = int(10 ** rng.uniform(0.31, 12.0))
+            kx = int(rng.integers(1, n + 1))
+            params = ig.compute_theta(make_counts(n, kx, 1))
+            gap = params.theta_chord - params.theta_approx
+            assert 0.0 <= gap <= params.ds ** 3 / 12.0, (n, kx)
+
 
 class TestChooseL:
     @pytest.mark.parametrize("n,kx,expected", [
