@@ -5,6 +5,13 @@ member indices; diffusion is inversion about the mean, which works for any
 n, power of two or not.  This engine exists to cross-check the reduced one
 and to expose real measurement sampling; it is capped (by memory) to
 moderate n, overridable through the IGROVER_FULL_CAP environment variable.
+
+`run_schedule_full` evolves the amplitudes in a class-contiguous layout:
+the k00 members, then the k10 members, then the k11 members, each class in
+ascending index order.  There X is the tail from k00 on and Y the tail from
+k00 + k10 on, so an oracle negates one contiguous slice and a class
+projection is the mean of one, with no gather or scatter.  The state goes
+back to index order once, at the end of the run.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +37,8 @@ DEFAULT_FULL_CAP = 1 << 20
 STATE_MAGIC = b"IGSV"
 STATE_VERSION = 1
 _HEADER = struct.Struct("<4sIQ")
+_UNIFORM_TOL = 1e-9
+_CLASSES = ("k00", "k10", "k11")
 
 
 def full_state_cap() -> int:
@@ -49,23 +59,42 @@ def init_uniform(n: int) -> np.ndarray:
     return np.full(n, 1.0 / math.sqrt(n))
 
 
-def _class_indices(inst: ProblemInstance) -> dict[str, np.ndarray]:
-    x_mask = np.zeros(inst.n, dtype=bool)
-    y_mask = np.zeros(inst.n, dtype=bool)
-    for mask, spec in ((x_mask, inst.x_spec), (y_mask, inst.y_spec)):
-        kind = spec.to_json()["kind"]
-        if kind == "list":
-            mask[list(spec.members)] = True
-        elif kind == "range":
-            mask[spec.lo:spec.hi + 1] = True
-        else:
-            mask[spec.r::spec.m] = True
-    return {
-        "k11": np.flatnonzero(y_mask),
-        "k10": np.flatnonzero(x_mask & ~y_mask),
-        "k00": np.flatnonzero(~x_mask),
-        "x": np.flatnonzero(x_mask),
-    }
+def _layout(inst: ProblemInstance) -> tuple[np.ndarray, tuple[int, int, int, int]]:
+    """Class labels of [0, n) and the class boundaries of the layout.
+
+    `labels[i]` is 0, 1 or 2 for an index in k00, k10 or k11.  The layout
+    lists the k00, k10 and k11 members, each class ascending, so class c
+    fills `bounds[c]:bounds[c + 1]`, and `labels == c` picks the same
+    members, in the same order, out of a vector in index order.
+    """
+    labels = np.zeros(inst.n, dtype=np.int8)
+    labels[inst.x_spec.selector()] = 1
+    labels[inst.y_spec.selector()] = 2
+    counts = partition_classes(inst)
+    return labels, (0, counts.k00, counts.k00 + counts.k10, inst.n)
+
+
+def _project(st: np.ndarray, bounds: tuple[int, ...], tol: float | None = None
+             ) -> list[float]:
+    """(x, y, z) of a class-contiguous state: sqrt(size) * mean per class.
+
+    An empty class contributes exactly 0.0.  Given a tol, a class whose
+    amplitudes spread wider than it raises NotClassUniform.
+    """
+    coords = []
+    for cls, lo, hi in zip(_CLASSES, bounds, bounds[1:]):
+        if lo == hi:
+            coords.append(0.0)
+            continue
+        vals = st[lo:hi]
+        if tol is not None:
+            spread = float(vals.max() - vals.min())
+            if spread > tol:
+                raise NotClassUniform(
+                    f"class {cls} amplitudes spread {spread:.3g} > tol {tol:.3g}"
+                )
+        coords.append(math.sqrt(hi - lo) * float(vals.mean()))
+    return coords
 
 
 def _check_dim(state: np.ndarray, inst: ProblemInstance) -> None:
@@ -78,14 +107,14 @@ def _check_dim(state: np.ndarray, inst: ProblemInstance) -> None:
 def apply_oracle_full(state: np.ndarray, inst: ProblemInstance, which: str) -> np.ndarray:
     """Sign flip on X ('x') or on the targets Y ('y'); returns a new vector."""
     _check_dim(state, inst)
-    idx = _class_indices(inst)
-    out = state.copy()
     if which == "x":
-        out[idx["x"]] *= -1.0
+        spec = inst.x_spec
     elif which == "y":
-        out[idx["k11"]] *= -1.0
+        spec = inst.y_spec
     else:
         raise ValueError(f"oracle selector must be 'x' or 'y', got {which!r}")
+    out = state.copy()
+    out[spec.selector()] *= -1.0
     return out
 
 
@@ -95,7 +124,7 @@ def apply_diffusion_full(state: np.ndarray) -> np.ndarray:
 
 
 def project_to_reduced(state: np.ndarray, inst: ProblemInstance,
-                       tol: float = 1e-9) -> ReducedState:
+                       tol: float = _UNIFORM_TOL) -> ReducedState:
     """Collapse a class-uniform full state to its three coordinates.
 
     Each coordinate is sqrt(class size) times the class's common amplitude.
@@ -104,21 +133,9 @@ def project_to_reduced(state: np.ndarray, inst: ProblemInstance,
     never produce that) and NotClassUniform is raised.
     """
     _check_dim(state, inst)
-    idx = _class_indices(inst)
-    coords = []
-    for cls in ("k00", "k10", "k11"):
-        members = idx[cls]
-        if members.size == 0:
-            coords.append(0.0)
-            continue
-        vals = state[members]
-        spread = float(vals.max() - vals.min())
-        if spread > tol:
-            raise NotClassUniform(
-                f"class {cls} amplitudes spread {spread:.3g} > tol {tol:.3g}"
-            )
-        coords.append(math.sqrt(members.size) * float(vals.mean()))
-    return ReducedState(*coords)
+    labels, bounds = _layout(inst)
+    st = np.concatenate([state[labels == c] for c in range(3)])
+    return ReducedState(*_project(st, bounds, tol))
 
 
 def run_schedule_full(inst: ProblemInstance, sched: Schedule,
@@ -126,10 +143,13 @@ def run_schedule_full(inst: ProblemInstance, sched: Schedule,
                       ) -> tuple[np.ndarray, Trace, QueryStats]:
     """Execute the full schedule on n amplitudes; trace rows are projected.
 
-    The state is flipped and diffused in place.  Trace layout matches the
-    reduced engine row for row, so the two runs can be compared pointwise;
-    untraced, the trace has no rows.  Raises InstanceTooLarge when n
-    exceeds the cap (default 2**20, env-overridable).
+    The state is evolved in place in the class-contiguous layout and
+    returned in index order.  Trace layout matches the reduced engine row
+    for row, so the two runs can be compared pointwise; untraced, the trace
+    has no rows.  The run ends by checking the norm (NormDrift) and that
+    every class is still uniform (NotClassUniform).  Raises
+    InstanceTooLarge when n exceeds the cap (default 2**20,
+    env-overridable).
     """
     if cap is None:
         cap = full_state_cap()
@@ -138,49 +158,54 @@ def run_schedule_full(inst: ProblemInstance, sched: Schedule,
             f"n={inst.n} exceeds full-state cap {cap}"
             " (set IGROVER_FULL_CAP to raise it)"
         )
-    idx = _class_indices(inst)
-    flip_for = {"oracle_x": idx["x"], "oracle_y": idx["k11"]}
-    # (column, members, sqrt(size)) per non-empty class; empty ones stay 0.0
-    classes = [(col, idx[cls], math.sqrt(idx[cls].size))
-               for col, cls in enumerate(("k00", "k10", "k11")) if idx[cls].size]
+    labels, bounds = _layout(inst)
+    st = init_uniform(inst.n)  # uniform, so already in layout order
+    tail_for = {"oracle_x": st[bounds[1]:], "oracle_y": st[bounds[2]:]}
     xyz = np.zeros((1 + 2 * (3 * sched.L + 1) if record_trace else 0, 3))
-    state = init_uniform(inst.n)
     row = 0
-
-    def project() -> None:
-        for col, members, root in classes:
-            xyz[row, col] = root * float(state[members].mean())
-
     if record_trace:
-        project()
+        xyz[row] = _project(st, bounds)
     count_x = 0
     count_y = 0
     for _, op, steps in sched.segments():
-        flip = flip_for[op]
+        tail = tail_for[op]
         for _ in range(steps):
-            state[flip] *= -1.0
+            np.negative(tail, out=tail)
             if op == "oracle_x":
                 count_x += 1
             else:
                 count_y += 1
             if record_trace:
                 row += 1
-                project()
-            np.subtract(2.0 * state.mean(), state, out=state)
+                xyz[row] = _project(st, bounds)
+            np.subtract(2.0 * st.mean(), st, out=st)
             if record_trace:
                 row += 1
-                project()
-    check_norm(float(state @ state), "full")
+                xyz[row] = _project(st, bounds)
+    check_norm(float(st @ st), "full")
+    _project(st, bounds, _UNIFORM_TOL)  # raises NotClassUniform
+    state = np.empty_like(st)
+    for c in range(3):
+        state[labels == c] = st[bounds[c]:bounds[c + 1]]
     return (state, Trace(sched.L, xyz),
             QueryStats(count_x=count_x, count_y=count_y, repetitions=1))
 
 
+def measurement_sampler(state: np.ndarray, rng: np.random.Generator) -> Callable[[], int]:
+    """Draw indices with probability amplitude**2 from one cumulative table.
+
+    Each call of the returned function draws exactly as one more
+    `sample_measurement(state, rng)` call would, at O(log n) per draw.
+    """
+    weights = np.square(state)
+    np.cumsum(weights, out=weights)
+    total = float(weights[-1])
+    return lambda: int(np.searchsorted(weights, rng.random() * total, side="right"))
+
+
 def sample_measurement(state: np.ndarray, rng) -> int:
     """Draw one index with probability amplitude**2; rng is a seed or Generator."""
-    rng = np.random.default_rng(rng)
-    weights = np.cumsum(state * state)
-    u = rng.random() * float(weights[-1])
-    return int(np.searchsorted(weights, u, side="right"))
+    return measurement_sampler(state, np.random.default_rng(rng))()
 
 
 def save_state(path, state: np.ndarray) -> None:

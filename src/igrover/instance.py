@@ -4,7 +4,9 @@ A set is described one of three ways: an explicit sorted list of members, an
 inclusive index range, or a modular rule (every i with i % m == r).  All
 three answer membership in O(1) or O(log size) and support rank queries
 (count of members <= t, and the j-th smallest member), which is what lets
-measurement sampling work on instances far too large to enumerate.
+measurement sampling work on instances far too large to enumerate.  Each
+also names its members as a numpy index (`selector`), which is how the
+full n-amplitude engine reads and writes them.
 
 Indices fall into three classes that the simulators track:
 
@@ -61,6 +63,10 @@ class Members:
     def kth(self, j: int, n: int) -> int:
         return self.members[j]
 
+    def selector(self) -> list[int]:
+        """Numpy index of the members in an n-vector (a gather, not a view)."""
+        return list(self.members)
+
     def to_json(self) -> dict:
         return {"kind": "list", "members": list(self.members)}
 
@@ -85,6 +91,10 @@ class Range:
 
     def kth(self, j: int, n: int) -> int:
         return self.lo + j
+
+    def selector(self) -> slice:
+        """Numpy index of the members in an n-vector; a slice, so a view."""
+        return slice(self.lo, self.hi + 1)
 
     def to_json(self) -> dict:
         return {"kind": "range", "lo": self.lo, "hi": self.hi}
@@ -113,6 +123,10 @@ class Modular:
 
     def kth(self, j: int, n: int) -> int:
         return self.r + j * self.m
+
+    def selector(self) -> slice:
+        """Numpy index of the members in an n-vector; a slice, so a view."""
+        return slice(self.r, None, self.m)
 
     def to_json(self) -> dict:
         return {"kind": "mod", "m": self.m, "r": self.r}

@@ -234,7 +234,9 @@ def run_with_repetitions(inst: ProblemInstance, sched: Schedule, max_reps: int,
     the evolution is deterministic, so the final state is computed once and
     only the measurement is redrawn.  With the full engine, `evolved` may
     carry the (final state, counters) of a `run_schedule_full` call on this
-    schedule, which is then reused instead of evolving again.  Query
+    schedule, which is then reused instead of evolving again.  The full
+    engine's p is the squared norm of the target amplitudes, and its draws
+    all read one cumulative table of the squared amplitudes.  Query
     counters still charge every repetition in full.  Raises
     ExhaustedRepetitions (carrying the final outcome) if no repetition
     verifies.
@@ -250,15 +252,15 @@ def run_with_repetitions(inst: ProblemInstance, sched: Schedule, max_reps: int,
         p = success_probability(final)
         draw = lambda: sample_from_reduced(final, inst, rng)
     elif engine == "full":
-        from .fullstate import project_to_reduced, run_schedule_full, sample_measurement
+        from .fullstate import measurement_sampler, run_schedule_full
 
         if evolved is None:
             state, _, run_stats = run_schedule_full(inst, sched, record_trace=False)
         else:
             state, run_stats = evolved
-        point = project_to_reduced(state, inst)
-        p = point.z * point.z
-        draw = lambda: sample_measurement(state, rng)
+        targets = state[inst.y_spec.selector()]
+        p = float(targets @ targets)
+        draw = measurement_sampler(state, rng)
     else:
         raise ValueError(f"unknown engine {engine!r}")
 

@@ -2,18 +2,56 @@
 
 from __future__ import annotations
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import igrover as ig
+from igrover import cli, fullstate
 from conftest import random_instance
 
 
 def small_inst():
     return ig.build_instance({"n": 16, "x": {"kind": "range", "lo": 0, "hi": 3},
                               "y": {"kind": "list", "members": [2]}})
+
+
+def members(*values):
+    return {"kind": "list", "members": list(values)}
+
+
+def span(lo, hi):
+    return {"kind": "range", "lo": lo, "hi": hi}
+
+
+def mod(m, r):
+    return {"kind": "mod", "m": m, "r": r}
+
+
+# every (X kind, Y kind) pair with Y inside X, mostly on n = 1000
+SPEC_PAIRS = {
+    "list-list": (1000, members(3, 17, 18, 400, 999), members(17, 999)),
+    "list-range": (1000, members(3, 4, 5, 6, 10, 20, 500), span(4, 6)),
+    "list-mod": (1000, members(3, 103, 250, 303, 503, 703, 903), mod(200, 103)),
+    "range-list": (1000, span(100, 299), members(100, 150, 299)),
+    "range-range": (1000, span(0, 99), span(10, 12)),
+    "range-mod": (1000, span(7, 999), mod(97, 7)),
+    "mod-list": (1000, mod(5, 2), members(2, 12, 997)),
+    "mod-range": (1000, mod(1, 0), span(0, 9)),        # X is the universe
+    "mod-mod": (1000, mod(3, 1), mod(6, 4)),
+    "list-list-Y=X": (1000, members(5, 6, 700), members(5, 6, 700)),
+    "mod-mod-Y=X": (1024, mod(8, 3), mod(8, 3)),
+    "universe-list": (999, mod(1, 0), members(5)),
+}
+
+
+def write_instance(tmp_path, obj):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
 
 
 class TestOperators:
@@ -105,6 +143,61 @@ class TestRunScheduleFull:
                     (a.point.x, a.point.y, a.point.z, a.p_success),
                     (b.point.x, b.point.y, b.point.z, b.p_success),
                     rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(SPEC_PAIRS))
+    def test_class_layout_matches_reduced_on_every_spec_kind(self, case):
+        n, x, y = SPEC_PAIRS[case]
+        inst = ig.build_instance({"n": n, "x": x, "y": y})
+        counts = ig.partition_classes(inst)
+        sched = ig.choose_L(counts)
+        _, trace_r, stats_r = ig.run_schedule(counts, sched)
+        state, trace_f, stats_f = ig.run_schedule_full(inst, sched)
+        assert stats_r == stats_f
+        assert trace_r.gaps(trace_f).max() <= 1e-12
+        # the state comes back in index order: every amplitude is its
+        # class's coordinate over sqrt(class size)
+        x, y, z = trace_f.xyz[-1]
+        amplitude = {"k00": x / math.sqrt(counts.k00 or 1),
+                     "k10": y / math.sqrt(counts.k10 or 1),
+                     "k11": z / math.sqrt(counts.k11)}
+        for i in range(n):
+            assert state[i] == pytest.approx(amplitude[ig.class_of(inst, i)], abs=1e-14)
+
+    def test_broken_flip_raises_not_class_uniform(self, monkeypatch, tmp_path, capsys):
+        # an oracle that skips the first amplitude of the slice it should
+        # negate keeps the norm but splits that amplitude from its class
+        class LeakyNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def negative(a, out):
+                return np.negative(a[1:], out=out[1:])
+
+        monkeypatch.setattr(fullstate, "np", LeakyNumpy())
+        inst = ig.build_instance({"n": 64, "x": span(0, 7), "y": members(3)})
+        with pytest.raises(ig.NotClassUniform, match="class k10 amplitudes spread"):
+            ig.run_schedule_full(inst, ig.Schedule(2), record_trace=False)
+        path = write_instance(tmp_path, ig.instance_to_json(inst))
+        assert cli.main(["run", "--instance", path, "--engine", "full"]) == 1
+        assert "amplitudes spread" in capsys.readouterr().err
+
+    def test_run_peak_memory_below_three_vectors(self, tmp_path):
+        # at its peak a run holds two n-float arrays (the class-contiguous
+        # state and the one it returns) plus a byte of class label and a
+        # byte of class mask per amplitude: 2.25 * 8n
+        n = 1 << 16
+        path = write_instance(tmp_path, {"n": n, "x": mod(16, 3), "y": mod(256, 3)})
+        argv = ["run", "--instance", path, "--engine", "full",
+                "--out", str(tmp_path / "out.json")]
+        assert cli.main(argv) == 0  # the first run also imports numpy.random
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n
 
     def test_cap_enforced_and_env_override(self, monkeypatch):
         inst = small_inst()

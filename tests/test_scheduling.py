@@ -214,6 +214,42 @@ class TestRepetitions:
         with pytest.raises(ValueError):
             ig.run_with_repetitions(inst, sched, 0, 0)
 
+    def test_full_engine_draws_match_sample_measurement(self):
+        # the repetitions draw from one cumulative table; each draw must be
+        # the one a fresh sample_measurement(state, rng) call would make,
+        # which must in turn be this table-per-draw reference
+        def draw_once(state, rng):
+            weights = np.cumsum(state * state)
+            u = rng.random() * float(weights[-1])
+            return int(np.searchsorted(weights, u, side="right"))
+
+        inst = ig.build_instance({"n": 300, "x": {"kind": "range", "lo": 0, "hi": 39},
+                                  "y": {"kind": "list", "members": [3, 17, 30]}})
+        sched = ig.Schedule(1)
+        state, _, stats = ig.run_schedule_full(inst, sched, record_trace=False)
+        targets = [3, 17, 30]
+        z = ig.project_to_reduced(state, inst).z
+        seen = set()
+        for seed in range(250):
+            try:
+                out = ig.run_with_repetitions(inst, sched, 4, seed, engine="full",
+                                              evolved=(state, stats))
+            except ig.ExhaustedRepetitions as exc:
+                out = exc.outcome
+            rng = np.random.default_rng(seed)
+            ref_rng = np.random.default_rng(seed)
+            for rep in range(1, 5):
+                index = ig.sample_measurement(state, rng)
+                assert index == draw_once(state, ref_rng)
+                if index in targets:
+                    break
+            assert (out.measured_index, out.repetitions) == (index, rep)
+            assert out.verified == (index in targets)
+            assert out.p_success == pytest.approx(z * z, abs=1e-14)
+            seen.add((out.verified, out.repetitions))
+        # the seeds reach verified draws at several repetitions and exhaustion
+        assert {(True, 1), (True, 2), (False, 4)} <= seen
+
     def test_sampler_matches_squared_coordinates(self):
         inst = ig.build_instance(REF)
         counts = ig.partition_classes(inst)
