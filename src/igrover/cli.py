@@ -11,12 +11,10 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .errors import ExhaustedRepetitions, IGroverError
 from .fullstate import run_schedule_full
 from .instance import load_instance, partition_classes, ClassCounts
-from .reduced import run_schedule, success_probability, write_trace_csv
+from .reduced import final_point, run_schedule, success_probability, write_trace_csv
 from .scheduling import (
     POLICY_PAPER_FORMULA,
     POLICY_ROUNDED_HALF,
@@ -25,8 +23,9 @@ from .scheduling import (
     QueryStats,
     Schedule,
     choose_L,
+    cost_record,
     crossover_t_y,
-    naive_grover_cost,
+    naive_iterations,
     query_cost,
     result_record,
     run_with_repetitions,
@@ -64,17 +63,6 @@ def _schedule_for(args, counts) -> Schedule:
     return choose_L(counts, policy)
 
 
-def _trace_mismatch(trace_a, trace_b, tol: float) -> str | None:
-    """First row where two traces differ by more than tol, or None."""
-    gaps = trace_a.gaps(trace_b)
-    bad = np.flatnonzero(gaps > tol)
-    if bad.size == 0:
-        return None
-    phase, step, op = trace_a.label(int(bad[0]))
-    return (f"phase {phase} step {step} op {op}: "
-            f"max delta {gaps[bad[0]]:.3g} > tol {tol:.3g}")
-
-
 def cmd_run(args) -> int:
     inst = load_instance(args.instance)
     counts = partition_classes(inst)
@@ -91,9 +79,11 @@ def cmd_run(args) -> int:
             # the repetitions reuse this run instead of evolving again
             trace, evolved = full_trace, (state, stats)
         else:
-            problem = _trace_mismatch(trace, full_trace, args.tol)
-            if problem is not None:
-                print(f"engine disagreement: {problem}", file=sys.stderr)
+            gap = trace.first_gap(full_trace, args.tol)
+            if gap is not None:
+                phase, step, op = trace.label(gap[0])
+                print(f"engine disagreement: phase {phase} step {step} op {op}: "
+                      f"max delta {gap[1]:.3g} > tol {args.tol:.3g}", file=sys.stderr)
                 return 2
     if args.trace:
         write_trace_csv(args.trace, trace)
@@ -173,21 +163,17 @@ def cmd_compare(args) -> int:
     counts = partition_classes(inst)
     sched = _schedule_for(args, counts)
     model = CostModel(args.tx, args.ty)
-    final, _, stats = run_schedule(counts, sched, record_trace=False)
-    total = query_cost(stats, model)
-    iters, naive_total = naive_grover_cost(counts, model)
-    ratio = total / naive_total if naive_total > 0 else None
+    final = final_point(counts, sched.L)
+    stats = QueryStats(3 * sched.L, 1)
+    cost = cost_record(counts, stats, model)
+    iters = naive_iterations(counts)
+    ratio = cost["total"] / cost["naive_total"] if cost["naive_total"] > 0 else None
     report = {
         "instance": {"n": inst.n, "x_size": inst.x_size, "y_size": inst.y_size},
         "L": sched.L,
         "policy": sched.selection_policy,
         "counts": {"x_queries": stats.count_x, "y_queries": stats.count_y},
-        "cost": {
-            "t_x": model.t_x,
-            "t_y": model.t_y,
-            "total": total,
-            "naive_total": naive_total,
-        },
+        "cost": cost,
         "naive_iterations": iters,
         "cost_ratio": ratio,
         "crossover_t_y": crossover_t_y(stats.count_x, iters, model.t_x),

@@ -21,8 +21,7 @@ import os
 import struct
 from typing import Callable
 
-import numpy as np
-
+from ._numpy import np
 from .errors import (
     DimensionMismatch,
     InstanceTooLarge,

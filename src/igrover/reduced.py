@@ -41,8 +41,7 @@ import math
 from array import array
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import InsufficientTrace, NormDrift
 from .instance import ClassCounts
 from .scheduling import QueryStats, Schedule
@@ -124,8 +123,11 @@ class Trace:
         return np.maximum(np.abs(a - b).max(axis=1),
                           np.abs(a[:, 2] * a[:, 2] - b[:, 2] * b[:, 2]))
 
-
-_NO_ROWS = np.empty((0, 3))  # shared by the traces of all untraced runs
+    def first_gap(self, other: Trace, tol: float) -> tuple[int, float] | None:
+        """The first row whose gap to other exceeds tol, and that gap, or None."""
+        gaps = self.gaps(other)
+        bad = np.flatnonzero(gaps > tol)
+        return (int(bad[0]), float(gaps[bad[0]])) if bad.size else None
 
 
 def sphere_point(counts: ClassCounts) -> SpherePoint:
@@ -188,7 +190,8 @@ def final_point(counts: ClassCounts, L: int) -> ReducedState:
     O(1) closed form (see the module docstring): phase 1 and phase 3 are
     rotations by 2*theta per iteration in the (e, u) plane, and phase 3
     leaves the w component alone.  Matches the stepwise loop of
-    `run_schedule` to rounding, without accumulating error over L.
+    `run_schedule` to rounding, without accumulating error over L.  Raises
+    NormDrift if the result is off the unit sphere.
     """
     s = sphere_point(counts)
     kx = counts.k10 + counts.k11
@@ -201,7 +204,9 @@ def final_point(counts: ClassCounts, L: int) -> ReducedState:
     g = p.y * uz - p.z * uy                # along w: fixed by phase 3
     c, sn = math.cos(4 * L * theta), math.sin(4 * L * theta)
     a, b = a * c - b * sn, a * sn + b * c
-    return ReducedState(a, b * uy + g * uz, b * uz - g * uy)
+    p = ReducedState(a, b * uy + g * uz, b * uz - g * uy)
+    check_norm(p.norm_sq(), "reduced")
+    return p
 
 
 def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
@@ -218,9 +223,7 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
     way the final state must still have unit norm, or NormDrift is raised.
     """
     if not record_trace:
-        p = final_point(counts, sched.L)
-        check_norm(p.norm_sq(), "reduced")
-        return (p, Trace(sched.L, _NO_ROWS),
+        return (final_point(counts, sched.L), Trace(sched.L, np.empty((0, 3))),
                 QueryStats(count_x=3 * sched.L, count_y=1, repetitions=1))
     s = sphere_point(counts)
     sx, sy, sz = s.x_s, s.y_s, s.z_s

@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ExhaustedRepetitions
 from .instance import (
     CLASS_K00,
@@ -115,14 +114,13 @@ def sweep_L(counts: ClassCounts, window: int = 3) -> tuple[Schedule, list[tuple[
     Returns the best schedule (ties break toward smaller L) and the full
     (L, p_success) table in ascending L order.
     """
-    from .reduced import run_schedule, success_probability
+    from .reduced import final_point, success_probability
 
     center = choose_L(counts, POLICY_PAPER_FORMULA).L
     table = []
     best_L, best_p = None, -1.0
     for L in range(max(0, center - window), center + window + 1):
-        final, _, _ = run_schedule(counts, Schedule(L, POLICY_SWEPT), record_trace=False)
-        p = success_probability(final)
+        p = success_probability(final_point(counts, L))
         table.append((L, p))
         if p > best_p:
             best_L, best_p = L, p
@@ -152,6 +150,12 @@ class QueryStats:
 
 def query_cost(stats: QueryStats, model: CostModel) -> float:
     return stats.repetitions * (stats.count_x * model.t_x + stats.count_y * model.t_y)
+
+
+def cost_record(counts: ClassCounts, stats: QueryStats, model: CostModel) -> dict:
+    """The "cost" entry of the run and compare records."""
+    return {"t_x": model.t_x, "t_y": model.t_y, "total": query_cost(stats, model),
+            "naive_total": naive_grover_cost(counts, model)[1]}
 
 
 def naive_iterations(counts: ClassCounts) -> int:
@@ -220,8 +224,23 @@ def sample_from_reduced(point, inst: ProblemInstance, rng: np.random.Generator) 
         if u < acc:
             chosen = cls
             break
-    j = int(rng.integers(sizes[chosen]))
-    return kth_in_class(inst, chosen, j)
+    return kth_in_class(inst, chosen, _uniform_below(sizes[chosen], rng))
+
+
+def _uniform_below(size: int, rng: np.random.Generator) -> int:
+    """A uniform integer in [0, size), exact for any size.
+
+    `rng.integers` takes sizes up to 2**63 (int64).  Larger sizes draw
+    `size.bit_length()` random bits from `rng.bytes` until the number they
+    spell is below size, which each try is with probability over 1/2.
+    """
+    if size <= 1 << 63:
+        return int(rng.integers(size))
+    bits = size.bit_length()
+    while True:
+        j = int.from_bytes(rng.bytes((bits + 7) // 8), "little") >> (-bits % 8)
+        if j < size:
+            return j
 
 
 def run_with_repetitions(inst: ProblemInstance, sched: Schedule, max_reps: int,
@@ -277,8 +296,6 @@ def run_with_repetitions(inst: ProblemInstance, sched: Schedule, max_reps: int,
 def result_record(inst: ProblemInstance, sched: Schedule, outcome: RunOutcome,
                   model: CostModel) -> dict:
     """The JSON-ready summary of one execution, costs included."""
-    counts = partition_classes(inst)
-    _, naive_total = naive_grover_cost(counts, model)
     return {
         "instance": instance_to_json(inst),
         "L": sched.L,
@@ -288,12 +305,7 @@ def result_record(inst: ProblemInstance, sched: Schedule, outcome: RunOutcome,
             "y_queries": outcome.stats.count_y,
             "repetitions": outcome.stats.repetitions,
         },
-        "cost": {
-            "t_x": model.t_x,
-            "t_y": model.t_y,
-            "total": query_cost(outcome.stats, model),
-            "naive_total": naive_total,
-        },
+        "cost": cost_record(partition_classes(inst), outcome.stats, model),
         "p_success_exact": outcome.p_success,
         "measured_index": outcome.measured_index,
         "verified": outcome.verified,

@@ -144,6 +144,16 @@ class TestRunSchedule:
         assert len(trace) == 1 + 2 * 15001
         assert abs(final.norm_sq() - 1.0) <= 1e-9
 
+    def test_first_gap_names_the_first_row_past_tol(self):
+        _, trace, _ = ig.run_schedule(make_counts(64, 16, 4), ig.Schedule(3))
+        other = ig.Trace(trace.L, trace.xyz.copy())
+        assert trace.first_gap(other, 0.0) is None
+        other.xyz[5, 1] += 1e-6
+        other.xyz[9, 0] += 1e-3
+        assert trace.first_gap(other, 1e-9) == (5, pytest.approx(1e-6))
+        assert trace.first_gap(other, 1e-4) == (9, pytest.approx(1e-3))
+        assert trace.first_gap(other, 1e-2) is None
+
 
 def max_gap(a: ig.ReducedState, b: ig.ReducedState) -> float:
     return max(abs(a.x - b.x), abs(a.y - b.y), abs(a.z - b.z))

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import igrover as ig
+from igrover import cli
 from conftest import make_counts, one_query_ceiling, random_instance
 
 REF = {"n": 16, "x": {"kind": "range", "lo": 0, "hi": 3},
@@ -322,6 +324,64 @@ class TestRepetitions:
         rng = np.random.default_rng(8)
         for _ in range(100):
             assert 0 <= ig.sample_from_reduced(final, inst, rng) < 8
+
+
+class TestHugeClassDraw:
+    """A uniform rank in classes past int64 (numpy's `integers` stops at 2**63)."""
+
+    @staticmethod
+    def small_x(n):
+        return ig.build_instance({"n": n, "x": {"kind": "range", "lo": 0, "hi": 99},
+                                  "y": {"kind": "list", "members": [7]}})
+
+    @pytest.mark.parametrize("n", [10 ** 20, 10 ** 30])
+    def test_cli_run_measures_an_index_and_reruns_identically(self, n, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(ig.instance_to_json(self.small_x(n))))
+        outs = []
+        for tag in ("a", "b"):
+            out = tmp_path / f"{tag}.json"
+            argv = ["run", "--instance", str(path), "--L", "0", "--seed", "3",
+                    "--out", str(out)]
+            assert cli.main(argv) in (0, 3)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        rec = json.loads(outs[0])
+        assert 0 <= rec["measured_index"] < n
+        assert rec["verified"] == (rec["measured_index"] == 7)
+
+    @pytest.mark.parametrize("n", [10 ** 20, 10 ** 30, (1 << 64) + 100])
+    def test_draws_stay_in_their_class_and_spread_over_it(self, n):
+        inst = self.small_x(n)
+        rng = np.random.default_rng(17)
+        ranks = []
+        for point, cls in (((1.0, 0.0, 0.0), "k00"), ((0.0, 1.0, 0.0), "k10"),
+                           ((0.0, 0.0, 1.0), "k11")):
+            for _ in range(200):
+                index = ig.sample_from_reduced(ig.ReducedState(*point), inst, rng)
+                assert 0 <= index < n and ig.class_of(inst, index) == cls
+                if cls == "k00":
+                    ranks.append((index - 100) / (n - 100))
+        # a uniform rank: about half in the upper half, and the top eighth reached
+        assert 0.4 < sum(r >= 0.5 for r in ranks) / len(ranks) < 0.6
+        assert max(ranks) >= 0.875
+
+    @pytest.mark.parametrize("n", [10 ** 18, (1 << 63) + 100])
+    def test_classes_up_to_2_63_draw_as_before(self, n, tmp_path):
+        # k00 = n - 100 is at most 2**63 here, where `rng.integers(size)`
+        # has always drawn the rank; these records are pinned
+        pinned = {10 ** 18: [16527635528529194, 948649447137243975, 91915942135097108],
+                  (1 << 63) + 100: [152440531369162866, 8749746783503398989,
+                                    847774930430015586]}
+        inst = self.small_x(n)
+        for seed, index in enumerate(pinned[n]):
+            with pytest.raises(ig.ExhaustedRepetitions) as err:
+                ig.run_with_repetitions(inst, ig.Schedule(0), 2, seed)
+            assert err.value.outcome.measured_index == index
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            ref.random()
+            assert (ig.sample_from_reduced(ig.ReducedState(1.0, 0.0, 0.0), inst, rng)
+                    == 100 + int(ref.integers(n - 100)))
 
 
 class TestResultRecord:
