@@ -8,11 +8,11 @@ All randomness flows from --seed, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .errors import ExhaustedRepetitions, IGroverError
-from .fullstate import run_schedule_full
+from .fullstate import check_full_cap, run_schedule_full
 from .instance import load_instance, partition_classes, ClassCounts
 from .reduced import final_point, run_schedule, success_probability, write_trace_csv
 from .scheduling import (
@@ -47,13 +47,63 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_FLOAT_NAMES = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
+# list members formatted per call: the stdlib's pure-Python encoder (which
+# json.dumps runs whenever indent is set) takes twice as long, and one piece
+# per list would be a second full copy of a long list's text
+_INT_CHUNK = 4096
+
+
+def _json_parts(obj, indent: str, out: list) -> None:
+    """Append the text of json.dumps(obj, indent=2, sort_keys=True) to out.
+
+    An all-int list (an instance's members) goes in as a few pieces of
+    `_INT_CHUNK` members each, which the caller writes as they are.
+    """
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append("NaN" if obj != obj else _FLOAT_NAMES.get(obj) or float.__repr__(obj))
+    elif isinstance(obj, dict):
+        inner = indent + "  "
+        sep = "{" + inner
+        for k, v in sorted(obj.items()):
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            _json_parts(v, inner, out)
+            sep = "," + inner
+        out.append(indent + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner = indent + "  "
+        sep = "[" + inner
+        if set(map(type, obj)) == {int}:
+            for lo in range(0, len(obj), _INT_CHUNK):
+                chunk = obj[lo:lo + _INT_CHUNK]
+                out.append((sep + "%d" + ("," + inner + "%d") * (len(chunk) - 1))
+                           % tuple(chunk))
+                sep = "," + inner
+        else:
+            for v in obj:
+                out.append(sep)
+                _json_parts(v, inner, out)
+                sep = "," + inner
+        out.append(indent + "]" if obj else "[]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(obj, out_path) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    parts = []
+    _json_parts(obj, "\n", parts)
+    parts.append("\n")
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _schedule_for(args, counts) -> Schedule:
@@ -68,6 +118,8 @@ def cmd_run(args) -> int:
     counts = partition_classes(inst)
     sched = _schedule_for(args, counts)
     model = CostModel(args.tx, args.ty)
+    if args.engine != "reduced":
+        check_full_cap(inst.n)  # before a traced reduced run of O(L) rows
 
     trace = evolved = None
     traced = args.trace or args.engine == "both"

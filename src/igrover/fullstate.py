@@ -28,7 +28,7 @@ from .errors import (
     NotClassUniform,
     SpecFormatError,
 )
-from .instance import ProblemInstance, partition_classes
+from .instance import ProblemInstance
 from .reduced import ReducedState, Trace, check_norm
 from .scheduling import QueryStats, Schedule
 
@@ -40,18 +40,23 @@ _UNIFORM_TOL = 1e-9
 _CLASSES = ("k00", "k10", "k11")
 
 
-def full_state_cap() -> int:
-    """Largest n the full engine will allocate; IGROVER_FULL_CAP overrides."""
-    raw = os.environ.get("IGROVER_FULL_CAP")
-    if raw is None:
-        return DEFAULT_FULL_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise SpecFormatError(f"IGROVER_FULL_CAP must be an integer, got {raw!r}") from exc
-    if cap < 2:
-        raise SpecFormatError(f"IGROVER_FULL_CAP must be >= 2, got {cap}")
-    return cap
+def check_full_cap(n: int, cap: int | None = None) -> None:
+    """Raise InstanceTooLarge if the full engine may not allocate n amplitudes.
+
+    The cap is 2**20 unless given; IGROVER_FULL_CAP overrides the default.
+    """
+    if cap is None:
+        raw = os.environ.get("IGROVER_FULL_CAP", str(DEFAULT_FULL_CAP))
+        try:
+            cap = int(raw)
+        except ValueError as exc:
+            raise SpecFormatError(f"IGROVER_FULL_CAP must be an integer, got {raw!r}") from exc
+        if cap < 2:
+            raise SpecFormatError(f"IGROVER_FULL_CAP must be >= 2, got {cap}")
+    if n > cap:
+        raise InstanceTooLarge(
+            f"n={n} exceeds full-state cap {cap} (set IGROVER_FULL_CAP to raise it)"
+        )
 
 
 def init_uniform(n: int) -> np.ndarray:
@@ -69,8 +74,7 @@ def _layout(inst: ProblemInstance) -> tuple[np.ndarray, tuple[int, int, int, int
     labels = np.zeros(inst.n, dtype=np.int8)
     labels[inst.x_spec.selector()] = 1
     labels[inst.y_spec.selector()] = 2
-    counts = partition_classes(inst)
-    return labels, (0, counts.k00, counts.k00 + counts.k10, inst.n)
+    return labels, (0, inst.n - inst.x_size, inst.n - inst.y_size, inst.n)
 
 
 def _project(st: np.ndarray, bounds: tuple[int, ...], tol: float | None = None
@@ -150,13 +154,7 @@ def run_schedule_full(inst: ProblemInstance, sched: Schedule,
     InstanceTooLarge when n exceeds the cap (default 2**20,
     env-overridable).
     """
-    if cap is None:
-        cap = full_state_cap()
-    if inst.n > cap:
-        raise InstanceTooLarge(
-            f"n={inst.n} exceeds full-state cap {cap}"
-            " (set IGROVER_FULL_CAP to raise it)"
-        )
+    check_full_cap(inst.n, cap)
     labels, bounds = _layout(inst)
     st = init_uniform(inst.n)  # uniform, so already in layout order
     tail_for = {"oracle_x": st[bounds[1]:], "oracle_y": st[bounds[2]:]}

@@ -20,6 +20,7 @@ Only the three class sizes matter to the reduced-geometry engine.
 from __future__ import annotations
 
 import json
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Mapping
@@ -144,12 +145,17 @@ def spec_from_json(obj) -> SetSpec:
         raw = obj.get("members")
         if not isinstance(raw, list):
             raise SpecFormatError("list spec needs a 'members' array")
-        members = tuple(_check_int(v, "list member") for v in raw)
-        for a, b in zip(members, members[1:]):
-            if a >= b:
-                raise SpecFormatError(
-                    f"list members must be strictly increasing, saw {a} then {b}"
-                )
+        members = tuple(raw)
+        # whole-list checks in C; on a failure the scans below name the culprit
+        if not set(map(type, members)) <= {int}:
+            for v in members:
+                _check_int(v, "list member")
+        if not all(map(operator.lt, members, members[1:])):
+            for a, b in zip(members, members[1:]):
+                if a >= b:
+                    raise SpecFormatError(
+                        f"list members must be strictly increasing, saw {a} then {b}"
+                    )
         return Members(members)
     if kind == "range":
         lo = _check_int(obj.get("lo"), "range lo")
@@ -200,6 +206,8 @@ def _subset_violation(n: int, x: SetSpec, y: SetSpec) -> int | None:
         if x.m == 1:
             return None  # X is the whole universe
         if isinstance(y, Members):
+            if set(map(x.m.__rmod__, y.members)) == {x.r}:
+                return None
             for v in y.members:
                 if not x.contains(v):
                     return v
@@ -325,13 +333,15 @@ def class_count_leq(inst: ProblemInstance, cls: str, t: int) -> int:
     raise ValueError(f"unknown class {cls!r}")
 
 
-def kth_in_class(inst: ProblemInstance, cls: str, j: int) -> int:
+def kth_in_class(inst: ProblemInstance, cls: str, j: int,
+                 counts: ClassCounts | None = None) -> int:
     """The j-th smallest index of a class, by binary search on rank counts.
 
     This is what keeps uniform class sampling O(log n) even when the class
     itself is astronomically large (say, the complement of a small X).
+    `counts`, if given, must be `partition_classes(inst)`.
     """
-    counts = partition_classes(inst)
+    counts = counts or partition_classes(inst)
     size = {CLASS_K11: counts.k11, CLASS_K10: counts.k10, CLASS_K00: counts.k00}[cls]
     if not 0 <= j < size:
         raise IndexOutOfRange(f"rank {j} outside class {cls} of size {size}")

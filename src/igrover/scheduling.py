@@ -197,34 +197,29 @@ class RunOutcome:
     seed: int
 
 
-def _class_probabilities(point) -> list[tuple[str, float]]:
-    return [
-        (CLASS_K00, point.x * point.x),
-        (CLASS_K10, point.y * point.y),
-        (CLASS_K11, point.z * point.z),
-    ]
-
-
-def sample_from_reduced(point, inst: ProblemInstance, rng: np.random.Generator) -> int:
+def sample_from_reduced(point, inst: ProblemInstance, rng: np.random.Generator,
+                        counts: ClassCounts | None = None) -> int:
     """Draw one measured index from a reduced state without touching amplitudes.
 
     First pick a class with probability equal to its squared coordinate,
     then a uniform member of that class by rank.  Matches sampling the full
     n-amplitude state exactly, because amplitudes are constant within a class.
+    `counts`, if given, must be `partition_classes(inst)`.
     """
-    counts = partition_classes(inst)
-    sizes = {CLASS_K11: counts.k11, CLASS_K10: counts.k10, CLASS_K00: counts.k00}
-    live = [(cls, w) for cls, w in _class_probabilities(point) if sizes[cls] > 0]
-    total = sum(w for _, w in live)
-    u = rng.random() * total
+    counts = counts or partition_classes(inst)
+    live = [(cls, size, w) for cls, size, w in ((CLASS_K00, counts.k00, point.x * point.x),
+                                                (CLASS_K10, counts.k10, point.y * point.y),
+                                                (CLASS_K11, counts.k11, point.z * point.z))
+            if size > 0]
+    u = rng.random() * sum(w for _, _, w in live)
     acc = 0.0
-    chosen = live[-1][0]
-    for cls, w in live:
-        acc += w
+    chosen = live[-1]
+    for entry in live:
+        acc += entry[2]
         if u < acc:
-            chosen = cls
+            chosen = entry
             break
-    return kth_in_class(inst, chosen, _uniform_below(sizes[chosen], rng))
+    return kth_in_class(inst, chosen[0], _uniform_below(chosen[1], rng), counts)
 
 
 def _uniform_below(size: int, rng: np.random.Generator) -> int:
@@ -269,7 +264,7 @@ def run_with_repetitions(inst: ProblemInstance, sched: Schedule, max_reps: int,
 
         final, _, run_stats = run_schedule(counts, sched, record_trace=False)
         p = success_probability(final)
-        draw = lambda: sample_from_reduced(final, inst, rng)
+        draw = lambda: sample_from_reduced(final, inst, rng, counts)
     elif engine == "full":
         from .fullstate import measurement_sampler, run_schedule_full
 

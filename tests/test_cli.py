@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import igrover as ig
 from igrover import cli
@@ -141,6 +145,48 @@ class TestRun:
     def test_negative_L_rejected(self, inst_path):
         assert run_cli("run", "--instance", inst_path, "--L", "-3") == 1
 
+    @pytest.mark.parametrize("engine", ["both", "full"])
+    def test_full_cap_checked_before_any_stepping(self, tmp_path, capsys, monkeypatch,
+                                                  engine):
+        def never(*args, **kw):
+            raise AssertionError("stepped an instance the full engine refuses")
+
+        monkeypatch.setenv("IGROVER_FULL_CAP", "64")
+        monkeypatch.setattr(cli, "run_schedule", never)
+        monkeypatch.setattr(cli, "run_schedule_full", never)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"n": 65, "x": {"kind": "range", "lo": 0, "hi": 3},
+                                    "y": {"kind": "list", "members": [2]}}))
+        assert run_cli("run", "--instance", str(path), "--engine", engine,
+                       "--trace", str(tmp_path / "t.csv")) == 1
+        assert capsys.readouterr().err == (
+            "error: n=65 exceeds full-state cap 64 (set IGROVER_FULL_CAP to raise it)\n")
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("engine", ["reduced", "full", "both"])
+    def test_class_sizes_computed_at_most_three_times(self, tmp_path, capsys, monkeypatch,
+                                                      engine):
+        # twenty draws that all miss Y still partition the instance only in
+        # the command, the repetition loop and the record
+        real = ig.instance.partition_classes
+        calls = []
+
+        def counted(inst):
+            calls.append(inst)
+            return real(inst)
+
+        for module in (ig.instance, ig.scheduling, ig.fullstate, ig.reduced, cli):
+            if hasattr(module, "partition_classes"):
+                monkeypatch.setattr(module, "partition_classes", counted)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"n": 4096, "x": {"kind": "range", "lo": 0, "hi": 999},
+                                    "y": {"kind": "list", "members": [5]}}))
+        assert run_cli("run", "--instance", str(path), "--engine", engine, "--L", "0",
+                       "--reps", "20", "--seed", "1") == 3
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["counts"]["repetitions"] == 20
+        assert len(calls) <= 3
+
 
 class TestSweep:
     def test_single_instance_table(self, inst_path, capsys):
@@ -218,3 +264,55 @@ class TestCompare:
         assert rep["naive_iterations"] == 0
         assert rep["cost_ratio"] is None
         assert rep["two_oracle_wins"] is False
+
+
+json_scalars = (st.none() | st.booleans()
+                | st.integers(min_value=-(2 ** 70), max_value=2 ** 70)
+                | st.floats(allow_nan=True, allow_infinity=True)
+                | st.text(max_size=8))
+json_records = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(st.integers(min_value=-(2 ** 65), max_value=2 ** 65), max_size=6)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=5)),
+    max_leaves=30)
+
+
+def emitted(obj) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit(obj, None)
+    return buf.getvalue()
+
+
+class TestEmit:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(json_records)
+    @example({"n": 2 ** 64 + 1, "m": -7, "nan": float("nan"), "inf": float("inf"),
+              "-inf": float("-inf"), "z": -0.0, "small": 1e-7, "big": 1e22,
+              "t": True, "f": False, "none": None, "s": "\u00e9\u2603\"\\\n",
+              "empty": [[], {}], "ints": [3, -1, 2 ** 63], "mixed": [1, True, 1.0]})
+    def test_matches_stdlib_indent_2_sorted(self, obj):
+        assert emitted(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    def test_long_member_list_and_out_file(self, tmp_path):
+        # more members than one formatting call takes, some past 2**63
+        obj = {"y": {"members": [7 + 10 ** 13 * j for j in range(2 * cli._INT_CHUNK + 3)]},
+               "p": 0.5, "ok": [True, None]}
+        cli._emit(obj, tmp_path / "out.json")
+        want = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "out.json").read_text() == want == emitted(obj)
+
+    def test_subclasses_encode_as_their_base(self):
+        import enum
+
+        class Level(enum.IntEnum):
+            HIGH = 3
+
+        class Label(str):
+            pass
+
+        obj = {"a": Level.HIGH, "b": [Level.HIGH, 2], "c": Label("x")}
+        assert emitted(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        with pytest.raises(TypeError):
+            emitted({"a": object()})

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import igrover as ig
+from igrover.instance import Members, Modular, _subset_violation, spec_from_json
 from conftest import random_instance
 
 
@@ -202,3 +205,78 @@ class TestClassQueries:
         path = tmp_path / "inst.json"
         path.write_text(__import__("json").dumps(obj))
         assert ig.load_instance(path) == inst
+
+
+def scanned_members(raw: list) -> tuple:
+    """The member-by-member checks of a list spec: the messages to keep."""
+    for v in raw:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ig.SpecFormatError(f"list member must be an integer, got {v!r}")
+    for a, b in zip(raw, raw[1:]):
+        if a >= b:
+            raise ig.SpecFormatError(
+                f"list members must be strictly increasing, saw {a} then {b}")
+    return tuple(raw)
+
+
+def scanned_violation(n: int, x, y) -> int | None:
+    """The first member of Y, in ascending order, that X lacks."""
+    for j in range(y.size(n)):
+        if not x.contains(y.kth(j, n)):
+            return y.kth(j, n)
+    return None
+
+
+def _build_members(picks) -> list:
+    out, cur = [], -3
+    for roll, step, odd in picks:
+        if roll == 0:
+            out.append(odd)
+        else:
+            cur += step - 3 if step < 6 else step  # small steps may repeat or go back
+            out.append(cur)
+    return out
+
+
+# mostly increasing lists, sometimes with a repeat, a step back or a non-int
+member_lists = st.lists(
+    st.tuples(st.integers(0, 9), st.integers(0, 40),
+              st.sampled_from([True, False, 1.0, 2.5, "3", None])),
+    max_size=12,
+).map(_build_members)
+
+
+class TestListSpecProperties:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(member_lists)
+    def test_same_members_or_same_message_as_the_scan(self, raw):
+        try:
+            want = scanned_members(raw)
+        except ig.SpecFormatError as exc:
+            with pytest.raises(ig.SpecFormatError) as err:
+                spec_from_json({"kind": "list", "members": raw})
+            assert str(err.value) == str(exc)
+        else:
+            assert spec_from_json({"kind": "list", "members": raw}) == Members(want)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.integers(2, 9), st.integers(0, 8), st.integers(1, 2 ** 70),
+           st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True),
+           st.sets(st.integers(0, 60), max_size=3))
+    def test_mod_x_list_y_witness_matches_the_scan(self, m, r, n, js, strays):
+        x = Modular(m, r % m)
+        members = sorted({x.r + m * j for j in js} | {x.r + m * j + 1 for j in strays})
+        y = Members(tuple(members))
+        n = max(n, members[-1] + 1)
+        got = _subset_violation(n, x, y)
+        assert got == scanned_violation(n, x, y)
+        assert got is None or (y.contains(got) and not x.contains(got))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.sets(st.integers(0, 80), min_size=1, max_size=15),
+           st.sets(st.integers(0, 80), min_size=1, max_size=15))
+    def test_list_x_list_y_witness_matches_the_scan(self, xs, ys):
+        x, y = Members(tuple(sorted(xs))), Members(tuple(sorted(ys)))
+        got = _subset_violation(81, x, y)
+        assert got == scanned_violation(81, x, y)
+        assert got is None or (y.contains(got) and not x.contains(got))

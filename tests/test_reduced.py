@@ -330,6 +330,58 @@ class TestTraceCsv:
         write_rows_one_at_a_time(tmp_path / "ref.csv", trace)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    @staticmethod
+    def assert_matches_reference(tmp_path, trace):
+        ig.write_trace_csv(tmp_path / "fast.csv", trace)
+        write_rows_one_at_a_time(tmp_path / "ref.csv", trace)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, None])
+    def test_inexact_oracle_rows_anywhere(self, tmp_path, monkeypatch, chunk):
+        # oracle rows that are not the row before them with signs flipped:
+        # mid-chunk, on both sides of a chunk boundary, and the first and
+        # last oracle row of each phase
+        if chunk is not None:
+            monkeypatch.setattr(reduced, "_CSV_CHUNK", chunk)
+        size = reduced._CSV_CHUNK
+        L = 3 * size + 2
+        _, trace, _ = ig.run_schedule(make_counts(10 ** 9, 100, 1), ig.Schedule(L))
+        # iterations: phase 1 is 0..L-1, phase 2 is L, phase 3 is L+1..3L
+        picks = {0, size // 2, size - 1, size, 2 * size, L - 1, L, L + 1,
+                 L + 1 + size, 3 * L - 1, 3 * L}
+        rng = np.random.default_rng(7)
+        for i in sorted(picks):
+            row = 1 + 2 * i
+            col = int(rng.integers(3))
+            if i % 3 == 0:
+                trace.xyz[row, col] = 0.0  # +0.0, as the full engine projects it
+            else:
+                trace.xyz[row, col] = float(rng.normal())
+        self.assert_matches_reference(tmp_path, trace)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @pytest.mark.parametrize("cell", [
+        (64, 16, 4, 0),
+        (4096, 64, 64, 5),      # k10 = 0: y is +-0.0
+        (1024, 1024, 3, 4),     # k00 = 0: x is +-0.0
+        (10 ** 9, 100, 1, 7),
+    ])
+    def test_small_chunks_match_row_at_a_time_writer(self, tmp_path, monkeypatch,
+                                                     chunk, cell):
+        monkeypatch.setattr(reduced, "_CSV_CHUNK", chunk)
+        n, kx, ky, L = cell
+        _, trace, _ = ig.run_schedule(make_counts(n, kx, ky), ig.Schedule(L))
+        self.assert_matches_reference(tmp_path, trace)
+
+    def test_full_engine_y_equals_x_over_many_chunks(self, tmp_path):
+        # every cheap oracle row keeps the empty k10 class at +0.0, so each
+        # one fails the sign-flip check and is formatted as it stands
+        L = reduced._CSV_CHUNK
+        _, trace, _ = ig.run_schedule_full(range_instance(256, 8, 8), ig.Schedule(L))
+        assert len(trace) > 2 * reduced._CSV_CHUNK
+        self.assert_matches_reference(tmp_path, trace)
+        assert b",0,-" in (tmp_path / "fast.csv").read_bytes()
+
     def test_roundtrip_is_lossless(self, tmp_path):
         counts = make_counts(64, 16, 4)
         _, trace, _ = ig.run_schedule(counts, ig.choose_L(counts))
