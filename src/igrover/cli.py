@@ -8,6 +8,7 @@ All randomness flows from --seed, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -114,6 +115,9 @@ def _schedule_for(args, counts) -> Schedule:
 
 
 def cmd_run(args) -> int:
+    # a NaN tol passes every gap (a negative one fails every gap, on purpose)
+    if not math.isfinite(args.tol):
+        raise IGroverError(f"--tol must be finite, got {args.tol}")
     inst = load_instance(args.instance)
     counts = partition_classes(inst)
     sched = _schedule_for(args, counts)

@@ -147,45 +147,56 @@ def run_schedule_full(inst: ProblemInstance, sched: Schedule,
     """Execute the full schedule on n amplitudes; trace rows are projected.
 
     The state is evolved in place in the class-contiguous layout and
-    returned in index order.  Trace layout matches the reduced engine row
-    for row, so the two runs can be compared pointwise; untraced, the trace
-    has no rows.  The run ends by checking the norm (NormDrift) and that
-    every class is still uniform (NotClassUniform).  Raises
+    returned in index order, one pass over it per iteration (two traced:
+    the diffusion row is projected, and rows never feed back, so traced and
+    untraced runs end in the same bits).  Trace layout matches the reduced
+    engine row for row, so the two runs can be compared pointwise; untraced,
+    the trace has no rows.  The run ends by checking the norm (NormDrift) and
+    that every class is still uniform (NotClassUniform).  Raises
     InstanceTooLarge when n exceeds the cap (default 2**20,
     env-overridable).
     """
     check_full_cap(inst.n, cap)
     labels, bounds = _layout(inst)
     st = init_uniform(inst.n)  # uniform, so already in layout order
-    tail_for = {"oracle_x": st[bounds[1]:], "oracle_y": st[bounds[2]:]}
+    sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    # per-class amplitude sums stand in for a whole-vector mean: an oracle
+    # re-reads the classes it negates (X is k10 + k11, Y is k11; empty ones
+    # left out), and inversion about the mean m maps s_c to 2m|c| - s_c
+    sums = [float(st[lo:hi].sum()) for lo, hi in zip(bounds, bounds[1:])]
+    flips = {op: (st[bounds[first]:], [c for c in range(first, 3) if sizes[c]])
+             for op, first in (("oracle_x", 1), ("oracle_y", 2))}
     xyz = np.zeros((1 + 2 * (3 * sched.L + 1) if record_trace else 0, 3))
     row = 0
     if record_trace:
-        xyz[row] = _project(st, bounds)
-    count_x = 0
-    count_y = 0
+        xyz[row] = coords = _project(st, bounds)
+    counts = {"oracle_x": 0, "oracle_y": 0}
     for _, op, steps in sched.segments():
-        tail = tail_for[op]
+        tail, flipped = flips[op]
+        counts[op] += steps
         for _ in range(steps):
             np.negative(tail, out=tail)
-            if op == "oracle_x":
-                count_x += 1
-            else:
-                count_y += 1
+            for c in flipped:
+                sums[c] = float(st[bounds[c]:bounds[c + 1]].sum())
+            if record_trace:
+                # bitwise what _project gives: a mean is the sum over the size
+                for c in flipped:
+                    coords[c] = math.sqrt(sizes[c]) * (sums[c] / sizes[c])
+                row += 1
+                xyz[row] = coords
+            mean = (sums[0] + sums[1] + sums[2]) / inst.n
+            np.subtract(2.0 * mean, st, out=st)
+            sums = [2.0 * mean * size - s for size, s in zip(sizes, sums)]
             if record_trace:
                 row += 1
-                xyz[row] = _project(st, bounds)
-            np.subtract(2.0 * st.mean(), st, out=st)
-            if record_trace:
-                row += 1
-                xyz[row] = _project(st, bounds)
+                xyz[row] = coords = _project(st, bounds)
     check_norm(float(st @ st), "full")
     _project(st, bounds, _UNIFORM_TOL)  # raises NotClassUniform
     state = np.empty_like(st)
     for c in range(3):
         state[labels == c] = st[bounds[c]:bounds[c + 1]]
     return (state, Trace(sched.L, xyz),
-            QueryStats(count_x=count_x, count_y=count_y, repetitions=1))
+            QueryStats(counts["oracle_x"], counts["oracle_y"], repetitions=1))
 
 
 def measurement_sampler(state: np.ndarray, rng: np.random.Generator) -> Callable[[], int]:

@@ -116,6 +116,8 @@ def sweep_L(counts: ClassCounts, window: int = 3) -> tuple[Schedule, list[tuple[
     """
     from .reduced import final_point, success_probability
 
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
     center = choose_L(counts, POLICY_PAPER_FORMULA).L
     table = []
     best_L, best_p = None, -1.0
@@ -135,8 +137,8 @@ class CostModel:
     t_y: float = 1.0
 
     def __post_init__(self):
-        if not (self.t_x > 0 and self.t_y > 0):
-            raise ValueError(f"query costs must be positive, got {self}")
+        if not (0 < self.t_x < math.inf and 0 < self.t_y < math.inf):  # NaN fails too
+            raise ValueError(f"query costs must be positive and finite, got {self}")
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,27 @@ class TestRun:
         assert run_cli("run", "--instance", inst_path, "--engine", "both",
                        "--tol", "1e-3") == 0
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_tol_must_be_finite(self, inst_path, capsys, monkeypatch, tol):
+        # a NaN tol used to pass every gap, so this corruption exited 0
+        real = cli.run_schedule_full
+
+        def corrupted(inst, sched, **kw):
+            state, trace, stats = real(inst, sched, **kw)
+            trace.xyz[-1, 0] += 1e-6
+            return state, trace, stats
+
+        monkeypatch.setattr(cli, "run_schedule_full", corrupted)
+        assert run_cli("run", "--instance", inst_path, "--engine", "both",
+                       f"--tol={tol}") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --tol must be finite, got {float(tol)}"]
+        # a zero tol is still a tolerance: the corruption shows
+        assert run_cli("run", "--instance", inst_path, "--engine", "both",
+                       "--tol", "0") == 2
+
     def test_full_engine_evolves_once(self, inst_path, tmp_path, capsys, monkeypatch):
         # the traced run's final state also serves the repetition draws
         real = ig.fullstate.run_schedule_full
@@ -226,6 +247,19 @@ class TestSweep:
         assert run_cli("sweep", "--grid-n", "16,64") == 1
         assert run_cli("sweep") == 1
 
+    @pytest.mark.parametrize("mode", ["grid", "instance"])
+    def test_negative_window_rejected(self, inst_path, capsys, mode):
+        where = (["--grid-n", "16", "--grid-x", "4", "--grid-y", "1"] if mode == "grid"
+                 else ["--instance", inst_path])
+        assert run_cli("sweep", *where, "--window", "-1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: window must be >= 0, got -1"]
+        # a zero window is the formula L alone
+        assert run_cli("sweep", *where, "--window", "0") == 0
+        assert [line.split(",")[3] for line in capsys.readouterr().out.splitlines()[1:]
+                ] == ["2"]
+
     def test_out_file(self, inst_path, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         assert run_cli("sweep", "--instance", inst_path, "--out", str(out)) == 0
@@ -234,6 +268,16 @@ class TestSweep:
 
 
 class TestCompare:
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("flag", ["--tx=inf", "--ty=-inf", "--ty=inf", "--tx=nan"])
+    def test_non_finite_costs_rejected(self, inst_path, capsys, command, flag):
+        # an infinite price made compare print Infinity and NaN, not JSON
+        assert run_cli(command, "--instance", inst_path, flag) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: query costs must be positive and finite")
+
     def test_reference_report(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
         path.write_text(json.dumps({

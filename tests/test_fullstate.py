@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 import tracemalloc
@@ -211,6 +212,146 @@ class TestRunScheduleFull:
         monkeypatch.setenv("IGROVER_FULL_CAP", "many")
         with pytest.raises(ig.SpecFormatError):
             ig.run_schedule_full(inst, ig.Schedule(1))
+
+
+class CountingArray(np.ndarray):
+    """An array that adds up the amplitudes every ufunc call on it touches.
+
+    A call counts its largest operand, so `np.subtract(m, st, out=st)` and
+    `st.sum()` each count len(st), and a call on a slice counts the slice.
+    """
+
+    touched = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kw):
+        out = kw.get("out") or ()
+        CountingArray.touched += max(a.size for a in (*inputs, *out)
+                                     if isinstance(a, np.ndarray))
+
+        def plain(a):
+            return a.view(np.ndarray) if isinstance(a, CountingArray) else a
+
+        if out:
+            kw["out"] = tuple(map(plain, out))
+        result = getattr(ufunc, method)(*map(plain, inputs), **kw)
+        return out[0] if out else result
+
+
+class CountingNumpy:
+    """numpy, except that the state `init_uniform` allocates counts its traffic."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def full(*args, **kw):
+        return np.full(*args, **kw).view(CountingArray)
+
+
+def reference_rows(inst, L):
+    """Trace rows the plain way: operators on an index-order state, projected
+    after every oracle and every diffusion."""
+    state = ig.init_uniform(inst.n)
+    rows = [ig.project_to_reduced(state, inst)]
+    for _, op, steps in ig.Schedule(L).segments():
+        for _ in range(steps):
+            state = ig.apply_oracle_full(state, inst, "x" if op == "oracle_x" else "y")
+            rows.append(ig.project_to_reduced(state, inst))
+            state = ig.apply_diffusion_full(state)
+            rows.append(ig.project_to_reduced(state, inst))
+    return np.array([(p.x, p.y, p.z) for p in rows])
+
+
+def exact_final_point(counts, L):
+    """The schedule stepped on three coordinates in 40-digit decimals."""
+    decimal.getcontext().prec = 40
+    sizes = [decimal.Decimal(k) for k in (counts.k00, counts.k10, counts.k11)]
+    axis = [(k / counts.n).sqrt() for k in sizes]
+    v = list(axis)
+    for _, op, steps in ig.Schedule(L).segments():
+        first = 1 if op == "oracle_x" else 2
+        for _ in range(steps):
+            v = [-a if c >= first else a for c, a in enumerate(v)]
+            dot = sum(a * s for a, s in zip(v, axis))
+            v = [2 * dot * s - a for a, s in zip(v, axis)]
+    return [float(a) for a in v]
+
+
+class TestOnePassEvolution:
+    """The loop carries per-class sums instead of re-reading the state."""
+
+    @pytest.mark.parametrize("x_lo", [0, 1], ids=["X=universe", "|X|=n-1"])
+    def test_long_L_stays_on_the_exact_orbit(self, x_lo):
+        # 3 * 10^4 iterations: k00 (empty, or one amplitude) is never
+        # re-read, so its carried sum must not drift
+        inst = ig.build_instance({"n": 1000, "x": span(x_lo, 999),
+                                  "y": span(x_lo, x_lo + 9)})
+        state, _, _ = ig.run_schedule_full(inst, ig.Schedule(10_000),
+                                           record_trace=False)
+        p = ig.project_to_reduced(state, inst)
+        exact = exact_final_point(ig.partition_classes(inst), 10_000)
+        np.testing.assert_allclose((p.x, p.y, p.z), exact, rtol=0, atol=1e-12)
+        assert abs(float(state @ state) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("case", sorted(SPEC_PAIRS))
+    def test_traced_and_untraced_states_are_bitwise_equal(self, case):
+        n, x, y = SPEC_PAIRS[case]
+        inst = ig.build_instance({"n": n, "x": x, "y": y})
+        for L in (0, 1, ig.choose_L(ig.partition_classes(inst)).L + 3):
+            traced, _, _ = ig.run_schedule_full(inst, ig.Schedule(L))
+            untraced, _, _ = ig.run_schedule_full(inst, ig.Schedule(L),
+                                                  record_trace=False)
+            assert traced.tobytes() == untraced.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(SPEC_PAIRS))
+    def test_rows_match_row_at_a_time_reference(self, case):
+        n, x, y = SPEC_PAIRS[case]
+        inst = ig.build_instance({"n": n, "x": x, "y": y})
+        for L in (0, ig.choose_L(ig.partition_classes(inst)).L):
+            _, trace, _ = ig.run_schedule_full(inst, ig.Schedule(L))
+            np.testing.assert_allclose(trace.xyz, reference_rows(inst, L),
+                                       rtol=0, atol=1e-13)
+
+    def test_empty_class_rows_stay_positive_zero(self):
+        # Y = X leaves k10 empty; oracle rows keep its +0.0, as _project does
+        n, x, y = SPEC_PAIRS["list-list-Y=X"]
+        inst = ig.build_instance({"n": n, "x": x, "y": y})
+        _, trace, _ = ig.run_schedule_full(inst, ig.Schedule(3))
+        assert not np.signbit(trace.xyz[:, 1]).any()
+        assert (trace.xyz[:, 1] == 0.0).all()
+
+    def test_broken_diffusion_raises(self, monkeypatch):
+        # a diffusion that skips the first amplitude (a k00 member) leaves
+        # the state off the sphere and that amplitude off its class
+        class LeakyNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def subtract(a, b, out):
+                return np.subtract(a, b[1:], out=out[1:])
+
+        monkeypatch.setattr(fullstate, "np", LeakyNumpy())
+        inst = ig.build_instance({"n": 64, "x": span(8, 15), "y": members(9)})
+        with pytest.raises((ig.NormDrift, ig.NotClassUniform)):
+            ig.run_schedule_full(inst, ig.Schedule(2), record_trace=False)
+
+    @pytest.mark.parametrize("record_trace, passes", [(False, 1), (True, 2)])
+    def test_one_pass_per_iteration(self, monkeypatch, record_trace, passes):
+        # amplitudes touched by 3 extra cheap iterations (L 1 -> 2), set-up
+        # and final checks cancelling: one pass over n per iteration (two
+        # traced, the second projecting the diffusion row), plus the
+        # negated X tail, read again for its class sums
+        monkeypatch.setattr(fullstate, "np", CountingNumpy())
+        n = 4096
+        inst = ig.build_instance({"n": n, "x": mod(64, 5), "y": mod(1024, 5)})
+        touched = []
+        for L in (1, 2):
+            CountingArray.touched = 0
+            ig.run_schedule_full(inst, ig.Schedule(L), record_trace=record_trace)
+            touched.append(CountingArray.touched)
+        per_iteration = (touched[1] - touched[0]) / 3
+        assert per_iteration == passes * n + 2 * inst.x_size
 
 
 class TestSampling:

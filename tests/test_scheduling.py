@@ -115,6 +115,13 @@ class TestChooseL:
         assert all(0.0 <= p <= 1.0 for _, p in table)
         assert best.L in dict(table)
 
+    def test_sweep_window_must_be_non_negative(self):
+        counts = make_counts(1024, 16, 1)
+        with pytest.raises(ValueError, match="window must be >= 0"):
+            ig.sweep_L(counts, window=-1)
+        best, table = ig.sweep_L(counts, window=0)
+        assert table == [(best.L, table[0][1])]
+
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             ig.Schedule(-1)
@@ -149,6 +156,11 @@ class TestCosts:
             ig.CostModel(t_x=0.0)
         with pytest.raises(ValueError):
             ig.CostModel(t_y=-2.0)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                ig.CostModel(t_x=bad)
+            with pytest.raises(ValueError, match="positive and finite"):
+                ig.CostModel(t_y=bad)
 
 
 class TestRepetitions:
