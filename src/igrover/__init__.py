@@ -37,8 +37,12 @@ from .instance import (
     verify_outcome,
 )
 from .reduced import (
+    POLICY_PAPER_FORMULA,
+    POLICY_ROUNDED_HALF,
+    POLICY_SWEPT,
+    QueryStats,
     ReducedState,
-    SpherePoint,
+    Schedule,
     Trace,
     TraceRecord,
     apply_diffusion,
@@ -49,7 +53,6 @@ from .reduced import (
     phase1_coplanarity_residual,
     phase1_rotation_check,
     run_schedule,
-    sphere_point,
     success_probability,
     write_trace_csv,
 )
@@ -65,14 +68,9 @@ from .fullstate import (
     save_state,
 )
 from .scheduling import (
-    POLICY_PAPER_FORMULA,
-    POLICY_ROUNDED_HALF,
-    POLICY_SWEPT,
     AngleParams,
     CostModel,
-    QueryStats,
     RunOutcome,
-    Schedule,
     choose_L,
     compute_theta,
     crossover_t_y,

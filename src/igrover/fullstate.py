@@ -29,8 +29,7 @@ from .errors import (
     SpecFormatError,
 )
 from .instance import ProblemInstance
-from .reduced import ReducedState, Trace, check_norm
-from .scheduling import QueryStats, Schedule
+from .reduced import QueryStats, ReducedState, Schedule, Trace, check_norm
 
 DEFAULT_FULL_CAP = 1 << 20
 STATE_MAGIC = b"IGSV"
@@ -144,14 +143,14 @@ def project_to_reduced(state: np.ndarray, inst: ProblemInstance,
 def run_schedule_full(inst: ProblemInstance, sched: Schedule,
                       record_trace: bool = True, cap: int | None = None
                       ) -> tuple[np.ndarray, Trace, QueryStats]:
-    """Execute the full schedule on n amplitudes; trace rows are projected.
+    """Execute the full schedule on n amplitudes; trace stops are projected.
 
     The state is evolved in place in the class-contiguous layout and
     returned in index order, one pass over it per iteration (two traced:
-    the diffusion row is projected, and rows never feed back, so traced and
-    untraced runs end in the same bits).  Trace layout matches the reduced
-    engine row for row, so the two runs can be compared pointwise; untraced,
-    the trace has no rows.  The run ends by checking the norm (NormDrift) and
+    each stop is projected, and stops never feed back, so traced and
+    untraced runs end in the same bits).  The trace holds the same stops as
+    the reduced engine's, so the two runs can be compared pointwise;
+    untraced, it has none.  The run ends by checking the norm (NormDrift) and
     that every class is still uniform (NotClassUniform).  Raises
     InstanceTooLarge when n exceeds the cap (default 2**20,
     env-overridable).
@@ -166,10 +165,10 @@ def run_schedule_full(inst: ProblemInstance, sched: Schedule,
     sums = [float(st[lo:hi].sum()) for lo, hi in zip(bounds, bounds[1:])]
     flips = {op: (st[bounds[first]:], [c for c in range(first, 3) if sizes[c]])
              for op, first in (("oracle_x", 1), ("oracle_y", 2))}
-    xyz = np.zeros((1 + 2 * (3 * sched.L + 1) if record_trace else 0, 3))
-    row = 0
+    stops = np.zeros((3 * sched.L + 2 if record_trace else 0, 3))
+    stop = 0
     if record_trace:
-        xyz[row] = coords = _project(st, bounds)
+        stops[stop] = _project(st, bounds)
     counts = {"oracle_x": 0, "oracle_y": 0}
     for _, op, steps in sched.segments():
         tail, flipped = flips[op]
@@ -178,24 +177,18 @@ def run_schedule_full(inst: ProblemInstance, sched: Schedule,
             np.negative(tail, out=tail)
             for c in flipped:
                 sums[c] = float(st[bounds[c]:bounds[c + 1]].sum())
-            if record_trace:
-                # bitwise what _project gives: a mean is the sum over the size
-                for c in flipped:
-                    coords[c] = math.sqrt(sizes[c]) * (sums[c] / sizes[c])
-                row += 1
-                xyz[row] = coords
             mean = (sums[0] + sums[1] + sums[2]) / inst.n
             np.subtract(2.0 * mean, st, out=st)
             sums = [2.0 * mean * size - s for size, s in zip(sizes, sums)]
             if record_trace:
-                row += 1
-                xyz[row] = coords = _project(st, bounds)
+                stop += 1
+                stops[stop] = _project(st, bounds)
     check_norm(float(st @ st), "full")
     _project(st, bounds, _UNIFORM_TOL)  # raises NotClassUniform
     state = np.empty_like(st)
     for c in range(3):
         state[labels == c] = st[bounds[c]:bounds[c + 1]]
-    return (state, Trace(sched.L, xyz),
+    return (state, Trace(sched.L, stops),
             QueryStats(counts["oracle_x"], counts["oracle_y"], repetitions=1))
 
 

@@ -29,10 +29,10 @@ part turns by 4 L theta.  `final_point` evaluates exactly that with `math`
 alone; the stepwise loop in `run_schedule` remains for traces and as the
 reference the tests hold the closed form to.
 
-A trace is columnar (`Trace`): one float64 (x, y, z) row per state the
-schedule passes through, 24 bytes a row.  Every oracle row is the row
-before it with signs flipped, which `write_trace_csv` exploits to format
-only the init and diffusion rows.
+A trace (`Trace`) stores only the stops: the init state and the state after
+each diffusion, one float64 (x, y, z) row of 24 bytes each.  The state
+after an oracle is the stop before it with signs flipped, so `Trace`
+derives those rows, and `write_trace_csv` formats only the stops.
 """
 
 from __future__ import annotations
@@ -44,7 +44,11 @@ from dataclasses import dataclass
 from ._numpy import np
 from .errors import InsufficientTrace, NormDrift
 from .instance import ClassCounts
-from .scheduling import QueryStats, Schedule
+
+POLICY_PAPER_FORMULA = "paper_formula"
+POLICY_ROUNDED_HALF = "rounded_half"
+POLICY_SWEPT = "swept"
+POLICIES = (POLICY_PAPER_FORMULA, POLICY_ROUNDED_HALF, POLICY_SWEPT)
 
 _NORM_TOL = 1e-9
 _STEP_CHUNK = 1024  # traced iterations stepped into one buffer
@@ -63,12 +67,30 @@ class ReducedState:
 
 
 @dataclass(frozen=True)
-class SpherePoint:
-    """The diffusion axis s: square roots of the class weights."""
+class Schedule:
+    """The single knob of a run: L cheap iterations, then 1, then 2L."""
 
-    x_s: float
-    y_s: float
-    z_s: float
+    L: int
+    selection_policy: str = POLICY_PAPER_FORMULA
+
+    def __post_init__(self):
+        if self.L < 0:
+            raise ValueError(f"L must be >= 0, got {self.L}")
+        if self.selection_policy not in POLICIES:
+            raise ValueError(f"unknown selection policy {self.selection_policy!r}")
+
+    def segments(self) -> tuple[tuple[int, str, int], ...]:
+        """(phase, oracle op, iterations) of the three search phases, in order."""
+        return ((1, "oracle_x", self.L), (2, "oracle_y", 1), (3, "oracle_x", 2 * self.L))
+
+
+@dataclass(frozen=True)
+class QueryStats:
+    """Oracle-call counters for one run, times the number of repetitions."""
+
+    count_x: int
+    count_y: int
+    repetitions: int = 1
 
 
 @dataclass(frozen=True)
@@ -84,19 +106,22 @@ class TraceRecord:
 
 @dataclass(eq=False, slots=True)
 class Trace:
-    """A recorded run as columns: one (x, y, z) row per state passed through.
+    """A recorded run as columns: one (x, y, z) row per stop of the schedule.
 
-    Row 0 is the init state; iteration i of the 3L+1 adds its oracle row
-    1 + 2i and its diffusion row 2 + 2i.  Phase, step and op labels follow
-    from L and are not stored, and p_success is z*z.  Untraced runs return
-    a trace with no rows.  Iterating yields one `TraceRecord` per row.
+    Stop 0 is the init state and stop i + 1 the state after iteration i's
+    diffusion, so a trace holds 3L + 2 stops.  It describes 1 + 2(3L+1)
+    rows: row 0 is stop 0, and iteration i adds its oracle row 1 + 2i,
+    which is stop i with the oracle's sign flips applied, and its diffusion
+    row 2 + 2i, which is stop i + 1.  Phase, step and op labels follow from
+    L and are not stored, and p_success is z*z.  Untraced runs return a
+    trace with no stops.  Iterating yields one `TraceRecord` per row.
     """
 
     L: int
-    xyz: np.ndarray  # float64, shape (rows, 3)
+    stops: np.ndarray  # float64, shape (3L + 2, 3), or (0, 3) untraced
 
     def __len__(self) -> int:
-        return len(self.xyz)
+        return max(0, 2 * len(self.stops) - 1)
 
     def label(self, row: int) -> tuple[int, int, str]:
         """(phase, step, op) of one row."""
@@ -110,19 +135,28 @@ class Trace:
         raise IndexError(f"row {row} is past the end of a trace with L={self.L}")
 
     def __iter__(self):
-        for row, (x, y, z) in enumerate(self.xyz.tolist()):
-            yield TraceRecord(*self.label(row), ReducedState(x, y, z), z * z)
+        stops = self.stops.tolist()
+        for row in range(len(self)):
+            phase, step, op = self.label(row)
+            p = ReducedState(*stops[row // 2])
+            if op in _ORACLES:
+                p = _ORACLES[op](p)
+            yield TraceRecord(phase, step, op, p, p.z * p.z)
 
     def gaps(self, other: Trace) -> np.ndarray:
-        """Per row, the largest absolute difference in x, y, z or p_success."""
+        """Per row, the largest absolute difference in x, y, z or p_success.
+
+        An oracle row has the gap of its stop: negation changes neither.
+        """
         if self.L != other.L or len(self) != len(other):
             raise ValueError(
                 f"traces of different runs: L={self.L}, {len(self)} rows"
                 f" vs L={other.L}, {len(other)} rows"
             )
-        a, b = self.xyz, other.xyz
-        return np.maximum(np.abs(a - b).max(axis=1),
+        a, b = self.stops, other.stops
+        gaps = np.maximum(np.abs(a - b).max(axis=1),
                           np.abs(a[:, 2] * a[:, 2] - b[:, 2] * b[:, 2]))
+        return np.repeat(gaps, 2)[:-1]
 
     def first_gap(self, other: Trace, tol: float) -> tuple[int, float] | None:
         """The first row whose gap to other exceeds tol, and that gap, or None."""
@@ -131,19 +165,14 @@ class Trace:
         return (int(bad[0]), float(gaps[bad[0]])) if bad.size else None
 
 
-def sphere_point(counts: ClassCounts) -> SpherePoint:
+def initial_point(counts: ClassCounts) -> ReducedState:
+    """The uniform superposition, which is also the diffusion axis s."""
     n = counts.n
-    return SpherePoint(
+    return ReducedState(
         math.sqrt(counts.k00 / n),
         math.sqrt(counts.k10 / n),
         math.sqrt(counts.k11 / n),
     )
-
-
-def initial_point(counts: ClassCounts) -> ReducedState:
-    """The uniform superposition: coincides with the diffusion axis."""
-    s = sphere_point(counts)
-    return ReducedState(s.x_s, s.y_s, s.z_s)
 
 
 def apply_oracle_x(p: ReducedState) -> ReducedState:
@@ -156,13 +185,16 @@ def apply_oracle_y(p: ReducedState) -> ReducedState:
     return ReducedState(p.x, p.y, -p.z)
 
 
-def apply_diffusion(p: ReducedState, s: SpherePoint) -> ReducedState:
-    """Reflection through s: p -> 2 (p . s) s - p."""
-    d = p.x * s.x_s + p.y * s.y_s + p.z * s.z_s
+_ORACLES = {"oracle_x": apply_oracle_x, "oracle_y": apply_oracle_y}
+
+
+def apply_diffusion(p: ReducedState, s: ReducedState) -> ReducedState:
+    """Reflection through the axis s: p -> 2 (p . s) s - p."""
+    d = p.x * s.x + p.y * s.y + p.z * s.z
     return ReducedState(
-        2.0 * d * s.x_s - p.x,
-        2.0 * d * s.y_s - p.y,
-        2.0 * d * s.z_s - p.z,
+        2.0 * d * s.x - p.x,
+        2.0 * d * s.y - p.y,
+        2.0 * d * s.z - p.z,
     )
 
 
@@ -194,7 +226,7 @@ def final_point(counts: ClassCounts, L: int) -> ReducedState:
     `run_schedule` to rounding, without accumulating error over L.  Raises
     NormDrift if the result is off the unit sphere.
     """
-    s = sphere_point(counts)
+    s = initial_point(counts)
     kx = counts.k10 + counts.k11
     uy, uz = math.sqrt(counts.k10 / kx), math.sqrt(counts.k11 / kx)
     theta = math.atan2(math.sqrt(kx), math.sqrt(counts.k00))
@@ -219,24 +251,22 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
     queries.  Traced, every iteration is stepped as oracle-then-diffusion on
     plain floats (the arithmetic of `apply_oracle_x`/`_y` and
     `apply_diffusion`, in the same order, so every value is bit-identical)
-    and appends two rows after the init row, so a trace holds 1 + 2*(3L+1)
-    rows, and the counters add up the oracle calls of each segment.  Either
-    way the final state must still have unit norm, or NormDrift is raised.
+    and stores the stop after it, so a trace holds 3L + 2 stops, and the
+    counters add up the oracle calls of each segment.  Either way the final
+    state must still have unit norm, or NormDrift is raised.
     """
     if not record_trace:
         return (final_point(counts, sched.L), Trace(sched.L, np.empty((0, 3))),
                 QueryStats(count_x=3 * sched.L, count_y=1, repetitions=1))
     import mmap  # only traced runs load it, as with numpy
 
-    s = sphere_point(counts)
-    sx, sy, sz = s.x_s, s.y_s, s.z_s
-    x, y, z = sx, sy, sz
+    s = initial_point(counts)
+    sx, sy, sz = x, y, z = s.x, s.y, s.z
     # one anonymous mapping of the final size, filled a chunk at a time: it
     # goes back to the OS when the trace is dropped, while a malloc'd buffer
     # of that size leaves a hole the heap keeps
-    rows_total = 1 + 2 * (3 * sched.L + 1)
-    xyz = np.frombuffer(mmap.mmap(-1, 24 * rows_total), np.float64).reshape(rows_total, 3)
-    flat = xyz.reshape(-1)
+    stops = np.frombuffer(mmap.mmap(-1, 24 * (3 * sched.L + 2)), np.float64).reshape(-1, 3)
+    flat = stops.reshape(-1)
     flat[:3] = x, y, z
     end = 3
     count_x = 0
@@ -256,13 +286,12 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
                 ox, oy, oz = x, flip_y * y, -z
                 d2 = 2.0 * (ox * sx + oy * sy + oz * sz)
                 x, y, z = d2 * sx - ox, d2 * sy - oy, d2 * sz - oz
-                rows.extend((ox, oy, oz, x, y, z))
+                rows.extend((x, y, z))
             flat[end:end + len(rows)] = rows
             end += len(rows)
     p = ReducedState(x, y, z)
     check_norm(p.norm_sq(), "reduced")
-    trace = Trace(sched.L, xyz)
-    return p, trace, QueryStats(count_x=count_x, count_y=count_y, repetitions=1)
+    return p, Trace(sched.L, stops), QueryStats(count_x=count_x, count_y=count_y, repetitions=1)
 
 
 # Iterations (two rows each) formatted per write.  On a 78,540-iteration trace
@@ -277,46 +306,37 @@ def _unmarked(text: str) -> str:
     return text.replace("\x01", ",").replace("\x02", ",")
 
 
-def _formatted(x: float, y: float, z: float) -> str:
-    """The x, y, z and p_success fields of one CSV row."""
-    return f"{x:.17g},{y:.17g},{z:.17g},{z * z:.17g}"
-
-
 def write_trace_csv(path, trace: Trace) -> None:
     """Trace export; floats printed with 17 significant digits (lossless).
 
-    Only the init and diffusion rows are formatted, a chunk of rows in one
-    batched `%` call.  An oracle row is the row before it with z negated
-    (and y too, for the cheap oracle), so its text is that row's with a
-    leading '-' toggled on those fields and the same p_success; this is
-    exact because format(-v, '.17g') is '-' + format(v, '.17g'), signed
-    zeros included.  An oracle row whose values are not exactly that (the
-    full engine projects an all-zero class to +0.0 either way) is formatted
-    as it stands.  Rows are written a chunk at a time, so memory stays
-    bounded whatever L is.
+    Only the stops are formatted, a chunk of them in one batched `%` call.
+    An oracle row is the stop before it with z negated (and y too, for the
+    cheap oracle), so its text is that stop's with a leading '-' toggled on
+    those fields and the same p_success; this is exact because
+    format(-v, '.17g') is '-' + format(v, '.17g'), signed zeros included.
+    Rows are written a chunk at a time, so memory stays bounded whatever L
+    is.
     """
-    xyz = trace.xyz
+    stops = trace.stops
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("phase,step,op,x,y,z,p_success\n")
-        if not len(xyz):
+        if not len(stops):
             return
-        x, y, z = xyz[0].tolist()
-        prev = _MARKED_ROW % (x, y, z, z * z)  # the row each oracle row negates
+        x, y, z = stops[0].tolist()
+        prev = _MARKED_ROW % (x, y, z, z * z)  # the stop the next oracle row negates
         fh.write("0,0,init," + _unmarked(prev))
-        first = 0  # iterations before this phase
+        first = 1  # the stop after the first iteration of this phase
         for phase, op, steps in Schedule(trace.L).segments():
             cheap = op == "oracle_x"
-            flip = np.array([1.0, -1.0 if cheap else 1.0, -1.0])
             pair = f"{phase},%d,{op},%s\n{phase},%d,diffusion,%s\n"
             for lo in range(0, steps, _CSV_CHUNK):
                 hi = min(steps, lo + _CSV_CHUNK)
                 m = hi - lo
-                block = xyz[2 * (first + lo):2 * (first + hi) + 1]
                 values = np.empty((m, 4))
-                values[:, :3] = block[2::2]
+                values[:, :3] = stops[first + lo:first + hi]
                 np.square(values[:, 2], out=values[:, 3])
                 text = (_MARKED_ROW * m) % tuple(values.ravel().tolist())
-                # oracle row j negates row j - 1: prev, then all but the last row
+                # oracle row j negates stop j - 1: prev, then all but the last stop
                 cut = text.rfind("\n", 0, -1) + 1
                 negated = ((prev + text[:cut]).replace("\x01", ",-" if cheap else ",")
                            .replace("\x02", ",-").replace(",--", ","))
@@ -325,10 +345,6 @@ def write_trace_csv(path, trace: Trace) -> None:
                 fields[0::4] = fields[2::4] = range(lo, hi)
                 fields[1::4] = negated.split("\n")[:m]
                 fields[3::4] = _unmarked(text).split("\n")[:m]
-                exact = (block[1::2].view(np.int64)
-                         == (block[:-1:2] * flip).view(np.int64)).all(axis=1)
-                for j in np.flatnonzero(~exact).tolist():
-                    fields[4 * j + 1] = _formatted(*block[2 * j + 1].tolist())
                 fh.write((pair * m) % tuple(fields))
             first += steps
 
@@ -336,11 +352,17 @@ def write_trace_csv(path, trace: Trace) -> None:
 def phase1_circle_points(trace: Trace) -> np.ndarray:
     """The init point plus every post-diffusion point of the first cheap phase.
 
-    These are the L+1 successive stops of the phase-1 trajectory (rows 0, 2,
-    ..., 2L); the oracle half-steps in between are reflections off the
-    circle and are excluded.
+    These are the L+1 successive stops of the phase-1 trajectory; the oracle
+    half-steps in between are reflections off the circle and are excluded.
+    Raises InsufficientTrace when fewer than 3 are available (a circle, or
+    a plane, needs three).
     """
-    return trace.xyz[0:2 * trace.L + 1:2]
+    points = trace.stops[:trace.L + 1]
+    if len(points) < 3:
+        raise InsufficientTrace(
+            f"phase-1 geometry needs at least 3 stops, trace has {len(points)}"
+        )
+    return points
 
 
 def _fit_plane(points: np.ndarray) -> tuple[np.ndarray, float]:
@@ -354,12 +376,7 @@ def _fit_plane(points: np.ndarray) -> tuple[np.ndarray, float]:
 
 def phase1_coplanarity_residual(trace: Trace) -> float:
     """Largest out-of-plane deviation of the phase-1 stops (0 for a true circle)."""
-    pts = phase1_circle_points(trace)
-    if len(pts) < 3:
-        raise InsufficientTrace(
-            f"coplanarity needs at least 3 phase-1 points, trace has {len(pts)}"
-        )
-    return _fit_plane(pts)[1]
+    return _fit_plane(phase1_circle_points(trace))[1]
 
 
 def phase1_rotation_check(trace: Trace) -> list[float]:
@@ -369,14 +386,9 @@ def phase1_rotation_check(trace: Trace) -> list[float]:
     mean offset along the normal) and measures successive central angles
     with atan2 in the circle's own frame.  For L phase-1 iterations this
     yields L angles; they should all equal twice the per-step rotation
-    angle.  Raises InsufficientTrace when fewer than 3 points are available
-    (a circle needs three).
+    angle.  Raises InsufficientTrace when fewer than 3 points are available.
     """
     arr = phase1_circle_points(trace)
-    if len(arr) < 3:
-        raise InsufficientTrace(
-            f"rotation check needs at least 3 phase-1 points, trace has {len(arr)}"
-        )
     normal, _ = _fit_plane(arr)
     center = float((arr @ normal).mean()) * normal
     radial = arr - center

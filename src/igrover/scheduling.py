@@ -33,60 +33,31 @@ from .instance import (
     partition_classes,
     verify_outcome,
 )
-
-POLICY_PAPER_FORMULA = "paper_formula"
-POLICY_ROUNDED_HALF = "rounded_half"
-POLICY_SWEPT = "swept"
-POLICIES = (POLICY_PAPER_FORMULA, POLICY_ROUNDED_HALF, POLICY_SWEPT)
+from .fullstate import measurement_sampler, run_schedule_full
+from .reduced import (POLICIES, POLICY_PAPER_FORMULA, POLICY_ROUNDED_HALF, POLICY_SWEPT,
+                      QueryStats, Schedule, final_point, run_schedule, success_probability)
 
 
 @dataclass(frozen=True)
 class AngleParams:
     theta_chord: float
     theta_approx: float
-    alpha_target: float
-    ds: float
 
 
 def compute_theta(counts: ClassCounts) -> AngleParams:
     """Rotation-angle parameters from the class sizes.
 
-    ds is the chord length between successive trajectory points on the unit
-    sphere, sqrt(|X|/n); the exact turning angle subtending that chord is
-    2*asin(ds/2).  alpha_target is the quarter turn the cheap phases aim for.
+    theta_approx is the chord length between successive trajectory points
+    on the unit sphere, sqrt(|X|/n); the exact turning angle subtending
+    that chord is theta_chord = 2*asin(theta_approx/2).
     """
-    ratio = (counts.k11 + counts.k10) / counts.n
-    ds = math.sqrt(ratio)
-    chord = 2.0 * math.asin(0.5 * ds)
-    return AngleParams(
-        theta_chord=chord,
-        theta_approx=ds,
-        alpha_target=math.pi / 2.0,
-        ds=ds,
-    )
+    theta_approx = math.sqrt((counts.k11 + counts.k10) / counts.n)
+    return AngleParams(2.0 * math.asin(0.5 * theta_approx), theta_approx)
 
 
 def _round_half_up(v: float) -> int:
     # banker's rounding would map 2.5 -> 2; the schedule wants 2.5 -> 3
     return int(math.floor(v + 0.5))
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """The single knob of a run: L cheap iterations, then 1, then 2L."""
-
-    L: int
-    selection_policy: str = POLICY_PAPER_FORMULA
-
-    def __post_init__(self):
-        if self.L < 0:
-            raise ValueError(f"L must be >= 0, got {self.L}")
-        if self.selection_policy not in POLICIES:
-            raise ValueError(f"unknown selection policy {self.selection_policy!r}")
-
-    def segments(self) -> tuple[tuple[int, str, int], ...]:
-        """(phase, oracle op, iterations) of the three search phases, in order."""
-        return ((1, "oracle_x", self.L), (2, "oracle_y", 1), (3, "oracle_x", 2 * self.L))
 
 
 def choose_L(counts: ClassCounts, policy: str = POLICY_PAPER_FORMULA,
@@ -114,8 +85,6 @@ def sweep_L(counts: ClassCounts, window: int = 3) -> tuple[Schedule, list[tuple[
     Returns the best schedule (ties break toward smaller L) and the full
     (L, p_success) table in ascending L order.
     """
-    from .reduced import final_point, success_probability
-
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
     center = choose_L(counts, POLICY_PAPER_FORMULA).L
@@ -139,15 +108,6 @@ class CostModel:
     def __post_init__(self):
         if not (0 < self.t_x < math.inf and 0 < self.t_y < math.inf):  # NaN fails too
             raise ValueError(f"query costs must be positive and finite, got {self}")
-
-
-@dataclass(frozen=True)
-class QueryStats:
-    """Oracle-call counters for one run, times the number of repetitions."""
-
-    count_x: int
-    count_y: int
-    repetitions: int = 1
 
 
 def query_cost(stats: QueryStats, model: CostModel) -> float:
@@ -262,14 +222,10 @@ def run_with_repetitions(inst: ProblemInstance, sched: Schedule, max_reps: int,
     counts = partition_classes(inst)
     rng = np.random.default_rng(seed)
     if engine == "reduced":
-        from .reduced import run_schedule, success_probability
-
         final, _, run_stats = run_schedule(counts, sched, record_trace=False)
         p = success_probability(final)
         draw = lambda: sample_from_reduced(final, inst, rng, counts)
     elif engine == "full":
-        from .fullstate import measurement_sampler, run_schedule_full
-
         if evolved is None:
             state, _, run_stats = run_schedule_full(inst, sched, record_trace=False)
         else:

@@ -27,6 +27,11 @@ def one_query_ceiling(kx: int, ky: int) -> float:
     return 1.0 if 3.0 * phi >= math.pi / 2.0 else math.sin(3.0 * phi) ** 2
 
 
+def trace_rows(trace: ig.Trace) -> np.ndarray:
+    """Every row of a trace, oracle rows included, as a (rows, 3) array."""
+    return np.array([(r.point.x, r.point.y, r.point.z) for r in trace]).reshape(-1, 3)
+
+
 def range_instance(n: int, kx: int, ky: int) -> ig.ProblemInstance:
     """X = [0, kx-1], Y = [0, ky-1] as range specs."""
     return ig.build_instance({

@@ -84,7 +84,7 @@ class TestRun:
 
         def corrupted(inst, sched, **kw):
             state, trace, stats = real(inst, sched, **kw)
-            trace.xyz[-1, 0] += 1e-6  # x of the last row
+            trace.stops[-1, 0] += 1e-6  # x of the last row
             return state, trace, stats
 
         monkeypatch.setattr(cli, "run_schedule_full", corrupted)
@@ -105,7 +105,7 @@ class TestRun:
 
         def corrupted(inst, sched, **kw):
             state, trace, stats = real(inst, sched, **kw)
-            trace.xyz[-1, 0] += 1e-6
+            trace.stops[-1, 0] += 1e-6
             return state, trace, stats
 
         monkeypatch.setattr(cli, "run_schedule_full", corrupted)
@@ -121,7 +121,7 @@ class TestRun:
 
     def test_full_engine_evolves_once(self, inst_path, tmp_path, capsys, monkeypatch):
         # the traced run's final state also serves the repetition draws
-        real = ig.fullstate.run_schedule_full
+        real = ig.scheduling.run_schedule_full
         calls = []
 
         def counted(*args, **kw):
@@ -129,7 +129,7 @@ class TestRun:
             return real(*args, **kw)
 
         monkeypatch.setattr(cli, "run_schedule_full", counted)
-        monkeypatch.setattr(ig.fullstate, "run_schedule_full", counted)
+        monkeypatch.setattr(ig.scheduling, "run_schedule_full", counted)
         tr = tmp_path / "trace.csv"
         assert run_cli("run", "--instance", inst_path, "--engine", "full",
                        "--trace", str(tr)) == 0

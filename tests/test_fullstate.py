@@ -5,14 +5,15 @@ from __future__ import annotations
 import decimal
 import json
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import igrover as ig
-from igrover import cli, fullstate
-from conftest import random_instance
+from igrover import cli, fullstate, reduced
+from conftest import random_instance, trace_rows
 
 
 def small_inst():
@@ -157,7 +158,7 @@ class TestRunScheduleFull:
         assert trace_r.gaps(trace_f).max() <= 1e-12
         # the state comes back in index order: every amplitude is its
         # class's coordinate over sqrt(class size)
-        x, y, z = trace_f.xyz[-1]
+        x, y, z = trace_f.stops[-1]
         amplitude = {"k00": x / math.sqrt(counts.k00 or 1),
                      "k10": y / math.sqrt(counts.k10 or 1),
                      "k11": z / math.sqrt(counts.k11)}
@@ -309,16 +310,8 @@ class TestOnePassEvolution:
         inst = ig.build_instance({"n": n, "x": x, "y": y})
         for L in (0, ig.choose_L(ig.partition_classes(inst)).L):
             _, trace, _ = ig.run_schedule_full(inst, ig.Schedule(L))
-            np.testing.assert_allclose(trace.xyz, reference_rows(inst, L),
+            np.testing.assert_allclose(trace_rows(trace), reference_rows(inst, L),
                                        rtol=0, atol=1e-13)
-
-    def test_empty_class_rows_stay_positive_zero(self):
-        # Y = X leaves k10 empty; oracle rows keep its +0.0, as _project does
-        n, x, y = SPEC_PAIRS["list-list-Y=X"]
-        inst = ig.build_instance({"n": n, "x": x, "y": y})
-        _, trace, _ = ig.run_schedule_full(inst, ig.Schedule(3))
-        assert not np.signbit(trace.xyz[:, 1]).any()
-        assert (trace.xyz[:, 1] == 0.0).all()
 
     def test_broken_diffusion_raises(self, monkeypatch):
         # a diffusion that skips the first amplitude (a k00 member) leaves
@@ -403,3 +396,82 @@ class TestStateDump:
         (tmp_path / "stub.igsv").write_bytes(raw[:10])
         with pytest.raises(ig.SpecFormatError):
             ig.load_state(tmp_path / "stub.igsv")
+
+
+def bits(p: ig.ReducedState) -> bytes:
+    return struct.pack("<3d", p.x, p.y, p.z)
+
+
+def engine_traces(inst, L):
+    """The reduced and the full trace of one schedule on inst."""
+    sched = ig.Schedule(L)
+    _, trace_r, _ = ig.run_schedule(ig.partition_classes(inst), sched)
+    _, trace_f, _ = ig.run_schedule_full(inst, sched)
+    return {"reduced": trace_r, "full": trace_f}
+
+
+class TestStops:
+    """A trace stores the stops; every oracle row is derived from the stop before it."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, None])
+    @pytest.mark.parametrize("case", sorted(SPEC_PAIRS))
+    def test_oracle_rows_are_the_stop_before_them_flipped(self, tmp_path, monkeypatch,
+                                                         case, chunk):
+        # every spec kind, Y = X and X = universe, L = 0, and CSVs written
+        # one, three and all iterations per chunk
+        if chunk is not None:
+            monkeypatch.setattr(reduced, "_CSV_CHUNK", chunk)
+        n, x, y = SPEC_PAIRS[case]
+        inst = ig.build_instance({"n": n, "x": x, "y": y})
+        oracles = {"oracle_x": ig.apply_oracle_x, "oracle_y": ig.apply_oracle_y}
+        for L in (0, ig.choose_L(ig.partition_classes(inst)).L):
+            for trace in engine_traces(inst, L).values():
+                ig.write_trace_csv(tmp_path / "t.csv", trace)
+                lines = (tmp_path / "t.csv").read_text().splitlines()[1:]
+                records = list(trace)
+                assert len(records) == len(lines) == 1 + 2 * (3 * L + 1)
+                for stop, rec, line in zip(records, records[1:], lines[1:]):
+                    if rec.op == "diffusion":
+                        continue
+                    assert stop.op in ("init", "diffusion")
+                    want = oracles[rec.op](stop.point)
+                    assert bits(rec.point) == bits(want)
+                    assert line.split(",")[3:] == [f"{v:.17g}" for v in (
+                        want.x, want.y, want.z, want.z * want.z)]
+
+    @pytest.mark.parametrize("L", [0, 4])
+    def test_memory_is_24_bytes_a_stop(self, L):
+        inst = ig.build_instance({"n": 1000, "x": mod(5, 2), "y": members(2, 12, 997)})
+        for trace in engine_traces(inst, L).values():
+            assert trace.stops.nbytes == 24 * (3 * L + 2)
+        _, untraced, _ = ig.run_schedule(ig.partition_classes(inst), ig.Schedule(L),
+                                         record_trace=False)
+        assert untraced.stops.nbytes == 0 and len(untraced) == 0
+        _, untraced, _ = ig.run_schedule_full(inst, ig.Schedule(L), record_trace=False)
+        assert untraced.stops.nbytes == 0 and len(untraced) == 0
+
+    @pytest.mark.parametrize("cell", [
+        (1000, members(5, 6, 700), None),
+        (1024, mod(8, 3), None),
+        (4096, span(0, 63), None),
+        (4096, span(0, 63), 5),
+        (100, span(0, 2), 7),
+    ])
+    def test_engines_agree_on_the_sign_of_zero_up_to_the_expensive_oracle(self, cell):
+        # Y = X leaves k10 empty: y is a signed zero in both engines, and a
+        # cheap oracle row negates it in both.  Through phase 2's oracle row
+        # both engines' stops hold +0.0.  From phase 2's diffusion on, the
+        # reduced engine's zero turns -0.0 whenever the diffusion's p . s is
+        # negative, while the full engine projects +0.0 at every stop
+        n, x, L = cell
+        inst = ig.build_instance({"n": n, "x": x, "y": x})
+        if L is None:
+            L = ig.choose_L(ig.partition_classes(inst)).L
+        traces = engine_traces(inst, L)
+        ys = {name: trace_rows(trace)[:, 1] for name, trace in traces.items()}
+        assert (ys["reduced"] == 0.0).all() and (ys["full"] == 0.0).all()
+        head = slice(0, 2 * L + 2)
+        np.testing.assert_array_equal(np.signbit(ys["reduced"][head]),
+                                      np.signbit(ys["full"][head]))
+        cheap = [row for row, rec in enumerate(traces["full"]) if rec.op == "oracle_x"]
+        assert np.signbit(ys["full"][cheap]).all()

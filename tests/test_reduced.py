@@ -55,7 +55,7 @@ class TestOperators:
                 assert bits(oracle(p).x) == bits(p.x)
 
     def test_diffusion_hand_case(self):
-        s = ig.SpherePoint(0.5, 0.5, math.sqrt(0.5))
+        s = ig.ReducedState(0.5, 0.5, math.sqrt(0.5))
         p = ig.ReducedState(1.0, 0.0, 0.0)
         q = ig.apply_diffusion(p, s)
         np.testing.assert_allclose((q.x, q.y, q.z),
@@ -64,7 +64,7 @@ class TestOperators:
     def test_diffusion_hand_case_n16(self):
         # axis state reflected through the n=16, |X|=4, |Y|=1 uniform direction:
         # 2*s_x*s - e_x, worked out by hand
-        s = ig.sphere_point(make_counts(16, 4, 1))
+        s = ig.initial_point(make_counts(16, 4, 1))
         q = ig.apply_diffusion(ig.ReducedState(1.0, 0.0, 0.0), s)
         np.testing.assert_allclose((q.x, q.y, q.z),
                                    (0.5, 0.75, 0.4330127018922193),
@@ -75,16 +75,16 @@ class TestOperators:
         for _ in range(50):
             w = rng.random(3) + 0.01
             w /= w.sum()
-            s = ig.SpherePoint(*np.sqrt(w))
+            s = ig.ReducedState(*np.sqrt(w))
             v = rng.normal(size=3)
             v /= np.linalg.norm(v)
             p = ig.ReducedState(*v)
             q = ig.apply_diffusion(ig.apply_diffusion(p, s), s)
             np.testing.assert_allclose((q.x, q.y, q.z), (p.x, p.y, p.z),
                                        rtol=0, atol=1e-14)
-            fixed = ig.apply_diffusion(ig.ReducedState(s.x_s, s.y_s, s.z_s), s)
+            fixed = ig.apply_diffusion(s, s)
             np.testing.assert_allclose((fixed.x, fixed.y, fixed.z),
-                                       (s.x_s, s.y_s, s.z_s), rtol=0, atol=1e-14)
+                                       (s.x, s.y, s.z), rtol=0, atol=1e-14)
 
     def test_success_probability(self):
         assert ig.success_probability(ig.ReducedState(0.0, 0.0, -0.5)) == 0.25
@@ -146,12 +146,12 @@ class TestRunSchedule:
 
     def test_first_gap_names_the_first_row_past_tol(self):
         _, trace, _ = ig.run_schedule(make_counts(64, 16, 4), ig.Schedule(3))
-        other = ig.Trace(trace.L, trace.xyz.copy())
+        other = ig.Trace(trace.L, trace.stops.copy())
         assert trace.first_gap(other, 0.0) is None
-        other.xyz[5, 1] += 1e-6
-        other.xyz[9, 0] += 1e-3
-        assert trace.first_gap(other, 1e-9) == (5, pytest.approx(1e-6))
-        assert trace.first_gap(other, 1e-4) == (9, pytest.approx(1e-3))
+        other.stops[2, 1] += 1e-6  # row 4, and the oracle row 5 derived from it
+        other.stops[4, 0] += 1e-3  # row 8
+        assert trace.first_gap(other, 1e-9) == (4, pytest.approx(1e-6))
+        assert trace.first_gap(other, 1e-4) == (8, pytest.approx(1e-3))
         assert trace.first_gap(other, 1e-2) is None
 
 
@@ -214,13 +214,13 @@ class TestNormDrift:
     def leaky_diffusion(self, monkeypatch):
         # a diffusion axis 0.1% off the unit sphere: the traced loop starts
         # on it and reflects through it, the closed form reflects through it
-        real = reduced.sphere_point
+        real = reduced.initial_point
 
         def scaled(counts):
             s = real(counts)
-            return ig.SpherePoint(1.001 * s.x_s, 1.001 * s.y_s, 1.001 * s.z_s)
+            return ig.ReducedState(1.001 * s.x, 1.001 * s.y, 1.001 * s.z)
 
-        monkeypatch.setattr(reduced, "sphere_point", scaled)
+        monkeypatch.setattr(reduced, "initial_point", scaled)
 
     @pytest.mark.parametrize("record_trace", [True, False])
     def test_reduced_paths(self, leaky_diffusion, record_trace):
@@ -263,9 +263,10 @@ class TestPhase1Geometry:
         assert len(angles) == ig.choose_L(counts).L
         # all steps turn by the same angle ...
         assert max(angles) - min(angles) <= 1e-12
-        # ... which is exactly 2*asin(ds) (two reflections compose to one
+        # ... which is exactly 2*asin(theta_approx) (two reflections compose to one
         # rotation), and 2*theta_chord approximates that to O(ds^2)
-        np.testing.assert_allclose(angles, 2.0 * math.asin(params.ds), rtol=1e-12)
+        np.testing.assert_allclose(angles, 2.0 * math.asin(params.theta_approx),
+                                   rtol=1e-12)
         np.testing.assert_allclose(angles, 2.0 * params.theta_chord, rtol=0.05)
 
     def test_coplanarity(self):
@@ -312,7 +313,7 @@ class TestTraceCsv:
 
     @pytest.mark.parametrize("cell", [
         (16, 4, 1, None),
-        (4096, 64, 64, None),   # k10 = 0: the empty class stays +0.0 on oracle rows
+        (4096, 64, 64, None),   # k10 = 0: y is +-0.0
         (256, 256, 2, 3),
         (4, 1, 1, 0),
         (4000, 40, 5, 40),
@@ -336,29 +337,6 @@ class TestTraceCsv:
         write_rows_one_at_a_time(tmp_path / "ref.csv", trace)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3, None])
-    def test_inexact_oracle_rows_anywhere(self, tmp_path, monkeypatch, chunk):
-        # oracle rows that are not the row before them with signs flipped:
-        # mid-chunk, on both sides of a chunk boundary, and the first and
-        # last oracle row of each phase
-        if chunk is not None:
-            monkeypatch.setattr(reduced, "_CSV_CHUNK", chunk)
-        size = reduced._CSV_CHUNK
-        L = 3 * size + 2
-        _, trace, _ = ig.run_schedule(make_counts(10 ** 9, 100, 1), ig.Schedule(L))
-        # iterations: phase 1 is 0..L-1, phase 2 is L, phase 3 is L+1..3L
-        picks = {0, size // 2, size - 1, size, 2 * size, L - 1, L, L + 1,
-                 L + 1 + size, 3 * L - 1, 3 * L}
-        rng = np.random.default_rng(7)
-        for i in sorted(picks):
-            row = 1 + 2 * i
-            col = int(rng.integers(3))
-            if i % 3 == 0:
-                trace.xyz[row, col] = 0.0  # +0.0, as the full engine projects it
-            else:
-                trace.xyz[row, col] = float(rng.normal())
-        self.assert_matches_reference(tmp_path, trace)
-
     @pytest.mark.parametrize("chunk", [1, 2, 3])
     @pytest.mark.parametrize("cell", [
         (64, 16, 4, 0),
@@ -374,13 +352,15 @@ class TestTraceCsv:
         self.assert_matches_reference(tmp_path, trace)
 
     def test_full_engine_y_equals_x_over_many_chunks(self, tmp_path):
-        # every cheap oracle row keeps the empty k10 class at +0.0, so each
-        # one fails the sign-flip check and is formatted as it stands
+        # the full engine projects the empty k10 class to +0.0 at every stop,
+        # so every cheap oracle row negates it to -0.0
         L = reduced._CSV_CHUNK
         _, trace, _ = ig.run_schedule_full(range_instance(256, 8, 8), ig.Schedule(L))
         assert len(trace) > 2 * reduced._CSV_CHUNK
         self.assert_matches_reference(tmp_path, trace)
-        assert b",0,-" in (tmp_path / "fast.csv").read_bytes()
+        rows = [line.split(",") for line in (tmp_path / "fast.csv").read_text().splitlines()]
+        cheap = [row[4] for row in rows if row[2] == "oracle_x"]
+        assert len(cheap) == 3 * L and set(cheap) == {"-0"}
 
     def test_roundtrip_is_lossless(self, tmp_path):
         counts = make_counts(64, 16, 4)

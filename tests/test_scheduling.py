@@ -19,10 +19,8 @@ REF = {"n": 16, "x": {"kind": "range", "lo": 0, "hi": 3},
 class TestAngles:
     def test_reference_values(self):
         params = ig.compute_theta(make_counts(1024, 16, 1))
-        assert params.ds == 0.125
         assert params.theta_approx == 0.125
         assert params.theta_chord == pytest.approx(2.0 * math.asin(0.0625), abs=0)
-        assert params.alpha_target == math.pi / 2.0
 
     def test_chord_vs_small_angle_series(self):
         # 2*asin(s/2) = s + s^3/24 + 3 s^5/640 + ..., so the ratio to the
@@ -31,7 +29,7 @@ class TestAngles:
             counts = make_counts(scale * 64, 64, 1)
             params = ig.compute_theta(counts)
             ratio = params.theta_chord / params.theta_approx
-            s2 = params.ds * params.ds
+            s2 = params.theta_approx * params.theta_approx
             assert 1.0 <= ratio <= 1.0 + (s2 / 24.0) * 1.001
 
     def test_relative_gap_shrinks_with_ratio(self):
@@ -48,7 +46,7 @@ class TestAngles:
         for n, kx in [(16, 16), (16, 8), (100, 99), (4096, 1), (10 ** 9, 12345)]:
             params = ig.compute_theta(make_counts(n, kx, 1))
             gap = params.theta_chord - params.theta_approx
-            assert 0.0 <= gap <= params.ds ** 3 / 12.0
+            assert 0.0 <= gap <= params.theta_approx ** 3 / 12.0
         dense = ig.compute_theta(make_counts(16, 16, 1))
         assert dense.theta_approx == 1.0
         assert dense.theta_chord == pytest.approx(math.pi / 3.0, abs=1e-15)
@@ -61,7 +59,7 @@ class TestAngles:
             kx = int(rng.integers(1, n + 1))
             params = ig.compute_theta(make_counts(n, kx, 1))
             gap = params.theta_chord - params.theta_approx
-            assert 0.0 <= gap <= params.ds ** 3 / 12.0, (n, kx)
+            assert 0.0 <= gap <= params.theta_approx ** 3 / 12.0, (n, kx)
 
 
 class TestChooseL:

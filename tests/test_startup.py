@@ -1,4 +1,5 @@
-"""Start-up: `sweep` and `compare` never import numpy; `run` loads it on demand.
+"""Start-up: `sweep` and `compare` never import numpy; `run` loads it on demand;
+the package's modules import one another in one layer order.
 
 Each test starts a fresh interpreter, since numpy, once imported, stays in
 `sys.modules` for the rest of a process.
@@ -6,6 +7,7 @@ Each test starts a fresh interpreter, since numpy, once imported, stays in
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
@@ -24,14 +26,14 @@ AngleParams ClassCounts CostModel DEFAULT_FULL_CAP DimensionMismatch EmptyX Empt
 ExhaustedRepetitions IGroverError IndexOutOfRange InstanceTooLarge InsufficientTrace
 Members Modular NormDrift NotClassUniform NotSubset POLICY_PAPER_FORMULA
 POLICY_ROUNDED_HALF POLICY_SWEPT ProblemInstance QueryStats Range ReducedState
-RunOutcome Schedule SpecFormatError SpherePoint Trace TraceRecord apply_diffusion
+RunOutcome Schedule SpecFormatError Trace TraceRecord apply_diffusion
 apply_diffusion_full apply_oracle_full apply_oracle_x apply_oracle_y build_instance
 choose_L class_of compute_theta crossover_t_y errors final_point fullstate
 init_uniform initial_point instance instance_to_json kth_in_class load_instance
 load_state naive_grover_cost partition_classes phase1_coplanarity_residual
 phase1_rotation_check project_to_reduced query_cost reduced result_record
 run_schedule run_schedule_full run_with_repetitions sample_from_reduced
-sample_measurement save_state scheduling sphere_point success_probability sweep_L
+sample_measurement save_state scheduling success_probability sweep_L
 verify_outcome write_trace_csv __version__
 """.split()
 
@@ -104,3 +106,26 @@ def test_every_exported_name_resolves_without_numpy():
             "missing = [n for n in sys.argv[1:] if not hasattr(igrover, n)]\n"
             "print(json.dumps([missing, 'numpy' in sys.modules]))")
     assert fresh_python(code, *EXPORTS) == [[], False]
+
+
+# each module imports, at module level, only modules to its left
+LAYERS = ["_numpy", "errors", "instance", "reduced", "fullstate", "scheduling", "cli"]
+
+
+def test_modules_import_in_layer_order_and_only_at_module_level():
+    package = Path(igrover.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level and path.stem in LAYERS:
+                assert node.module in LAYERS[:LAYERS.index(path.stem)], (path.name, node.module)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    assert not node.level and not (node.module or "").startswith("igrover"), \
+                        (path.name, fn.name, node.module)
+                elif isinstance(node, ast.Import):
+                    assert not any(a.name.split(".")[0] == "igrover" for a in node.names), \
+                        (path.name, fn.name)
