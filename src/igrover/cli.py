@@ -13,15 +13,14 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .errors import ExhaustedRepetitions, IGroverError
-from .fullstate import check_full_cap, run_schedule_full
-from .instance import load_instance, partition_classes, ClassCounts
+from .fullstate import run_schedule_full
+from .instance import load_instance, ClassCounts
 from .reduced import final_point, run_schedule, success_probability, write_trace_csv
 from .scheduling import (
     POLICY_PAPER_FORMULA,
     POLICY_ROUNDED_HALF,
     POLICY_SWEPT,
     CostModel,
-    QueryStats,
     Schedule,
     choose_L,
     cost_record,
@@ -119,36 +118,31 @@ def cmd_run(args) -> int:
     if not math.isfinite(args.tol):
         raise IGroverError(f"--tol must be finite, got {args.tol}")
     inst = load_instance(args.instance)
-    counts = partition_classes(inst)
-    sched = _schedule_for(args, counts)
+    sched = _schedule_for(args, inst.counts)
     model = CostModel(args.tx, args.ty)
-    if args.engine != "reduced":
-        check_full_cap(inst.n)  # before a traced reduced run of O(L) rows
 
-    trace = evolved = None
-    traced = args.trace or args.engine == "both"
+    state = full_trace = None
+    traced = bool(args.trace) or args.engine == "both"
+    if args.engine != "reduced":
+        # checks the cap before it allocates, so before any O(L) reduced trace
+        state, full_trace, _ = run_schedule_full(inst, sched, record_trace=traced)
+    trace = full_trace
     if traced and args.engine != "full":
-        _, trace, _ = run_schedule(counts, sched)
-    if traced and args.engine != "reduced":
-        state, full_trace, stats = run_schedule_full(inst, sched)
-        if args.engine == "full":
-            # the repetitions reuse this run instead of evolving again
-            trace, evolved = full_trace, (state, stats)
-        else:
-            gap = trace.first_gap(full_trace, args.tol)
-            if gap is not None:
-                phase, step, op = trace.label(gap[0])
-                print(f"engine disagreement: phase {phase} step {step} op {op}: "
-                      f"max delta {gap[1]:.3g} > tol {args.tol:.3g}", file=sys.stderr)
-                return 2
+        _, trace, _ = run_schedule(inst.counts, sched)
+    if args.engine == "both":
+        gap = trace.first_gap(full_trace, args.tol)
+        if gap is not None:
+            phase, step, op = trace.label(gap[0])
+            print(f"engine disagreement: phase {phase} step {step} op {op}: "
+                  f"max delta {gap[1]:.3g} > tol {args.tol:.3g}", file=sys.stderr)
+            return 2
     if args.trace:
         write_trace_csv(args.trace, trace)
 
     code = 0
-    engine = "full" if args.engine == "full" else "reduced"
     try:
-        outcome = run_with_repetitions(inst, sched, args.reps, args.seed, engine=engine,
-                                       evolved=evolved)
+        outcome = run_with_repetitions(inst, sched, args.reps, args.seed,
+                                       state if args.engine == "full" else None)
     except ExhaustedRepetitions as exc:
         outcome = exc.outcome
         code = 3
@@ -190,16 +184,16 @@ def cmd_sweep(args) -> int:
             counts = ClassCounts(k11=ky, k10=kx - ky, k00=n - kx, n=n)
             best, table = sweep_L(counts, args.window)
             p_best = dict(table)[best.L]
-            cost = query_cost(QueryStats(3 * best.L, 1, 1), model)
+            cost = query_cost(best.queries(), model)
             rows.append((n, kx, ky, best.L, p_best, cost))
     else:
         if not args.instance:
             raise IGroverError("sweep needs --instance or a full --grid-n/x/y trio")
         inst = load_instance(args.instance)
-        counts = partition_classes(inst)
+        counts = inst.counts
         _, table = sweep_L(counts, args.window)
         for L, p in table:
-            cost = query_cost(QueryStats(3 * L, 1, 1), model)
+            cost = query_cost(Schedule(L).queries(), model)
             rows.append((counts.n, counts.k11 + counts.k10, counts.k11, L, p, cost))
 
     lines = ["n,x_size,y_size,L,p_success,cost"]
@@ -216,11 +210,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     inst = load_instance(args.instance)
-    counts = partition_classes(inst)
+    counts = inst.counts
     sched = _schedule_for(args, counts)
     model = CostModel(args.tx, args.ty)
     final = final_point(counts, sched.L)
-    stats = QueryStats(3 * sched.L, 1)
+    stats = sched.queries()
     cost = cost_record(counts, stats, model)
     iters = naive_iterations(counts)
     ratio = cost["total"] / cost["naive_total"] if cost["naive_total"] > 0 else None

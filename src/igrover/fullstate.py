@@ -39,19 +39,18 @@ _UNIFORM_TOL = 1e-9
 _CLASSES = ("k00", "k10", "k11")
 
 
-def check_full_cap(n: int, cap: int | None = None) -> None:
+def check_full_cap(n: int) -> None:
     """Raise InstanceTooLarge if the full engine may not allocate n amplitudes.
 
-    The cap is 2**20 unless given; IGROVER_FULL_CAP overrides the default.
+    The cap is 2**20; the IGROVER_FULL_CAP environment variable overrides it.
     """
-    if cap is None:
-        raw = os.environ.get("IGROVER_FULL_CAP", str(DEFAULT_FULL_CAP))
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise SpecFormatError(f"IGROVER_FULL_CAP must be an integer, got {raw!r}") from exc
-        if cap < 2:
-            raise SpecFormatError(f"IGROVER_FULL_CAP must be >= 2, got {cap}")
+    raw = os.environ.get("IGROVER_FULL_CAP", str(DEFAULT_FULL_CAP))
+    try:
+        cap = int(raw)
+    except ValueError as exc:
+        raise SpecFormatError(f"IGROVER_FULL_CAP must be an integer, got {raw!r}") from exc
+    if cap < 2:
+        raise SpecFormatError(f"IGROVER_FULL_CAP must be >= 2, got {cap}")
     if n > cap:
         raise InstanceTooLarge(
             f"n={n} exceeds full-state cap {cap} (set IGROVER_FULL_CAP to raise it)"
@@ -140,8 +139,7 @@ def project_to_reduced(state: np.ndarray, inst: ProblemInstance,
     return ReducedState(*_project(st, bounds, tol))
 
 
-def run_schedule_full(inst: ProblemInstance, sched: Schedule,
-                      record_trace: bool = True, cap: int | None = None
+def run_schedule_full(inst: ProblemInstance, sched: Schedule, record_trace: bool = True
                       ) -> tuple[np.ndarray, Trace, QueryStats]:
     """Execute the full schedule on n amplitudes; trace stops are projected.
 
@@ -150,12 +148,12 @@ def run_schedule_full(inst: ProblemInstance, sched: Schedule,
     each stop is projected, and stops never feed back, so traced and
     untraced runs end in the same bits).  The trace holds the same stops as
     the reduced engine's, so the two runs can be compared pointwise;
-    untraced, it has none.  The run ends by checking the norm (NormDrift) and
-    that every class is still uniform (NotClassUniform).  Raises
-    InstanceTooLarge when n exceeds the cap (default 2**20,
-    env-overridable).
+    untraced, it has none.  The counters are `sched.queries()`.  The run ends
+    by checking the norm (NormDrift) and that every class is still uniform
+    (NotClassUniform).  Raises InstanceTooLarge, before allocating anything,
+    when n exceeds the cap (`check_full_cap`).
     """
-    check_full_cap(inst.n, cap)
+    check_full_cap(inst.n)
     labels, bounds = _layout(inst)
     st = init_uniform(inst.n)  # uniform, so already in layout order
     sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
@@ -169,10 +167,8 @@ def run_schedule_full(inst: ProblemInstance, sched: Schedule,
     stop = 0
     if record_trace:
         stops[stop] = _project(st, bounds)
-    counts = {"oracle_x": 0, "oracle_y": 0}
     for _, op, steps in sched.segments():
         tail, flipped = flips[op]
-        counts[op] += steps
         for _ in range(steps):
             np.negative(tail, out=tail)
             for c in flipped:
@@ -188,8 +184,7 @@ def run_schedule_full(inst: ProblemInstance, sched: Schedule,
     state = np.empty_like(st)
     for c in range(3):
         state[labels == c] = st[bounds[c]:bounds[c + 1]]
-    return (state, Trace(sched.L, stops),
-            QueryStats(counts["oracle_x"], counts["oracle_y"], repetitions=1))
+    return state, Trace(sched.L, stops), sched.queries()
 
 
 def measurement_sampler(state: np.ndarray, rng: np.random.Generator) -> Callable[[], int]:

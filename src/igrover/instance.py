@@ -23,6 +23,7 @@ import json
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .errors import (
@@ -188,44 +189,24 @@ def _validate_members(spec: SetSpec, n: int, which: str) -> None:
 def _subset_violation(n: int, x: SetSpec, y: SetSpec) -> int | None:
     """Return some member of Y that is not in X, or None if Y <= X.
 
-    Cost is bounded by the explicit sizes involved: when X is a range or a
-    modular rule the answer comes from O(1) arithmetic on Y's extremes;
-    when X is a list, scanning Y stops at the first miss, which by
-    pigeonhole arrives within the first |X| + 1 members of Y.
+    Only members of Y that can hold a witness are scanned: Y's extremes for
+    a range X; the first |X| + 1 for a list X (pigeonhole); the first two
+    for a modular X over a range or modular Y (consecutive indices never
+    share a residue, and Y's step must be a multiple of X's modulus); all
+    of a list Y under a modular X, once a whole-list check in C fails.
     """
-    y_size = y.size(n)
+    size = y.size(n)
     if isinstance(x, Range):
-        lo = y.kth(0, n)
-        if not x.contains(lo):
-            return lo
-        hi = y.kth(y_size - 1, n)
-        if not x.contains(hi):
-            return hi
+        ranks = (0, size - 1)
+    elif isinstance(x, Members):
+        ranks = range(min(size, len(x.members) + 1))
+    elif not isinstance(y, Members):
+        ranks = range(min(size, 2))
+    elif set(map(x.m.__rmod__, y.members)) == {x.r}:
         return None
-    if isinstance(x, Modular):
-        if x.m == 1:
-            return None  # X is the whole universe
-        if isinstance(y, Members):
-            if set(map(x.m.__rmod__, y.members)) == {x.r}:
-                return None
-            for v in y.members:
-                if not x.contains(v):
-                    return v
-            return None
-        if isinstance(y, Range):
-            if not x.contains(y.lo):
-                return y.lo
-            if y_size == 1:
-                return None
-            return y.lo + 1  # consecutive indices cannot share a residue mod m >= 2
-        # y is Modular: need r_y == r_x (mod m_x) and m_y a multiple of m_x
-        if not x.contains(y.r):
-            return y.r
-        if y_size >= 2 and y.m % x.m != 0:
-            return y.r + y.m
-        return None
-    # x is Members
-    for j in range(y_size):
+    else:
+        ranks = range(size)
+    for j in ranks:
         v = y.kth(j, n)
         if not x.contains(v):
             return v
@@ -253,6 +234,15 @@ class ProblemInstance:
     @property
     def y_size(self) -> int:
         return self.y_spec.size(self.n)
+
+    @cached_property
+    def counts(self) -> ClassCounts:
+        """The class sizes, kept on the instance after first use.
+
+        cached_property writes `__dict__` directly, past the frozen
+        `__setattr__`; eq, hash and repr still read only the fields.
+        """
+        return partition_classes(self)
 
 
 @dataclass(frozen=True)
@@ -333,15 +323,13 @@ def class_count_leq(inst: ProblemInstance, cls: str, t: int) -> int:
     raise ValueError(f"unknown class {cls!r}")
 
 
-def kth_in_class(inst: ProblemInstance, cls: str, j: int,
-                 counts: ClassCounts | None = None) -> int:
+def kth_in_class(inst: ProblemInstance, cls: str, j: int) -> int:
     """The j-th smallest index of a class, by binary search on rank counts.
 
     This is what keeps uniform class sampling O(log n) even when the class
     itself is astronomically large (say, the complement of a small X).
-    `counts`, if given, must be `partition_classes(inst)`.
     """
-    counts = counts or partition_classes(inst)
+    counts = inst.counts
     size = {CLASS_K11: counts.k11, CLASS_K10: counts.k10, CLASS_K00: counts.k00}[cls]
     if not 0 <= j < size:
         raise IndexOutOfRange(f"rank {j} outside class {cls} of size {size}")

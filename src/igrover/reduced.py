@@ -83,6 +83,10 @@ class Schedule:
         """(phase, oracle op, iterations) of the three search phases, in order."""
         return ((1, "oracle_x", self.L), (2, "oracle_y", 1), (3, "oracle_x", 2 * self.L))
 
+    def queries(self, repetitions: int = 1) -> QueryStats:
+        """Oracle calls of `repetitions` runs: 3L cheap and 1 expensive each."""
+        return QueryStats(3 * self.L, 1, repetitions)
+
 
 @dataclass(frozen=True)
 class QueryStats:
@@ -222,9 +226,10 @@ def final_point(counts: ClassCounts, L: int) -> ReducedState:
 
     O(1) closed form (see the module docstring): phase 1 and phase 3 are
     rotations by 2*theta per iteration in the (e, u) plane, and phase 3
-    leaves the w component alone.  Matches the stepwise loop of
-    `run_schedule` to rounding, without accumulating error over L.  Raises
-    NormDrift if the result is off the unit sphere.
+    leaves the w component alone.  Matches the stepwise loop of `run_schedule`
+    to rounding, but the float64 phase (2L+1)*theta makes its error grow
+    linearly in L (about 1.6e-12 at L = 10^4).  Raises NormDrift if the
+    result is off the unit sphere.
     """
     s = initial_point(counts)
     kx = counts.k10 + counts.k11
@@ -246,18 +251,16 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
                  ) -> tuple[ReducedState, Trace, QueryStats]:
     """Execute init, L cheap iterations, 1 expensive, 2L cheap.
 
-    Untraced, the final state comes from `final_point` in O(1), the trace has
-    no rows and the counters are the schedule's 3L cheap and 1 expensive
-    queries.  Traced, every iteration is stepped as oracle-then-diffusion on
-    plain floats (the arithmetic of `apply_oracle_x`/`_y` and
+    Untraced, the final state comes from `final_point` in O(1) and the trace
+    has no rows.  Traced, every iteration is stepped as oracle-then-diffusion
+    on plain floats (the arithmetic of `apply_oracle_x`/`_y` and
     `apply_diffusion`, in the same order, so every value is bit-identical)
-    and stores the stop after it, so a trace holds 3L + 2 stops, and the
-    counters add up the oracle calls of each segment.  Either way the final
-    state must still have unit norm, or NormDrift is raised.
+    and stores the stop after it, so a trace holds 3L + 2 stops.  Either way
+    the counters are `sched.queries()`, and the final state must still have
+    unit norm, or NormDrift is raised.
     """
     if not record_trace:
-        return (final_point(counts, sched.L), Trace(sched.L, np.empty((0, 3))),
-                QueryStats(count_x=3 * sched.L, count_y=1, repetitions=1))
+        return final_point(counts, sched.L), Trace(sched.L, np.empty((0, 3))), sched.queries()
     import mmap  # only traced runs load it, as with numpy
 
     s = initial_point(counts)
@@ -269,17 +272,10 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
     flat = stops.reshape(-1)
     flat[:3] = x, y, z
     end = 3
-    count_x = 0
-    count_y = 0
     for _, op, steps in sched.segments():
         # the cheap oracle negates y, the expensive one keeps it; 1.0 * y and
         # -1.0 * y are y and -y bit for bit, signed zeros included
-        if op == "oracle_x":
-            flip_y = -1.0
-            count_x += steps
-        else:
-            flip_y = 1.0
-            count_y += steps
+        flip_y = -1.0 if op == "oracle_x" else 1.0
         for lo in range(0, steps, _STEP_CHUNK):
             rows = array("d")
             for _ in range(min(_STEP_CHUNK, steps - lo)):
@@ -291,7 +287,7 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
             end += len(rows)
     p = ReducedState(x, y, z)
     check_norm(p.norm_sq(), "reduced")
-    return p, Trace(sched.L, stops), QueryStats(count_x=count_x, count_y=count_y, repetitions=1)
+    return p, Trace(sched.L, stops), sched.queries()
 
 
 # Iterations (two rows each) formatted per write.  On a 78,540-iteration trace

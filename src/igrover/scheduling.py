@@ -6,13 +6,14 @@ expensive-oracle iteration, and 2L more cheap-oracle iterations.  Each
 iteration is an oracle application followed by the diffusion reflection, so
 a run costs exactly 3L cheap queries and one expensive query.
 
-L is chosen from the per-iteration rotation angle theta.  During the cheap
-phases the state turns by 2*theta per iteration where
+During the cheap phases the state turns by 2 * asin(sqrt(|X| / n)) per
+iteration (as `final_point` computes).  L is chosen from the paper's
+approximations of half that turn,
 
-    theta_chord  = 2 * asin(0.5 * sqrt(|X| / n))   (exact chord angle)
+    theta_chord  = 2 * asin(0.5 * sqrt(|X| / n))   (the paper's chord form)
     theta_approx = sqrt(|X| / n)                   (small-angle shortcut)
 
-and the selection policies differ only in how they round pi/4 / theta.
+and the selection policies differ only in how they round pi/4 / theta_chord.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from .instance import (
     ProblemInstance,
     instance_to_json,
     kth_in_class,
-    partition_classes,
     verify_outcome,
 )
-from .fullstate import measurement_sampler, run_schedule_full
+from .fullstate import measurement_sampler
 from .reduced import (POLICIES, POLICY_PAPER_FORMULA, POLICY_ROUNDED_HALF, POLICY_SWEPT,
                       QueryStats, Schedule, final_point, run_schedule, success_probability)
 
@@ -47,9 +47,10 @@ class AngleParams:
 def compute_theta(counts: ClassCounts) -> AngleParams:
     """Rotation-angle parameters from the class sizes.
 
-    theta_approx is the chord length between successive trajectory points
-    on the unit sphere, sqrt(|X|/n); the exact turning angle subtending
-    that chord is theta_chord = 2*asin(theta_approx/2).
+    theta_approx = sqrt(|X|/n), and theta_chord = 2*asin(theta_approx/2)
+    subtends a chord of that length.  Both approximate asin(sqrt(|X|/n)),
+    half the exact turn per iteration (n = 100, |X| = 36: 0.6 and 0.6094
+    against 0.6435).
     """
     theta_approx = math.sqrt((counts.k11 + counts.k10) / counts.n)
     return AngleParams(2.0 * math.asin(0.5 * theta_approx), theta_approx)
@@ -60,17 +61,17 @@ def _round_half_up(v: float) -> int:
     return int(math.floor(v + 0.5))
 
 
-def choose_L(counts: ClassCounts, policy: str = POLICY_PAPER_FORMULA,
-             window: int = 3) -> Schedule:
+def choose_L(counts: ClassCounts, policy: str = POLICY_PAPER_FORMULA) -> Schedule:
     """Pick L for the given class sizes under one of three policies.
 
     paper_formula rounds pi/4 / theta_chord half-up; rounded_half first
     subtracts half an iteration (the init state already sits one half-step
-    into the rotation) and never goes below zero; swept searches a window
-    around the formula value for the best exact success probability.
+    into the rotation) and never goes below zero; swept searches `sweep_L`'s
+    default window around the formula value for the best exact success
+    probability.
     """
     if policy == POLICY_SWEPT:
-        return sweep_L(counts, window)[0]
+        return sweep_L(counts)[0]
     raw = (math.pi / 4.0) / compute_theta(counts).theta_chord
     if policy == POLICY_PAPER_FORMULA:
         return Schedule(_round_half_up(raw), policy)
@@ -159,16 +160,14 @@ class RunOutcome:
     seed: int
 
 
-def sample_from_reduced(point, inst: ProblemInstance, rng: np.random.Generator,
-                        counts: ClassCounts | None = None) -> int:
+def sample_from_reduced(point, inst: ProblemInstance, rng: np.random.Generator) -> int:
     """Draw one measured index from a reduced state without touching amplitudes.
 
     First pick a class with probability equal to its squared coordinate,
     then a uniform member of that class by rank.  Matches sampling the full
     n-amplitude state exactly, because amplitudes are constant within a class.
-    `counts`, if given, must be `partition_classes(inst)`.
     """
-    counts = counts or partition_classes(inst)
+    counts = inst.counts
     live = [(cls, size, w) for cls, size, w in ((CLASS_K00, counts.k00, point.x * point.x),
                                                 (CLASS_K10, counts.k10, point.y * point.y),
                                                 (CLASS_K11, counts.k11, point.z * point.z))
@@ -181,7 +180,7 @@ def sample_from_reduced(point, inst: ProblemInstance, rng: np.random.Generator,
         if u < acc:
             chosen = entry
             break
-    return kth_in_class(inst, chosen[0], _uniform_below(chosen[1], rng), counts)
+    return kth_in_class(inst, chosen[0], _uniform_below(chosen[1], rng))
 
 
 def _uniform_below(size: int, rng: np.random.Generator) -> int:
@@ -201,49 +200,37 @@ def _uniform_below(size: int, rng: np.random.Generator) -> int:
 
 
 def run_with_repetitions(inst: ProblemInstance, sched: Schedule, max_reps: int,
-                         seed: int, engine: str = "reduced",
-                         evolved: tuple[np.ndarray, QueryStats] | None = None
-                         ) -> RunOutcome:
+                         seed: int, state: np.ndarray | None = None) -> RunOutcome:
     """Run the schedule, measure, verify; repeat on failure up to max_reps.
 
     Each repetition is an independent fresh start of the whole schedule, but
     the evolution is deterministic, so the final state is computed once and
-    only the measurement is redrawn.  With the full engine, `evolved` may
-    carry the (final state, counters) of a `run_schedule_full` call on this
-    schedule, which is then reused instead of evolving again.  The full
-    engine's p is the squared norm of the target amplitudes, and its draws
-    all read one cumulative table of the squared amplitudes.  Query
-    counters still charge every repetition in full.  Raises
-    ExhaustedRepetitions (carrying the final outcome) if no repetition
-    verifies.
+    only the measurement is redrawn.  Without `state` that is the reduced
+    engine's closed form, and a draw picks a class, then a member by rank.
+    With `state`, the index-order final state of a `run_schedule_full` run
+    of this schedule, p is the squared norm of its target amplitudes and the
+    draws all read one cumulative table of its squared amplitudes.  Query
+    counters charge every repetition in full.  Raises ExhaustedRepetitions
+    (carrying the final outcome) if no repetition verifies.
     """
     if max_reps < 1:
         raise ValueError(f"max_reps must be >= 1, got {max_reps}")
-    counts = partition_classes(inst)
     rng = np.random.default_rng(seed)
-    if engine == "reduced":
-        final, _, run_stats = run_schedule(counts, sched, record_trace=False)
+    if state is None:
+        final, _, _ = run_schedule(inst.counts, sched, record_trace=False)
         p = success_probability(final)
-        draw = lambda: sample_from_reduced(final, inst, rng, counts)
-    elif engine == "full":
-        if evolved is None:
-            state, _, run_stats = run_schedule_full(inst, sched, record_trace=False)
-        else:
-            state, run_stats = evolved
+        draw = lambda: sample_from_reduced(final, inst, rng)
+    else:
         targets = state[inst.y_spec.selector()]
         p = float(targets @ targets)
         draw = measurement_sampler(state, rng)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
 
-    index = -1
     for rep in range(1, max_reps + 1):
         index = draw()
         if verify_outcome(inst, index):
-            stats = QueryStats(run_stats.count_x, run_stats.count_y, repetitions=rep)
-            return RunOutcome(index, True, rep, stats, p, seed)
-    stats = QueryStats(run_stats.count_x, run_stats.count_y, repetitions=max_reps)
-    raise ExhaustedRepetitions(RunOutcome(index, False, max_reps, stats, p, seed))
+            return RunOutcome(index, True, rep, sched.queries(rep), p, seed)
+    raise ExhaustedRepetitions(
+        RunOutcome(index, False, max_reps, sched.queries(max_reps), p, seed))
 
 
 def result_record(inst: ProblemInstance, sched: Schedule, outcome: RunOutcome,
@@ -258,7 +245,7 @@ def result_record(inst: ProblemInstance, sched: Schedule, outcome: RunOutcome,
             "y_queries": outcome.stats.count_y,
             "repetitions": outcome.stats.repetitions,
         },
-        "cost": cost_record(partition_classes(inst), outcome.stats, model),
+        "cost": cost_record(inst.counts, outcome.stats, model),
         "p_success_exact": outcome.p_success,
         "measured_index": outcome.measured_index,
         "verified": outcome.verified,

@@ -121,7 +121,7 @@ class TestRun:
 
     def test_full_engine_evolves_once(self, inst_path, tmp_path, capsys, monkeypatch):
         # the traced run's final state also serves the repetition draws
-        real = ig.scheduling.run_schedule_full
+        real = ig.fullstate.run_schedule_full
         calls = []
 
         def counted(*args, **kw):
@@ -129,7 +129,6 @@ class TestRun:
             return real(*args, **kw)
 
         monkeypatch.setattr(cli, "run_schedule_full", counted)
-        monkeypatch.setattr(ig.scheduling, "run_schedule_full", counted)
         tr = tmp_path / "trace.csv"
         assert run_cli("run", "--instance", inst_path, "--engine", "full",
                        "--trace", str(tr)) == 0
@@ -174,7 +173,7 @@ class TestRun:
 
         monkeypatch.setenv("IGROVER_FULL_CAP", "64")
         monkeypatch.setattr(cli, "run_schedule", never)
-        monkeypatch.setattr(cli, "run_schedule_full", never)
+        monkeypatch.setattr(ig.fullstate, "init_uniform", never)
         path = tmp_path / "inst.json"
         path.write_text(json.dumps({"n": 65, "x": {"kind": "range", "lo": 0, "hi": 3},
                                     "y": {"kind": "list", "members": [2]}}))
@@ -185,10 +184,9 @@ class TestRun:
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("engine", ["reduced", "full", "both"])
-    def test_class_sizes_computed_at_most_three_times(self, tmp_path, capsys, monkeypatch,
-                                                      engine):
-        # twenty draws that all miss Y still partition the instance only in
-        # the command, the repetition loop and the record
+    def test_class_sizes_computed_once(self, tmp_path, capsys, monkeypatch, engine):
+        # the instance keeps its class sizes: the command, the engines, twenty
+        # draws that all miss Y and the record share one partition
         real = ig.instance.partition_classes
         calls = []
 
@@ -206,7 +204,7 @@ class TestRun:
                        "--reps", "20", "--seed", "1") == 3
         rec = json.loads(capsys.readouterr().out)
         assert rec["counts"]["repetitions"] == 20
-        assert len(calls) <= 3
+        assert len(calls) == 1
 
 
 class TestSweep:
@@ -246,6 +244,16 @@ class TestSweep:
     def test_partial_grid_flags_fail(self, capsys):
         assert run_cli("sweep", "--grid-n", "16,64") == 1
         assert run_cli("sweep") == 1
+
+    @pytest.mark.parametrize("raw, message", [
+        ("1,x", "--grid-n wants a comma-separated integer list, got '1,x'"),
+        (",", "--grid-n is empty"),
+    ])
+    def test_bad_grid_lists_fail(self, capsys, raw, message):
+        assert run_cli("sweep", "--grid-n", raw, "--grid-x", "4", "--grid-y", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("mode", ["grid", "instance"])
     def test_negative_window_rejected(self, inst_path, capsys, mode):

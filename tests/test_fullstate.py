@@ -201,10 +201,13 @@ class TestRunScheduleFull:
             tracemalloc.stop()
         assert peak <= 2.5 * 8 * n
 
+    def test_cap_below_two_rejected(self, monkeypatch):
+        monkeypatch.setenv("IGROVER_FULL_CAP", "1")
+        with pytest.raises(ig.SpecFormatError, match="IGROVER_FULL_CAP must be >= 2, got 1"):
+            ig.run_schedule_full(small_inst(), ig.Schedule(1))
+
     def test_cap_enforced_and_env_override(self, monkeypatch):
         inst = small_inst()
-        with pytest.raises(ig.InstanceTooLarge):
-            ig.run_schedule_full(inst, ig.Schedule(1), cap=8)
         monkeypatch.setenv("IGROVER_FULL_CAP", "8")
         with pytest.raises(ig.InstanceTooLarge):
             ig.run_schedule_full(inst, ig.Schedule(1))
@@ -396,6 +399,14 @@ class TestStateDump:
         (tmp_path / "stub.igsv").write_bytes(raw[:10])
         with pytest.raises(ig.SpecFormatError):
             ig.load_state(tmp_path / "stub.igsv")
+
+    def test_newer_version_rejected(self, tmp_path):
+        path = tmp_path / "state.igsv"
+        ig.save_state(path, np.zeros(4))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:])
+        with pytest.raises(ig.SpecFormatError, match="unsupported state-file version 2"):
+            ig.load_state(path)
 
 
 def bits(p: ig.ReducedState) -> bytes:

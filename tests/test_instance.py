@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import igrover as ig
-from igrover.instance import Members, Modular, _subset_violation, spec_from_json
+from igrover.instance import Members, Modular, Range, _subset_violation, spec_from_json
 from conftest import random_instance
 
 
@@ -48,6 +48,11 @@ class TestSpecKinds:
     def test_malformed_specs(self, bad):
         with pytest.raises(ig.SpecFormatError):
             ig.instance.spec_from_json(bad)
+
+    @pytest.mark.parametrize("bad", [{"kind": "list"}, {"kind": "list", "members": {"0": 1}}])
+    def test_list_spec_needs_a_members_array(self, bad):
+        with pytest.raises(ig.SpecFormatError, match="needs a 'members' array"):
+            spec_from_json(bad)
 
     def test_rank_queries_match_enumeration(self):
         rng = np.random.default_rng(11)
@@ -171,6 +176,30 @@ class TestClassQueries:
         assert ig.class_of(inst, 0) == "k10"
         assert ig.class_of(inst, 9) == "k00"
 
+    def test_out_of_range_index_and_unknown_class_rejected(self):
+        inst = ig.build_instance({"n": 16, "x": {"kind": "range", "lo": 0, "hi": 3},
+                                  "y": {"kind": "list", "members": [2]}})
+        for i in (-1, 16):
+            with pytest.raises(ig.IndexOutOfRange):
+                ig.class_of(inst, i)
+        with pytest.raises(ValueError, match="unknown class 'k01'"):
+            ig.instance.class_count_leq(inst, "k01", 5)
+
+    def test_counts_are_kept_on_the_instance(self):
+        inst = ig.build_instance({"n": 16, "x": {"kind": "range", "lo": 0, "hi": 3},
+                                  "y": {"kind": "list", "members": [2]}})
+        twin = ig.build_instance(ig.instance_to_json(inst))
+        assert inst.counts == ig.ClassCounts(k11=1, k10=3, k00=12, n=16)
+        assert inst.counts is inst.counts
+        # the cached sizes change neither equality, hashing nor the repr
+        assert inst == twin and hash(inst) == hash(twin) and repr(inst) == repr(twin)
+
+    @pytest.mark.parametrize("k11, k10, k00, n", [
+        (0, 3, 12, 15), (1, -1, 16, 16), (1, 3, -2, 2), (1, 3, 12, 17)])
+    def test_bad_class_counts_rejected(self, k11, k10, k00, n):
+        with pytest.raises(ValueError):
+            ig.ClassCounts(k11=k11, k10=k10, k00=k00, n=n)
+
     def test_kth_in_class_matches_enumeration(self):
         rng = np.random.default_rng(23)
         for _ in range(25):
@@ -280,3 +309,36 @@ class TestListSpecProperties:
         got = _subset_violation(81, x, y)
         assert got == scanned_violation(81, x, y)
         assert got is None or (y.contains(got) and not x.contains(got))
+
+
+def small_specs(draw, kind: str, n: int):
+    """A non-empty spec of the given kind inside [0, n)."""
+    if kind == "list":
+        return Members(tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                                 max_size=n)))))
+    if kind == "range":
+        lo = draw(st.integers(0, n - 1))
+        return Range(lo, draw(st.integers(lo, n - 1)))
+    m = draw(st.integers(1, n))
+    return Modular(m, draw(st.integers(0, min(m, n) - 1)))
+
+
+KINDS = ("list", "range", "mod")
+
+
+class TestSubsetViolation:
+    @pytest.mark.parametrize("x_kind", KINDS)
+    @pytest.mark.parametrize("y_kind", KINDS)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_witness_and_verdict_match_enumeration(self, x_kind, y_kind, data):
+        n = data.draw(st.integers(2, 40))
+        x, y = small_specs(data.draw, x_kind, n), small_specs(data.draw, y_kind, n)
+        ys = brute_members(y, n)
+        got = _subset_violation(n, x, y)
+        assert (got is None) == all(x.contains(v) for v in ys)
+        if isinstance(x, Range):  # Y's smallest member if outside X, else its largest
+            outside = [v for v in (ys[0], ys[-1]) if not x.contains(v)]
+            assert got == (outside[0] if outside else None)
+        else:
+            assert got == scanned_violation(n, x, y)

@@ -144,6 +144,15 @@ class TestRunSchedule:
         assert len(trace) == 1 + 2 * 15001
         assert abs(final.norm_sq() - 1.0) <= 1e-9
 
+    def test_label_and_gaps_reject_rows_of_another_run(self):
+        _, trace, _ = ig.run_schedule(make_counts(64, 16, 4), ig.Schedule(3))
+        assert trace.label(len(trace) - 1) == (3, 5, "diffusion")
+        with pytest.raises(IndexError, match="row 21 is past the end"):
+            trace.label(len(trace))
+        _, other, _ = ig.run_schedule(make_counts(64, 16, 4), ig.Schedule(2))
+        with pytest.raises(ValueError, match="traces of different runs"):
+            trace.gaps(other)
+
     def test_first_gap_names_the_first_row_past_tol(self):
         _, trace, _ = ig.run_schedule(make_counts(64, 16, 4), ig.Schedule(3))
         other = ig.Trace(trace.L, trace.stops.copy())
@@ -361,6 +370,13 @@ class TestTraceCsv:
         rows = [line.split(",") for line in (tmp_path / "fast.csv").read_text().splitlines()]
         cheap = [row[4] for row in rows if row[2] == "oracle_x"]
         assert len(cheap) == 3 * L and set(cheap) == {"-0"}
+
+    def test_untraced_run_writes_the_header_only(self, tmp_path):
+        _, trace, _ = ig.run_schedule(make_counts(64, 16, 4), ig.Schedule(3),
+                                      record_trace=False)
+        path = tmp_path / "trace.csv"
+        ig.write_trace_csv(path, trace)
+        assert path.read_text() == "phase,step,op,x,y,z,p_success\n"
 
     def test_roundtrip_is_lossless(self, tmp_path):
         counts = make_counts(64, 16, 4)

@@ -217,12 +217,11 @@ class TestRepetitions:
     def test_full_engine_agrees_on_probability(self):
         inst = ig.build_instance(REF)
         sched = ig.choose_L(ig.partition_classes(inst))
-        red = ig.run_with_repetitions(inst, sched, 50, seed=5, engine="reduced")
-        ful = ig.run_with_repetitions(inst, sched, 50, seed=5, engine="full")
+        red = ig.run_with_repetitions(inst, sched, 50, seed=5)
+        state, _, _ = ig.run_schedule_full(inst, sched, record_trace=False)
+        ful = ig.run_with_repetitions(inst, sched, 50, seed=5, state=state)
         assert ful.p_success == pytest.approx(red.p_success, abs=1e-12)
         assert inst.in_y(ful.measured_index)
-        with pytest.raises(ValueError):
-            ig.run_with_repetitions(inst, sched, 1, 0, engine="analytic")
         with pytest.raises(ValueError):
             ig.run_with_repetitions(inst, sched, 0, 0)
 
@@ -238,14 +237,13 @@ class TestRepetitions:
         inst = ig.build_instance({"n": 300, "x": {"kind": "range", "lo": 0, "hi": 39},
                                   "y": {"kind": "list", "members": [3, 17, 30]}})
         sched = ig.Schedule(1)
-        state, _, stats = ig.run_schedule_full(inst, sched, record_trace=False)
+        state, _, _ = ig.run_schedule_full(inst, sched, record_trace=False)
         targets = [3, 17, 30]
         z = ig.project_to_reduced(state, inst).z
         seen = set()
         for seed in range(250):
             try:
-                out = ig.run_with_repetitions(inst, sched, 4, seed, engine="full",
-                                              evolved=(state, stats))
+                out = ig.run_with_repetitions(inst, sched, 4, seed, state=state)
             except ig.ExhaustedRepetitions as exc:
                 out = exc.outcome
             rng = np.random.default_rng(seed)

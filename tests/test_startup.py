@@ -1,13 +1,15 @@
-"""Start-up: `sweep` and `compare` never import numpy; `run` loads it on demand;
-the package's modules import one another in one layer order.
+"""Start-up and shape: `sweep` and `compare` never import numpy; `run` loads it
+on demand; the package's modules import one another in one layer order; each
+derived value has one owner; the README's quick tour runs.
 
-Each test starts a fresh interpreter, since numpy, once imported, stays in
-`sys.modules` for the rest of a process.
+Each start-up test starts a fresh interpreter, since numpy, once imported,
+stays in `sys.modules` for the rest of a process.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import json
 import subprocess
 import sys
@@ -129,3 +131,30 @@ def test_modules_import_in_layer_order_and_only_at_module_level():
                 elif isinstance(node, ast.Import):
                     assert not any(a.name.split(".")[0] == "igrover" for a in node.names), \
                         (path.name, fn.name)
+
+
+def test_query_stats_built_only_by_the_schedule():
+    # Schedule.queries holds the 3L + 1 rule; no engine or command counts queries
+    package = Path(igrover.__file__).parent
+    sites = [path.name for path in sorted(package.glob("*.py"))
+             for _ in range(path.read_text().count("QueryStats("))]
+    assert sites == ["reduced.py"]
+    assert "QueryStats(" in inspect.getsource(igrover.Schedule.queries)
+    assert igrover.Schedule(4).queries(3) == igrover.QueryStats(12, 1, 3)
+
+
+def test_derived_values_are_not_parameters():
+    removed = {"kth_in_class": {"counts"}, "sample_from_reduced": {"counts"},
+               "choose_L": {"window"}, "run_schedule_full": {"cap"},
+               "check_full_cap": {"cap"}, "run_with_repetitions": {"engine", "evolved"}}
+    for name, params in removed.items():
+        fn = getattr(igrover, name, None) or getattr(igrover.fullstate, name)
+        assert not params & set(inspect.signature(fn).parameters), name
+
+
+def test_readme_quick_tour_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert blocks
+    for block in blocks:
+        exec(compile(block.split("```")[0], "README.md", "exec"), {})
