@@ -29,7 +29,6 @@ from .instance import (
     ProblemInstance,
     Range,
     build_instance,
-    class_of,
     instance_to_json,
     kth_in_class,
     load_instance,
@@ -58,14 +57,10 @@ from .reduced import (
 )
 from .fullstate import (
     DEFAULT_FULL_CAP,
-    apply_diffusion_full,
-    apply_oracle_full,
     init_uniform,
-    load_state,
     project_to_reduced,
     run_schedule_full,
     sample_measurement,
-    save_state,
 )
 from .scheduling import (
     AngleParams,
@@ -74,7 +69,7 @@ from .scheduling import (
     choose_L,
     compute_theta,
     crossover_t_y,
-    naive_grover_cost,
+    naive_iterations,
     query_cost,
     result_record,
     run_with_repetitions,

@@ -95,15 +95,19 @@ def _json_parts(obj, indent: str, out: list) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _emit(obj, out_path) -> None:
-    parts = []
-    _json_parts(obj, "\n", parts)
-    parts.append("\n")
+def _write(parts, out_path) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(parts)
     else:
         sys.stdout.writelines(parts)
+
+
+def _emit(obj, out_path) -> None:
+    parts = []
+    _json_parts(obj, "\n", parts)
+    parts.append("\n")
+    _write(parts, out_path)
 
 
 def _schedule_for(args, counts) -> Schedule:
@@ -196,15 +200,10 @@ def cmd_sweep(args) -> int:
             cost = query_cost(Schedule(L).queries(), model)
             rows.append((counts.n, counts.k11 + counts.k10, counts.k11, L, p, cost))
 
-    lines = ["n,x_size,y_size,L,p_success,cost"]
+    lines = ["n,x_size,y_size,L,p_success,cost\n"]
     for n, kx, ky, L, p, cost in rows:
-        lines.append(f"{n},{kx},{ky},{L},{p:.17g},{cost:.17g}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        lines.append(f"{n},{kx},{ky},{L},{p:.17g},{cost:.17g}\n")
+    _write(lines, args.out)
     return 0
 
 

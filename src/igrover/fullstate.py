@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import os
-import struct
 from typing import Callable
 
 from ._numpy import np
@@ -32,9 +31,6 @@ from .instance import ProblemInstance
 from .reduced import QueryStats, ReducedState, Schedule, Trace, check_norm
 
 DEFAULT_FULL_CAP = 1 << 20
-STATE_MAGIC = b"IGSV"
-STATE_VERSION = 1
-_HEADER = struct.Struct("<4sIQ")
 _UNIFORM_TOL = 1e-9
 _CLASSES = ("k00", "k10", "k11")
 
@@ -98,32 +94,6 @@ def _project(st: np.ndarray, bounds: tuple[int, ...], tol: float | None = None
     return coords
 
 
-def _check_dim(state: np.ndarray, inst: ProblemInstance) -> None:
-    if state.shape != (inst.n,):
-        raise DimensionMismatch(
-            f"state has shape {state.shape}, instance has n={inst.n}"
-        )
-
-
-def apply_oracle_full(state: np.ndarray, inst: ProblemInstance, which: str) -> np.ndarray:
-    """Sign flip on X ('x') or on the targets Y ('y'); returns a new vector."""
-    _check_dim(state, inst)
-    if which == "x":
-        spec = inst.x_spec
-    elif which == "y":
-        spec = inst.y_spec
-    else:
-        raise ValueError(f"oracle selector must be 'x' or 'y', got {which!r}")
-    out = state.copy()
-    out[spec.selector()] *= -1.0
-    return out
-
-
-def apply_diffusion_full(state: np.ndarray) -> np.ndarray:
-    """Inversion about the mean: d_i -> 2*mean - d_i."""
-    return 2.0 * state.mean() - state
-
-
 def project_to_reduced(state: np.ndarray, inst: ProblemInstance,
                        tol: float = _UNIFORM_TOL) -> ReducedState:
     """Collapse a class-uniform full state to its three coordinates.
@@ -133,7 +103,10 @@ def project_to_reduced(state: np.ndarray, inst: ProblemInstance,
     spread wider than tol the state is not class-uniform (the schedule can
     never produce that) and NotClassUniform is raised.
     """
-    _check_dim(state, inst)
+    if state.shape != (inst.n,):
+        raise DimensionMismatch(
+            f"state has shape {state.shape}, instance has n={inst.n}"
+        )
     labels, bounds = _layout(inst)
     st = np.concatenate([state[labels == c] for c in range(3)])
     return ReducedState(*_project(st, bounds, tol))
@@ -202,29 +175,3 @@ def measurement_sampler(state: np.ndarray, rng: np.random.Generator) -> Callable
 def sample_measurement(state: np.ndarray, rng) -> int:
     """Draw one index with probability amplitude**2; rng is a seed or Generator."""
     return measurement_sampler(state, np.random.default_rng(rng))()
-
-
-def save_state(path, state: np.ndarray) -> None:
-    """Binary dump: 16-byte header (magic, version, n) then little-endian f64."""
-    arr = np.asarray(state, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(STATE_MAGIC, STATE_VERSION, arr.shape[0]))
-        fh.write(arr.tobytes())
-
-
-def load_state(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise SpecFormatError("state file too short for its header")
-        magic, version, n = _HEADER.unpack(header)
-        if magic != STATE_MAGIC:
-            raise SpecFormatError(f"bad state-file magic {magic!r}")
-        if version != STATE_VERSION:
-            raise SpecFormatError(f"unsupported state-file version {version}")
-        payload = fh.read()
-    if len(payload) != 8 * n:
-        raise SpecFormatError(
-            f"state file payload holds {len(payload)} bytes, header promises {8 * n}"
-        )
-    return np.frombuffer(payload, dtype="<f8").copy()

@@ -37,6 +37,7 @@ from .errors import (
 CLASS_K11 = "k11"
 CLASS_K10 = "k10"
 CLASS_K00 = "k00"
+_MAX_N = 1 << 1023  # |X|/n and sqrt(n) must stay finite nonzero floats
 
 
 def _check_int(value, what: str) -> int:
@@ -62,7 +63,7 @@ class Members:
     def count_leq(self, t: int, n: int) -> int:
         return bisect_right(self.members, t)
 
-    def kth(self, j: int, n: int) -> int:
+    def kth(self, j: int) -> int:
         return self.members[j]
 
     def selector(self) -> list[int]:
@@ -91,7 +92,7 @@ class Range:
             return 0
         return min(t, self.hi) - self.lo + 1
 
-    def kth(self, j: int, n: int) -> int:
+    def kth(self, j: int) -> int:
         return self.lo + j
 
     def selector(self) -> slice:
@@ -123,7 +124,7 @@ class Modular:
             return 0
         return (t - self.r) // self.m + 1
 
-    def kth(self, j: int, n: int) -> int:
+    def kth(self, j: int) -> int:
         return self.r + j * self.m
 
     def selector(self) -> slice:
@@ -179,8 +180,8 @@ def _validate_members(spec: SetSpec, n: int, which: str) -> None:
     """Range-check a spec against the universe and reject empty sets."""
     if spec.size(n) == 0:
         raise (EmptyX if which == "X" else EmptyY)(f"{which} has no members for n={n}")
-    lo = spec.kth(0, n)
-    hi = spec.kth(spec.size(n) - 1, n)
+    lo = spec.kth(0)
+    hi = spec.kth(spec.size(n) - 1)
     if lo < 0 or hi > n - 1:
         bad = lo if lo < 0 else hi
         raise IndexOutOfRange(f"{which} member {bad} outside [0, {n - 1}]")
@@ -207,7 +208,7 @@ def _subset_violation(n: int, x: SetSpec, y: SetSpec) -> int | None:
     else:
         ranks = range(size)
     for j in ranks:
-        v = y.kth(j, n)
+        v = y.kth(j)
         if not x.contains(v):
             return v
     return None
@@ -247,7 +248,7 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class ClassCounts:
-    """Sizes of the three index classes; always sums to n, with k11 >= 1."""
+    """Sizes of the three index classes; always sums to n <= 2**1023, with k11 >= 1."""
 
     k11: int
     k10: int
@@ -259,6 +260,8 @@ class ClassCounts:
             raise ValueError(f"bad class counts {self}")
         if self.k11 + self.k10 + self.k00 != self.n:
             raise ValueError(f"class counts do not sum to n: {self}")
+        if self.n > _MAX_N:
+            raise ValueError(f"n must be <= 2**1023, got {self.n}")
 
 
 def build_instance(obj) -> ProblemInstance:
@@ -301,14 +304,6 @@ def verify_outcome(inst: ProblemInstance, i: int) -> bool:
     if not 0 <= i < inst.n:
         raise IndexOutOfRange(f"measured index {i} outside [0, {inst.n - 1}]")
     return inst.in_x(i) and inst.in_y(i)
-
-
-def class_of(inst: ProblemInstance, i: int) -> str:
-    if not 0 <= i < inst.n:
-        raise IndexOutOfRange(f"index {i} outside [0, {inst.n - 1}]")
-    if inst.in_x(i):
-        return CLASS_K11 if inst.in_y(i) else CLASS_K10
-    return CLASS_K00
 
 
 def class_count_leq(inst: ProblemInstance, cls: str, t: int) -> int:

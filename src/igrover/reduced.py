@@ -51,6 +51,7 @@ POLICY_SWEPT = "swept"
 POLICIES = (POLICY_PAPER_FORMULA, POLICY_ROUNDED_HALF, POLICY_SWEPT)
 
 _NORM_TOL = 1e-9
+_MAX_L = 1 << 1021  # final_point turns by 4L * theta, a float
 _STEP_CHUNK = 1024  # traced iterations stepped into one buffer
 
 
@@ -76,6 +77,8 @@ class Schedule:
     def __post_init__(self):
         if self.L < 0:
             raise ValueError(f"L must be >= 0, got {self.L}")
+        if self.L > _MAX_L:
+            raise ValueError(f"L must be <= 2**1021, got {self.L}")
         if self.selection_policy not in POLICIES:
             raise ValueError(f"unknown selection policy {self.selection_policy!r}")
 

@@ -73,11 +73,9 @@ def choose_L(counts: ClassCounts, policy: str = POLICY_PAPER_FORMULA) -> Schedul
     if policy == POLICY_SWEPT:
         return sweep_L(counts)[0]
     raw = (math.pi / 4.0) / compute_theta(counts).theta_chord
-    if policy == POLICY_PAPER_FORMULA:
-        return Schedule(_round_half_up(raw), policy)
     if policy == POLICY_ROUNDED_HALF:
         return Schedule(max(0, _round_half_up(raw - 0.5)), policy)
-    raise ValueError(f"unknown selection policy {policy!r}")
+    return Schedule(_round_half_up(raw), policy)  # Schedule rejects unknown policies
 
 
 def sweep_L(counts: ClassCounts, window: int = 3) -> tuple[Schedule, list[tuple[int, float]]]:
@@ -118,22 +116,16 @@ def query_cost(stats: QueryStats, model: CostModel) -> float:
 def cost_record(counts: ClassCounts, stats: QueryStats, model: CostModel) -> dict:
     """The "cost" entry of the run and compare records."""
     return {"t_x": model.t_x, "t_y": model.t_y, "total": query_cost(stats, model),
-            "naive_total": naive_grover_cost(counts, model)[1]}
+            "naive_total": naive_iterations(counts) * model.t_y}
 
 
 def naive_iterations(counts: ClassCounts) -> int:
-    """Iteration count of single-oracle search driven by the expensive oracle."""
-    return int(math.floor((math.pi / 4.0) * math.sqrt(counts.n / counts.k11)))
+    """Iteration count of single-oracle search driven by the expensive oracle.
 
-
-def naive_grover_cost(counts: ClassCounts, model: CostModel) -> tuple[int, float]:
-    """(iterations, total cost) of the expensive-oracle-only baseline.
-
-    Zero iterations means the target set is so dense that measuring the
-    uniform state immediately is already the best move; cost is then zero.
+    Zero means the target set is so dense that measuring the uniform state
+    at once is already the best move; the baseline then costs nothing.
     """
-    iters = naive_iterations(counts)
-    return iters, iters * model.t_y
+    return int(math.floor((math.pi / 4.0) * math.sqrt(counts.n / counts.k11)))
 
 
 def crossover_t_y(count_x: int, n_iters: int, t_x: float = 1.0) -> float | None:

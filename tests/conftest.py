@@ -1,5 +1,6 @@
-"""Shared helpers: quick instance constructors, a random-instance generator
-and the one-expensive-query success ceiling."""
+"""Shared helpers: quick instance constructors, a random-instance generator,
+the one-expensive-query success ceiling, and the row-at-a-time full-state
+operators and membership classes the engines are checked against."""
 
 from __future__ import annotations
 
@@ -25,6 +26,25 @@ def one_query_ceiling(kx: int, ky: int) -> float:
     """
     phi = math.asin(math.sqrt(ky / kx))
     return 1.0 if 3.0 * phi >= math.pi / 2.0 else math.sin(3.0 * phi) ** 2
+
+
+def oracle_full(state: np.ndarray, inst: ig.ProblemInstance, which: str) -> np.ndarray:
+    """Reference oracle: a new vector with X ('x') or Y ('y') negated."""
+    out = state.copy()
+    out[(inst.x_spec if which == "x" else inst.y_spec).selector()] *= -1.0
+    return out
+
+
+def diffusion_full(state: np.ndarray) -> np.ndarray:
+    """Reference diffusion, inversion about the mean: d_i -> 2*mean - d_i."""
+    return 2.0 * state.mean() - state
+
+
+def class_of(inst: ig.ProblemInstance, i: int) -> str:
+    """The class of index i, by membership alone."""
+    if inst.in_x(i):
+        return "k11" if inst.in_y(i) else "k10"
+    return "k00"
 
 
 def trace_rows(trace: ig.Trace) -> np.ndarray:

@@ -318,6 +318,46 @@ class TestCompare:
         assert rep["two_oracle_wins"] is False
 
 
+# |X| / n underflowed to 0.0 (ZeroDivisionError in choose_L) and n or 4L
+# overflowed a float (OverflowError) before n and L were bounded
+HUGE_N = {"n": 10 ** 400, "x": {"kind": "range", "lo": 0, "hi": 9},
+          "y": {"kind": "list", "members": [0]}}
+HUGE_MOD = {"n": 2 ** 1030, "x": {"kind": "mod", "m": 2 ** 1000, "r": 0},
+            "y": {"kind": "list", "members": [0]}}
+
+
+class TestFloatLimits:
+    @pytest.mark.parametrize("obj, argv, message", [
+        (HUGE_N, ["run"], "n must be <= 2**1023"),
+        (HUGE_N, ["compare"], "n must be <= 2**1023"),
+        (HUGE_N, ["sweep"], "n must be <= 2**1023"),
+        (None, ["sweep", "--grid-n", str(10 ** 400), "--grid-x", "10", "--grid-y", "1"],
+         "n must be <= 2**1023"),
+        (HUGE_MOD, ["run"], "n must be <= 2**1023"),
+        (REF, ["compare", "--L", str(10 ** 400)], "L must be <= 2**1021"),
+        (REF, ["compare", "--L", str(2 ** 1022)], "L must be <= 2**1021"),
+    ], ids=["run", "compare", "sweep", "grid", "run-mod", "L-1e400", "L-2^1022"])
+    def test_too_large_for_a_float_exits_1(self, tmp_path, capsys, obj, argv, message):
+        if obj is not None:
+            path = tmp_path / "inst.json"
+            path.write_text(json.dumps(obj))
+            argv = [*argv, "--instance", str(path)]
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {message}, got ")
+
+    def test_largest_n_and_L_still_answer(self, tmp_path, inst_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({**HUGE_MOD, "n": 2 ** 1023}))
+        assert run_cli("run", "--instance", str(path)) == 3
+        assert json.loads(capsys.readouterr().out)["counts"]["repetitions"] == 20
+        assert run_cli("compare", "--instance", inst_path, "--L", str(2 ** 1021)) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert (rep["L"], rep["counts"]["x_queries"]) == (2 ** 1021, 3 * 2 ** 1021)
+
+
 json_scalars = (st.none() | st.booleans()
                 | st.integers(min_value=-(2 ** 70), max_value=2 ** 70)
                 | st.floats(allow_nan=True, allow_infinity=True)

@@ -1,4 +1,4 @@
-"""Full n-amplitude engine: operators, projection, caps, sampling, state dumps."""
+"""Full n-amplitude engine: operators, projection, caps, sampling."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import pytest
 
 import igrover as ig
 from igrover import cli, fullstate, reduced
-from conftest import random_instance, trace_rows
+from conftest import class_of, diffusion_full, oracle_full, random_instance, trace_rows
 
 
 def small_inst():
@@ -65,33 +65,31 @@ class TestOperators:
     def test_oracle_flips_exact_members(self):
         inst = small_inst()
         state = ig.init_uniform(16)
-        after_x = ig.apply_oracle_full(state, inst, "x")
-        after_y = ig.apply_oracle_full(state, inst, "y")
+        after_x = oracle_full(state, inst, "x")
+        after_y = oracle_full(state, inst, "y")
         for i in range(16):
             assert after_x[i] == (-state[i] if inst.in_x(i) else state[i])
             assert after_y[i] == (-state[i] if inst.in_y(i) else state[i])
-        with pytest.raises(ValueError):
-            ig.apply_oracle_full(state, inst, "z")
-
-    def test_oracle_checks_dimension(self):
-        with pytest.raises(ig.DimensionMismatch):
-            ig.apply_oracle_full(np.zeros(8), small_inst(), "x")
 
     def test_diffusion_hand_case(self):
         # flip of index 0 in uniform(4), then mean inversion, returns e_0
         state = np.array([-0.5, 0.5, 0.5, 0.5])
-        np.testing.assert_allclose(ig.apply_diffusion_full(state),
+        np.testing.assert_allclose(diffusion_full(state),
                                    [1.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-15)
         # mean inversion preserves the amplitude sum: sum(2m - d) = sum(d)
         rng = np.random.default_rng(12)
         v = rng.normal(size=64)
         v /= np.linalg.norm(v)
-        out = ig.apply_diffusion_full(v)
+        out = diffusion_full(v)
         assert out.sum() == pytest.approx(v.sum(), abs=1e-12)
         assert float(out @ out) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestProjection:
+    def test_checks_dimension(self):
+        with pytest.raises(ig.DimensionMismatch):
+            ig.project_to_reduced(np.zeros(8), small_inst())
+
     def test_exact_coordinates(self):
         inst = small_inst()
         state = np.empty(16)
@@ -163,7 +161,7 @@ class TestRunScheduleFull:
                      "k10": y / math.sqrt(counts.k10 or 1),
                      "k11": z / math.sqrt(counts.k11)}
         for i in range(n):
-            assert state[i] == pytest.approx(amplitude[ig.class_of(inst, i)], abs=1e-14)
+            assert state[i] == pytest.approx(amplitude[class_of(inst, i)], abs=1e-14)
 
     def test_broken_flip_raises_not_class_uniform(self, monkeypatch, tmp_path, capsys):
         # an oracle that skips the first amplitude of the slice it should
@@ -259,9 +257,9 @@ def reference_rows(inst, L):
     rows = [ig.project_to_reduced(state, inst)]
     for _, op, steps in ig.Schedule(L).segments():
         for _ in range(steps):
-            state = ig.apply_oracle_full(state, inst, "x" if op == "oracle_x" else "y")
+            state = oracle_full(state, inst, "x" if op == "oracle_x" else "y")
             rows.append(ig.project_to_reduced(state, inst))
-            state = ig.apply_diffusion_full(state)
+            state = diffusion_full(state)
             rows.append(ig.project_to_reduced(state, inst))
     return np.array([(p.x, p.y, p.z) for p in rows])
 
@@ -373,40 +371,6 @@ class TestSampling:
         for _ in range(m):
             hits[ig.sample_measurement(state, rng)] += 1
         np.testing.assert_allclose(hits / m, state * state, rtol=0, atol=0.02)
-
-
-class TestStateDump:
-    def test_roundtrip_bitwise(self, tmp_path):
-        state, _, _ = ig.run_schedule_full(small_inst(), ig.Schedule(2),
-                                           record_trace=False)
-        path = tmp_path / "state.igsv"
-        ig.save_state(path, state)
-        loaded = ig.load_state(path)
-        assert loaded.dtype == np.float64
-        assert (loaded == state).all()
-        assert path.stat().st_size == 16 + 8 * 16
-
-    def test_corrupt_files_rejected(self, tmp_path):
-        path = tmp_path / "state.igsv"
-        ig.save_state(path, np.zeros(4))
-        raw = path.read_bytes()
-        (tmp_path / "magic.igsv").write_bytes(b"XXXX" + raw[4:])
-        with pytest.raises(ig.SpecFormatError):
-            ig.load_state(tmp_path / "magic.igsv")
-        (tmp_path / "short.igsv").write_bytes(raw[:20])
-        with pytest.raises(ig.SpecFormatError):
-            ig.load_state(tmp_path / "short.igsv")
-        (tmp_path / "stub.igsv").write_bytes(raw[:10])
-        with pytest.raises(ig.SpecFormatError):
-            ig.load_state(tmp_path / "stub.igsv")
-
-    def test_newer_version_rejected(self, tmp_path):
-        path = tmp_path / "state.igsv"
-        ig.save_state(path, np.zeros(4))
-        raw = path.read_bytes()
-        path.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:])
-        with pytest.raises(ig.SpecFormatError, match="unsupported state-file version 2"):
-            ig.load_state(path)
 
 
 def bits(p: ig.ReducedState) -> bytes:

@@ -10,7 +10,7 @@ import pytest
 
 import igrover as ig
 from igrover import cli
-from conftest import make_counts, one_query_ceiling, random_instance
+from conftest import class_of, make_counts, one_query_ceiling, random_instance
 
 REF = {"n": 16, "x": {"kind": "range", "lo": 0, "hi": 3},
        "y": {"kind": "list", "members": [2]}}
@@ -136,13 +136,13 @@ class TestCosts:
         assert ig.query_cost(stats, model) == 3 * (18 + 100.0)
 
     def test_naive_baseline(self):
-        iters, total = ig.naive_grover_cost(make_counts(1024, 16, 1),
-                                            ig.CostModel(t_y=10.0))
+        model = ig.CostModel(t_y=10.0)
+        iters = ig.naive_iterations(make_counts(1024, 16, 1))
         assert iters == 25
-        assert total == 250.0
+        assert iters * model.t_y == 250.0
         # target set = everything: measuring immediately is free
-        iters, total = ig.naive_grover_cost(make_counts(16, 16, 16), ig.CostModel())
-        assert (iters, total) == (0, 0.0)
+        iters = ig.naive_iterations(make_counts(16, 16, 16))
+        assert (iters, iters * ig.CostModel().t_y) == (0, 0.0)
 
     def test_crossover(self):
         assert ig.crossover_t_y(18, 25, 1.0) == 0.75
@@ -367,7 +367,7 @@ class TestHugeClassDraw:
                            ((0.0, 0.0, 1.0), "k11")):
             for _ in range(200):
                 index = ig.sample_from_reduced(ig.ReducedState(*point), inst, rng)
-                assert 0 <= index < n and ig.class_of(inst, index) == cls
+                assert 0 <= index < n and class_of(inst, index) == cls
                 if cls == "k00":
                     ranks.append((index - 100) / (n - 100))
         # a uniform rank: about half in the upper half, and the top eighth reached

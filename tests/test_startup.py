@@ -22,21 +22,20 @@ INSTANCE = {"n": 4096, "x": {"kind": "mod", "m": 16, "r": 3},
             "y": {"kind": "list", "members": [3, 19, 2051]}}
 
 # the package's public names, listed here so that dropping one from
-# `igrover/__init__.py` fails this test
+# `igrover/__init__.py`, or bringing a retired one back, fails this test
 EXPORTS = """
 AngleParams ClassCounts CostModel DEFAULT_FULL_CAP DimensionMismatch EmptyX EmptyY
 ExhaustedRepetitions IGroverError IndexOutOfRange InstanceTooLarge InsufficientTrace
 Members Modular NormDrift NotClassUniform NotSubset POLICY_PAPER_FORMULA
 POLICY_ROUNDED_HALF POLICY_SWEPT ProblemInstance QueryStats Range ReducedState
-RunOutcome Schedule SpecFormatError Trace TraceRecord apply_diffusion
-apply_diffusion_full apply_oracle_full apply_oracle_x apply_oracle_y build_instance
-choose_L class_of compute_theta crossover_t_y errors final_point fullstate
-init_uniform initial_point instance instance_to_json kth_in_class load_instance
-load_state naive_grover_cost partition_classes phase1_coplanarity_residual
+RunOutcome Schedule SpecFormatError Trace TraceRecord apply_diffusion apply_oracle_x
+apply_oracle_y build_instance choose_L compute_theta crossover_t_y errors final_point
+fullstate init_uniform initial_point instance instance_to_json kth_in_class
+load_instance naive_iterations partition_classes phase1_coplanarity_residual
 phase1_rotation_check project_to_reduced query_cost reduced result_record
 run_schedule run_schedule_full run_with_repetitions sample_from_reduced
-sample_measurement save_state scheduling success_probability sweep_L
-verify_outcome write_trace_csv __version__
+sample_measurement scheduling success_probability sweep_L verify_outcome
+write_trace_csv __version__
 """.split()
 
 # runs each argv in sys.argv[2:] through cli.main and prints, as JSON, the
@@ -106,8 +105,11 @@ def test_run_loads_numpy_and_prints_what_an_eager_import_prints(tmp_path):
 def test_every_exported_name_resolves_without_numpy():
     code = ("import json, igrover\n"
             "missing = [n for n in sys.argv[1:] if not hasattr(igrover, n)]\n"
-            "print(json.dumps([missing, 'numpy' in sys.modules]))")
-    assert fresh_python(code, *EXPORTS) == [[], False]
+            "public = [n for n in dir(igrover) if not n.startswith('_')]\n"
+            "print(json.dumps([missing, 'numpy' in sys.modules, public]))")
+    missing, numpy_loaded, public = fresh_python(code, *EXPORTS)
+    assert (missing, numpy_loaded) == ([], False)
+    assert sorted(public + ["__version__"]) == sorted(EXPORTS)
 
 
 # each module imports, at module level, only modules to its left
