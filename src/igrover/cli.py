@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from .errors import ExhaustedRepetitions, IGroverError
@@ -233,17 +234,18 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, instance_required: bool = True) -> None:
-    p.add_argument("--instance", required=instance_required,
-                   help="path to an instance JSON file")
-    p.add_argument("--policy", choices=sorted(_POLICY_FLAG), default="paper",
-                   help="how to pick L when --L is not given")
-    p.add_argument("--L", type=int, default=None, help="override the step count")
+def _add_common(p: argparse.ArgumentParser, sweep: bool = False) -> None:
+    p.add_argument("--instance", required=not sweep, help="path to an instance JSON file")
+    if not sweep:  # sweep reads neither --policy nor --L, so it rejects them
+        p.add_argument("--policy", choices=sorted(_POLICY_FLAG), default="paper",
+                       help="how to pick L when --L is not given")
+        p.add_argument("--L", type=int, default=None, help="override the step count")
     p.add_argument("--tx", type=float, default=1.0, help="cost of one cheap query")
     p.add_argument("--ty", type=float, default=1.0, help="cost of one expensive query")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
+@cache  # parse_args keeps no state on the parser, so main() reuses one
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="igrover",
                      description="Two-oracle search simulator for nested-set instances")
@@ -261,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser("sweep", help="success probability across step counts")
-    _add_common(sweep, instance_required=False)
+    _add_common(sweep, sweep=True)
     sweep.add_argument("--window", type=int, default=3,
                        help="half-width of the L window around the formula value")
     sweep.add_argument("--grid-n", default=None, help="comma list of universe sizes")
@@ -277,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (IGroverError, OSError, ValueError) as exc:

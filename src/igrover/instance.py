@@ -306,33 +306,31 @@ def verify_outcome(inst: ProblemInstance, i: int) -> bool:
     return inst.in_x(i) and inst.in_y(i)
 
 
-def class_count_leq(inst: ProblemInstance, cls: str, t: int) -> int:
-    """How many indices <= t fall in the given class; O(log size) arithmetic."""
-    cx = inst.x_spec.count_leq(t, inst.n)
-    if cls == CLASS_K11:
-        return inst.y_spec.count_leq(t, inst.n)
-    if cls == CLASS_K10:
-        return cx - inst.y_spec.count_leq(t, inst.n)
-    if cls == CLASS_K00:
-        return min(t, inst.n - 1) + 1 - cx
-    raise ValueError(f"unknown class {cls!r}")
-
-
 def kth_in_class(inst: ProblemInstance, cls: str, j: int) -> int:
-    """The j-th smallest index of a class, by binary search on rank counts.
+    """The j-th smallest index of a class, from the specs' own ranks.
 
-    This is what keeps uniform class sampling O(log n) even when the class
-    itself is astronomically large (say, the complement of a small X).
+    k11 is Y's j-th member; k10 (k00) is the j-th member of X ([0, n)) that
+    Y (X) lacks.  `f(k) = outer rank of inner.kth(k) - k` never decreases, so
+    bisecting k (by hand: `bisect` bounds are C ssize_t, classes pass 2**63)
+    for the count i of f(k) <= j gives `outer.kth(j + i)` in log|inner| steps.
     """
-    counts = inst.counts
-    size = {CLASS_K11: counts.k11, CLASS_K10: counts.k10, CLASS_K00: counts.k00}[cls]
+    n, x, y = inst.n, inst.x_spec, inst.y_spec
+    if cls == CLASS_K11:
+        outer, inner = y, None
+    elif cls == CLASS_K10:
+        outer, inner = x, y
+    elif cls == CLASS_K00:
+        outer, inner = Range(0, n - 1), x
+    else:
+        raise ValueError(f"unknown class {cls!r}")
+    size = getattr(inst.counts, cls)
     if not 0 <= j < size:
         raise IndexOutOfRange(f"rank {j} outside class {cls} of size {size}")
-    lo, hi = 0, inst.n - 1
+    lo, hi = 0, inner.size(n) if inner else 0
     while lo < hi:
         mid = (lo + hi) // 2
-        if class_count_leq(inst, cls, mid) >= j + 1:
-            hi = mid
-        else:
+        if outer.count_leq(inner.kth(mid), n) - 1 - mid <= j:
             lo = mid + 1
-    return lo
+        else:
+            hi = mid
+    return outer.kth(j + lo)

@@ -42,7 +42,7 @@ from array import array
 from dataclasses import dataclass
 
 from ._numpy import np
-from .errors import InsufficientTrace, NormDrift
+from .errors import IGroverError, InsufficientTrace, NormDrift
 from .instance import ClassCounts
 
 POLICY_PAPER_FORMULA = "paper_formula"
@@ -265,7 +265,10 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
     if not record_trace:
         return final_point(counts, sched.L), Trace(sched.L, np.empty((0, 3))), sched.queries()
     import mmap  # only traced runs load it, as with numpy
+    import sys
 
+    if 3 * sched.L + 2 > sys.maxsize // 24:  # a mapping's size is a C ssize_t
+        raise IGroverError(f"L={sched.L} is too large to trace (3L + 2 rows of 24 bytes)")
     s = initial_point(counts)
     sx, sy, sz = x, y, z = s.x, s.y, s.z
     # one anonymous mapping of the final size, filled a chunk at a time: it

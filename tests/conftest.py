@@ -1,6 +1,7 @@
 """Shared helpers: quick instance constructors, a random-instance generator,
 the one-expensive-query success ceiling, and the row-at-a-time full-state
-operators and membership classes the engines are checked against."""
+operators, membership classes and class ranks by bisection that the engines
+and the sampler are checked against."""
 
 from __future__ import annotations
 
@@ -45,6 +46,24 @@ def class_of(inst: ig.ProblemInstance, i: int) -> str:
     if inst.in_x(i):
         return "k11" if inst.in_y(i) else "k10"
     return "k00"
+
+
+def kth_by_bisection(inst: ig.ProblemInstance, cls: str, j: int) -> int:
+    """Reference rank: bisect all of [0, n) for the smallest t whose class
+    count up to t passes j; log n steps of rank arithmetic on both specs."""
+    def count_leq(t: int) -> int:
+        cx = inst.x_spec.count_leq(t, inst.n)
+        cy = inst.y_spec.count_leq(t, inst.n)
+        return {"k11": cy, "k10": cx - cy, "k00": min(t, inst.n - 1) + 1 - cx}[cls]
+
+    lo, hi = 0, inst.n - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if count_leq(mid) >= j + 1:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def trace_rows(trace: ig.Trace) -> np.ndarray:

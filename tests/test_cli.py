@@ -162,6 +162,18 @@ class TestRun:
             run_cli("run", "--instance", inst_path, "--engine", "quantum")
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("L", [2 ** 62, 2 ** 70])
+    def test_trace_of_huge_L_is_a_typed_error(self, inst_path, tmp_path, capsys, L):
+        # 3L + 2 rows of 24 bytes pass a C ssize_t: refused before any mapping
+        trace = tmp_path / "t.csv"
+        assert run_cli("run", "--instance", inst_path, "--L", str(L),
+                       "--trace", str(trace)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: L={L} is too large to trace "
+                                "(3L + 2 rows of 24 bytes)\n")
+        assert not trace.exists()
+
     def test_negative_L_rejected(self, inst_path):
         assert run_cli("run", "--instance", inst_path, "--L", "-3") == 1
 
@@ -267,6 +279,20 @@ class TestSweep:
         assert run_cli("sweep", *where, "--window", "0") == 0
         assert [line.split(",")[3] for line in capsys.readouterr().out.splitlines()[1:]
                 ] == ["2"]
+
+    @pytest.mark.parametrize("flag", [["--L", "50"], ["--policy", "half"]])
+    def test_schedule_flags_rejected(self, inst_path, capsys, flag):
+        # sweep tabulates a window of L around the formula; --L and --policy
+        # belong to run and compare, which read them
+        with pytest.raises(SystemExit) as err:
+            run_cli("sweep", "--instance", inst_path, *flag)
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"igrover: error: unrecognized arguments: {' '.join(flag)}")
+        for command in ("run", "compare"):
+            assert run_cli(command, "--instance", inst_path, *flag) == 0
 
     def test_out_file(self, inst_path, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 import igrover as ig
 from igrover.instance import Members, Modular, Range, _subset_violation, spec_from_json
-from conftest import class_of, random_instance
+from conftest import class_of, kth_by_bisection, random_instance
 
 
 def brute_members(spec, n):
@@ -180,7 +183,7 @@ class TestClassQueries:
         inst = ig.build_instance({"n": 16, "x": {"kind": "range", "lo": 0, "hi": 3},
                                   "y": {"kind": "list", "members": [2]}})
         with pytest.raises(ValueError, match="unknown class 'k01'"):
-            ig.instance.class_count_leq(inst, "k01", 5)
+            ig.kth_in_class(inst, "k01", 0)
 
     def test_counts_are_kept_on_the_instance(self):
         inst = ig.build_instance({"n": 16, "x": {"kind": "range", "lo": 0, "hi": 3},
@@ -340,3 +343,76 @@ class TestSubsetViolation:
             assert got == (outside[0] if outside else None)
         else:
             assert got == scanned_violation(n, x, y)
+
+
+def nested_specs(draw, x_kind: str, y_kind: str, n: int) -> tuple:
+    """X and Y of the given kinds with Y <= X inside [0, n), for any n.
+
+    Y comes first; a list X holds Y's members plus a few more, so under a
+    list X, Y keeps at most about a dozen members.  A modular X steps by a
+    divisor of the gaps between Y's members (any step when Y has one).
+    """
+    if y_kind == "list":
+        y = Members(tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                              max_size=12)))))
+    elif y_kind == "range":
+        lo = draw(st.integers(0, n - 1))
+        width = 0 if x_kind == "mod" and draw(st.booleans()) else n - 1 - lo
+        y = Range(lo, lo + draw(st.integers(0, min(width, 11 if x_kind == "list" else width))))
+    else:
+        m = draw(st.integers(-(-n // 12) if x_kind == "list" else 1, n))
+        y = Modular(m, draw(st.integers(0, min(m, n) - 1)))
+    size = y.size(n)
+    first, last = y.kth(0), y.kth(size - 1)
+    if x_kind == "list":
+        extra = draw(st.sets(st.integers(0, n - 1), max_size=12))
+        return Members(tuple(sorted({y.kth(j) for j in range(size)} | extra))), y
+    if x_kind == "range":
+        return Range(draw(st.integers(0, first)), draw(st.integers(last, n - 1))), y
+    gap = 0
+    for j in range(1, min(size, 13)):  # a range or modular Y steps evenly
+        gap = math.gcd(gap, y.kth(j) - y.kth(j - 1))
+    steps = [d for d in range(1, 40) if gap % d == 0] + ([gap] if gap else [])
+    m = draw(st.sampled_from(steps) if gap else st.integers(1, n))
+    return Modular(m, first % m), y
+
+
+class TestClassRanks:
+    """kth_in_class on every pair of spec kinds: against enumeration for small
+    n, and against the bisection of all of [0, n) up to n = 2**100 + 17."""
+
+    @pytest.mark.parametrize("x_kind", KINDS)
+    @pytest.mark.parametrize("y_kind", KINDS)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_ranks_and_counts_match_enumeration(self, x_kind, y_kind, data):
+        n = data.draw(st.integers(2, 300))
+        x, y = nested_specs(data.draw, x_kind, y_kind, n)
+        inst = ig.build_instance({"n": n, "x": x.to_json(), "y": y.to_json()})
+        for spec in (x, y):
+            members = brute_members(spec, n)
+            assert [spec.count_leq(t, n) for t in range(n + 2)] == [
+                bisect_right(members, t) for t in range(n + 2)]
+        by_class = {"k11": [], "k10": [], "k00": []}
+        for i in range(n):
+            by_class[class_of(inst, i)].append(i)
+        for cls, members in by_class.items():
+            assert [ig.kth_in_class(inst, cls, j) for j in range(len(members))] == members
+            with pytest.raises(ig.IndexOutOfRange):
+                ig.kth_in_class(inst, cls, len(members))
+
+    @pytest.mark.parametrize("x_kind", KINDS)
+    @pytest.mark.parametrize("y_kind", KINDS)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_ranks_match_bisection_on_huge_universes(self, x_kind, y_kind, data):
+        # n >= 2**64 keeps k00 above 2**63 under a list X, and a range or
+        # modular X of such an n puts k10 (or k00) there as well
+        n = data.draw(st.integers(2 ** 64, 2 ** 100 + 17))
+        x, y = nested_specs(data.draw, x_kind, y_kind, n)
+        inst = ig.build_instance({"n": n, "x": x.to_json(), "y": y.to_json()})
+        for cls in ("k11", "k10", "k00"):
+            size = getattr(inst.counts, cls)
+            if size:
+                for j in {0, size - 1, data.draw(st.integers(0, size - 1))}:
+                    assert ig.kth_in_class(inst, cls, j) == kth_by_bisection(inst, cls, j)

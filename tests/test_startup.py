@@ -1,6 +1,8 @@
 """Start-up and shape: `sweep` and `compare` never import numpy; `run` loads it
-on demand; the package's modules import one another in one layer order; each
-derived value has one owner; the README's quick tour runs.
+on demand; one parser serves every `cli.main` call of a process; the package's
+modules import one another in one layer order, and only a pinned set of the
+stdlib at module level; each derived value has one owner; the README's quick
+tour runs.
 
 Each start-up test starts a fresh interpreter, since numpy, once imported,
 stays in `sys.modules` for the rest of a process.
@@ -16,6 +18,7 @@ import sys
 from pathlib import Path
 
 import igrover
+from igrover import cli
 
 SRC = str(Path(igrover.__file__).resolve().parents[1])
 INSTANCE = {"n": 4096, "x": {"kind": "mod", "m": 16, "r": 3},
@@ -39,7 +42,8 @@ write_trace_csv __version__
 """.split()
 
 # runs each argv in sys.argv[2:] through cli.main and prints, as JSON, the
-# exit codes and whether numpy was loaded before the first and after each
+# exit codes (argparse's usage errors included) and whether numpy was loaded
+# before the first and after each
 CLI_SCRIPT = """
 import json, sys
 if sys.argv[1] == "numpy-first":
@@ -47,7 +51,10 @@ if sys.argv[1] == "numpy-first":
 import igrover.cli as cli
 codes, loaded = [], ["numpy" in sys.modules]
 for argv in sys.argv[2:]:
-    codes.append(cli.main(json.loads(argv)))
+    try:
+        codes.append(cli.main(json.loads(argv)))
+    except SystemExit as exc:
+        codes.append(exc.code)
     loaded.append("numpy" in sys.modules)
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
@@ -102,6 +109,33 @@ def test_run_loads_numpy_and_prints_what_an_eager_import_prints(tmp_path):
     assert outputs["lazy"] == outputs["numpy-first"]
 
 
+def test_one_parser_serves_every_call_of_a_process(tmp_path):
+    # main() reuses one parser; no flag or default may leak from one call into
+    # the next, a rejected command line included
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(INSTANCE))
+    inst = ["--instance", str(path)]
+    argvs = [["run", *inst, "--engine", "full", "--L", "3", "--reps", "2", "--tx", "2"],
+             ["run", *inst],
+             ["sweep", *inst, "--L", "3"],
+             ["compare", *inst, "--policy", "half"],
+             ["sweep", *inst, "--window", "1"],
+             ["run", *inst]]
+
+    def tagged(mode: str) -> list[list[str]]:
+        (tmp_path / mode).mkdir()
+        return [[*argv, "--out", str(tmp_path / mode / f"{k}.out")]
+                for k, argv in enumerate(argvs)]
+
+    shared = run_cli("lazy", *tagged("shared"))["codes"]
+    alone = [run_cli("lazy", argv)["codes"][0] for argv in tagged("alone")]
+    assert shared == alone == [3, 0, 1, 0, 0, 0]
+    outs = {mode: {f.name: f.read_bytes() for f in sorted((tmp_path / mode).iterdir())}
+            for mode in ("shared", "alone")}
+    assert len(outs["shared"]) == 5 and outs["shared"] == outs["alone"]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_every_exported_name_resolves_without_numpy():
     code = ("import json, igrover\n"
             "missing = [n for n in sys.argv[1:] if not hasattr(igrover, n)]\n"
@@ -133,6 +167,29 @@ def test_modules_import_in_layer_order_and_only_at_module_level():
                 elif isinstance(node, ast.Import):
                     assert not any(a.name.split(".")[0] == "igrover" for a in node.names), \
                         (path.name, fn.name)
+
+
+# the stdlib modules that src/ imports at module level, so that every fresh
+# `import igrover.cli` loads them: adding one is a deliberate edit
+STARTUP_STDLIB = {"__future__", "argparse", "array", "bisect", "dataclasses", "functools",
+                  "importlib", "json", "math", "operator", "os", "sys", "typing"}
+
+
+def test_module_level_stdlib_imports_stay_pinned():
+    package = Path(igrover.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        stack = list(ast.parse(path.read_text(), str(path)).body)
+        while stack:  # everything but function bodies runs at import time
+            node = stack.pop()
+            if isinstance(node, ast.Import):
+                found |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                if not node.level:  # a relative import is the package's own
+                    found.add(node.module.split(".")[0])
+            elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                stack.extend(ast.iter_child_nodes(node))
+    assert found == STARTUP_STDLIB
 
 
 def test_query_stats_built_only_by_the_schedule():
