@@ -16,7 +16,8 @@ from json.encoder import encode_basestring_ascii
 from .errors import ExhaustedRepetitions, IGroverError
 from .fullstate import run_schedule_full
 from .instance import load_instance, ClassCounts
-from .reduced import final_point, run_schedule, success_probability, write_trace_csv
+from .reduced import (check_trace_cap, final_point, run_schedule, success_probability,
+                      write_trace_csv)
 from .scheduling import (
     POLICY_PAPER_FORMULA,
     POLICY_ROUNDED_HALF,
@@ -128,6 +129,8 @@ def cmd_run(args) -> int:
 
     state = full_trace = None
     traced = bool(args.trace) or args.engine == "both"
+    if traced:
+        check_trace_cap(sched.L)  # before any evolution, so --engine both fails at once
     if args.engine != "reduced":
         # checks the cap before it allocates, so before any O(L) reduced trace
         state, full_trace, _ = run_schedule_full(inst, sched, record_trace=traced)

@@ -36,7 +36,7 @@ class DimensionMismatch(IGroverError):
 
 
 class InstanceTooLarge(IGroverError):
-    """n exceeds the full-state engine's memory cap."""
+    """A run would pass a memory cap: n amplitudes or 3L + 2 trace stops."""
 
 
 class NotClassUniform(IGroverError):

@@ -17,18 +17,13 @@ back to index order once, at the end of the run.
 from __future__ import annotations
 
 import math
-import os
 from typing import Callable
 
 from ._numpy import np
-from .errors import (
-    DimensionMismatch,
-    InstanceTooLarge,
-    NotClassUniform,
-    SpecFormatError,
-)
+from .errors import DimensionMismatch, NotClassUniform
 from .instance import ProblemInstance
-from .reduced import QueryStats, ReducedState, Schedule, Trace, check_norm
+from .reduced import (QueryStats, ReducedState, Schedule, Trace, check_cap, check_norm,
+                      check_trace_cap)
 
 DEFAULT_FULL_CAP = 1 << 20
 _UNIFORM_TOL = 1e-9
@@ -40,17 +35,7 @@ def check_full_cap(n: int) -> None:
 
     The cap is 2**20; the IGROVER_FULL_CAP environment variable overrides it.
     """
-    raw = os.environ.get("IGROVER_FULL_CAP", str(DEFAULT_FULL_CAP))
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise SpecFormatError(f"IGROVER_FULL_CAP must be an integer, got {raw!r}") from exc
-    if cap < 2:
-        raise SpecFormatError(f"IGROVER_FULL_CAP must be >= 2, got {cap}")
-    if n > cap:
-        raise InstanceTooLarge(
-            f"n={n} exceeds full-state cap {cap} (set IGROVER_FULL_CAP to raise it)"
-        )
+    check_cap("IGROVER_FULL_CAP", DEFAULT_FULL_CAP, n, f"n={n} exceeds full-state cap")
 
 
 def init_uniform(n: int) -> np.ndarray:
@@ -124,9 +109,11 @@ def run_schedule_full(inst: ProblemInstance, sched: Schedule, record_trace: bool
     untraced, it has none.  The counters are `sched.queries()`.  The run ends
     by checking the norm (NormDrift) and that every class is still uniform
     (NotClassUniform).  Raises InstanceTooLarge, before allocating anything,
-    when n exceeds the cap (`check_full_cap`).
+    when n or a traced L exceeds its cap (`check_full_cap`, `check_trace_cap`).
     """
     check_full_cap(inst.n)
+    if record_trace:
+        check_trace_cap(sched.L)
     labels, bounds = _layout(inst)
     st = init_uniform(inst.n)  # uniform, so already in layout order
     sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]

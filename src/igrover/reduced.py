@@ -38,11 +38,14 @@ derives those rows, and `write_trace_csv` formats only the stops.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from array import array
 from dataclasses import dataclass
+from functools import cache
 
 from ._numpy import np
-from .errors import IGroverError, InsufficientTrace, NormDrift
+from .errors import InstanceTooLarge, InsufficientTrace, NormDrift, SpecFormatError
 from .instance import ClassCounts
 
 POLICY_PAPER_FORMULA = "paper_formula"
@@ -53,6 +56,7 @@ POLICIES = (POLICY_PAPER_FORMULA, POLICY_ROUNDED_HALF, POLICY_SWEPT)
 _NORM_TOL = 1e-9
 _MAX_L = 1 << 1021  # final_point turns by 4L * theta, a float
 _STEP_CHUNK = 1024  # traced iterations stepped into one buffer
+DEFAULT_TRACE_CAP = 1 << 25  # stops, 768 MiB
 
 
 @dataclass(frozen=True)
@@ -224,6 +228,29 @@ def check_norm(norm_sq: float, engine: str) -> None:
         )
 
 
+def check_cap(var: str, default: int, size: int, what: str, limit: int = sys.maxsize) -> None:
+    """Raise InstanceTooLarge, saying `what`, if size passes the cap: the int
+    >= 2 in environment variable `var` (default if unset), at most limit."""
+    raw = os.environ.get(var, str(default))
+    try:
+        cap = int(raw)
+    except ValueError as exc:
+        raise SpecFormatError(f"{var} must be an integer, got {raw!r}") from exc
+    if cap < 2:
+        raise SpecFormatError(f"{var} must be >= 2, got {cap}")
+    cap = min(cap, limit)
+    if size > cap:
+        raise InstanceTooLarge(f"{what} {cap} (set {var} to raise it)")
+
+
+def check_trace_cap(L: int) -> None:
+    """Raise InstanceTooLarge if 3L + 2 stops pass the trace cap: 2**25, or
+    IGROVER_TRACE_CAP, at most what one memory mapping can hold."""
+    check_cap("IGROVER_TRACE_CAP", DEFAULT_TRACE_CAP, 3 * L + 2,
+              f"L={L} is too large to trace: 3L + 2 stops exceed the trace cap",
+              sys.maxsize // 24)
+
+
 def final_point(counts: ClassCounts, L: int) -> ReducedState:
     """The state after init, L cheap, 1 expensive and 2L cheap iterations.
 
@@ -258,19 +285,19 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
     has no rows.  Traced, every iteration is stepped as oracle-then-diffusion
     on plain floats (the arithmetic of `apply_oracle_x`/`_y` and
     `apply_diffusion`, in the same order, so every value is bit-identical)
-    and stores the stop after it, so a trace holds 3L + 2 stops.  Either way
-    the counters are `sched.queries()`, and the final state must still have
-    unit norm, or NormDrift is raised.
+    and stores the stop after it, so a trace holds 3L + 2 stops; past the
+    cap of `check_trace_cap` it raises InstanceTooLarge before allocating.
+    Either way the counters are `sched.queries()`, and the final state must
+    still have unit norm, or NormDrift is raised.
     """
     if not record_trace:
         return final_point(counts, sched.L), Trace(sched.L, np.empty((0, 3))), sched.queries()
     import mmap  # only traced runs load it, as with numpy
-    import sys
 
-    if 3 * sched.L + 2 > sys.maxsize // 24:  # a mapping's size is a C ssize_t
-        raise IGroverError(f"L={sched.L} is too large to trace (3L + 2 rows of 24 bytes)")
+    check_trace_cap(sched.L)
     s = initial_point(counts)
     sx, sy, sz = x, y, z = s.x, s.y, s.z
+    tx, ty, tz = 2.0 * sx, 2.0 * sy, 2.0 * sz
     # one anonymous mapping of the final size, filled a chunk at a time: it
     # goes back to the OS when the trace is dropped, while a malloc'd buffer
     # of that size leaves a hole the heap keeps
@@ -280,14 +307,15 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
     end = 3
     for _, op, steps in sched.segments():
         # the cheap oracle negates y, the expensive one keeps it; 1.0 * y and
-        # -1.0 * y are y and -y bit for bit, signed zeros included
+        # -1.0 * y are y and -y bit for bit, signed zeros included, as are
+        # a + (-b) and a - b, and d * (2 s) and (2 d) * s
         flip_y = -1.0 if op == "oracle_x" else 1.0
         for lo in range(0, steps, _STEP_CHUNK):
             rows = array("d")
             for _ in range(min(_STEP_CHUNK, steps - lo)):
-                ox, oy, oz = x, flip_y * y, -z
-                d2 = 2.0 * (ox * sx + oy * sy + oz * sz)
-                x, y, z = d2 * sx - ox, d2 * sy - oy, d2 * sz - oz
+                oy = flip_y * y
+                d = x * sx + oy * sy - z * sz
+                x, y, z = d * tx - x, d * ty - oy, d * tz + z
                 rows.extend((x, y, z))
             flat[end:end + len(rows)] = rows
             end += len(rows)
@@ -296,59 +324,133 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
     return p, Trace(sched.L, stops), sched.queries()
 
 
-# Iterations (two rows each) formatted per write.  On a 78,540-iteration trace
-# 512 writes as fast as 2048 and 8192, and the process peaks 1.3 and 3.7 MB lower.
-_CSV_CHUNK = 512
-# x, y, z and p_success of one row, with \x01 and \x02 standing for the
-# commas before y and z so that an oracle row can toggle their signs
-_MARKED_ROW = "%.17g\x01%.17g\x02%.17g,%.17g\n"
+# Iterations (two rows each) formatted per write.  Writing a 58,907-stop trace
+# five times in one process, 384 was as fast as 512 and peaked 0.4 MB lower,
+# and 256 was about 10 % slower.
+_CSV_CHUNK = 384
+_FIELD = 7  # uint32 words of a printed float: ',', a sign byte, up to 23 characters
+_SIGN, _NEWLINE = (int.from_bytes(b, sys.byteorder) for b in (b"\0-\0\0", b"\0\0\0\n"))
 
 
-def _unmarked(text: str) -> str:
-    return text.replace("\x01", ",").replace("\x02", ",")
+def _words(text: str, count: int) -> np.ndarray:
+    return np.frombuffer(text.encode("ascii").ljust(4 * count, b"\0"), np.uint32)
+
+
+@cache
+def _tables() -> tuple:
+    """Words rows are built from: `quads` holds four-digit g at g, at 10000 + g
+    without trailing zeros, at 20000 + g without leading zeros but the last;
+    `heads[10 * P + d]` is P - 17 zeros and digit d; `leads[2 * (v == 0) +
+    sign bit]` is ',', sign, '0' and '.' but for 0.  Then 10**P, split."""
+    quads = np.empty((3, 10000, 4), np.uint8)
+    for j, scale in enumerate((1000, 100, 10, 1)):
+        quads[:, :, j] = np.arange(10000, dtype=np.uint16) // scale % 10 + 48
+    zero = quads[0] == 48
+    quads[1][np.logical_and.accumulate(zero[:, ::-1], axis=1)[:, ::-1]] = 0
+    zero[:, 3] = False
+    quads[2][np.logical_and.accumulate(zero, axis=1)] = 0
+    heads = "".join(("0" * k).ljust(3, "\0") + str(d) for k in range(4) for d in range(10))
+    ten = np.array([float(10 ** p) for p in range(21)])  # exact: 5**20 < 2**53
+    ten_hi = ten * 134217729.0 - (ten * 134217729.0 - ten)
+    return (quads.view(np.uint32).reshape(-1), _words("\0" * 680 + heads, 211),
+            _words(",\x000.,-0.,\x000\0,-0\0", 4), ten, ten_hi, ten - ten_hi)
+
+
+def _float_words(v: np.ndarray) -> np.ndarray:
+    """Each float as `_FIELD` words of ',' + '%.17g' % v (see write_trace_csv)."""
+    quads, heads, leads, ten, ten_hi, ten_lo = _tables()
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1.0)
+    zeros = a == 0.0
+    a = np.where(fast, a, 0.5)
+    p = 21 - np.searchsorted((1e-4, 1e-3, 1e-2, 1e-1), a, side="right")
+    th, tl = ten_hi[p], ten_lo[p]
+    c = 134217729.0 * a  # Veltkamp: a = ah + al, 26 significant bits each
+    ah = c - (c - a)
+    al = a - ah
+    hi = a * ten[p]
+    lo = ((ah * th - hi) + ah * tl + al * th) + al * tl  # Dekker: hi + lo = a * 10**P
+    # hi >= 10**16 > 2**53 is an even integer: rint(lo) rounds hi + lo half to even
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    high = d // 10 ** 8  # '//' by a constant is fast, '%' is not
+    low = d - high * 10 ** 8
+    first = high // 10 ** 8
+    high -= first * 10 ** 8
+    g0, g2 = high // 10000, low // 10000
+    g1, g3 = high - g0 * 10000, low - g2 * 10000
+    out = np.empty((len(v), _FIELD), np.uint32)
+    out[:, 0] = leads[2 * zeros + np.signbit(v)]
+    out[:, 1] = heads[10 * p + first + 35 * zeros]  # a zero: P = 17, digit 5 + 35
+    # a group of four digits drops its trailing zeros if all groups after it are 0
+    out[:, 2] = quads[g0 + 10000 * ((low == 0) & (g1 == 0))]
+    out[:, 3] = quads[g1 + 10000 * (low == 0)]
+    out[:, 4] = quads[g2 + 10000 * (g3 == 0)]
+    out[:, 5] = quads[g3 + 10000]
+    out[:, 6] = 0
+    rare = np.flatnonzero(~(fast | zeros))
+    if rare.size:
+        text = (",\0%.17g\n" * rare.size) % tuple(np.abs(v[rare]).tolist())
+        out[rare] = np.array(text.split("\n")[:-1], f"S{4 * _FIELD}").view(np.uint32
+                                                                        ).reshape(-1, _FIELD)
+        out[rare, 0] |= (np.signbit(v[rare]) & (v[rare] == v[rare])).astype(np.uint32) * _SIGN
+    return out
 
 
 def write_trace_csv(path, trace: Trace) -> None:
-    """Trace export; floats printed with 17 significant digits (lossless).
+    """Trace export; every float printed exactly as '%.17g' prints it.
 
-    Only the stops are formatted, a chunk of them in one batched `%` call.
-    An oracle row is the stop before it with z negated (and y too, for the
-    cheap oracle), so its text is that stop's with a leading '-' toggled on
-    those fields and the same p_success; this is exact because
-    format(-v, '.17g') is '-' + format(v, '.17g'), signed zeros included.
-    Rows are written a chunk at a time, so memory stays bounded whatever L
-    is.
+    The stops are formatted a chunk at a time into a matrix of uint32 words
+    (four characters each), one row per CSV line, each value NUL-padded to
+    `_FIELD` words; dropping the NUL bytes leaves the text.  An oracle row
+    is the stop before it with z (and, for the cheap oracle, y) negated, so
+    it takes the stop's words with those sign bytes toggled.
+
+    A value with 1e-4 <= |v| < 1, nearly every value of a trace, prints as
+    '0.', P - 17 zeros and D = round_half_even(|v| * 10**P) without trailing
+    zeros, where 17 <= P <= 20 puts D in [10**16, 10**17).  P is exact: each
+    of 1e-4, ..., 1e-1 is the least float >= its power of ten, and no float
+    in the range rounds up to the next power.  10**P is an exact float, so
+    Dekker's TwoProduct gives |v| * 10**P exactly as hi + lo, and hi is an
+    even integer, so D is hi + rint(lo).  Zeros print
+    as '0' and '-0', and the rest (|v| >= 1, tiny values, inf and nan)
+    through one batched '%' per chunk.
     """
-    stops = trace.stops
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("phase,step,op,x,y,z,p_success\n")
-        if not len(stops):
-            return
-        x, y, z = stops[0].tolist()
-        prev = _MARKED_ROW % (x, y, z, z * z)  # the stop the next oracle row negates
-        fh.write("0,0,init," + _unmarked(prev))
-        first = 1  # the stop after the first iteration of this phase
-        for phase, op, steps in Schedule(trace.L).segments():
-            cheap = op == "oracle_x"
-            pair = f"{phase},%d,{op},%s\n{phase},%d,diffusion,%s\n"
-            for lo in range(0, steps, _CSV_CHUNK):
-                hi = min(steps, lo + _CSV_CHUNK)
-                m = hi - lo
-                values = np.empty((m, 4))
-                values[:, :3] = stops[first + lo:first + hi]
-                np.square(values[:, 2], out=values[:, 3])
-                text = (_MARKED_ROW * m) % tuple(values.ravel().tolist())
-                # oracle row j negates stop j - 1: prev, then all but the last stop
-                cut = text.rfind("\n", 0, -1) + 1
-                negated = ((prev + text[:cut]).replace("\x01", ",-" if cheap else ",")
-                           .replace("\x02", ",-").replace(",--", ","))
-                prev = text[cut:]
-                fields = [None] * (4 * m)
-                fields[0::4] = fields[2::4] = range(lo, hi)
-                fields[1::4] = negated.split("\n")[:m]
-                fields[3::4] = _unmarked(text).split("\n")[:m]
-                fh.write((pair * m) % tuple(fields))
-            first += steps
+    stops, iterations = trace.stops, 3 * trace.L + 1
+    segments = Schedule(trace.L).segments()
+    starts = np.cumsum([0] + [steps for *_, steps in segments[:-1]])  # first iterations
+    phases = np.concatenate([_words(f"{phase},", 1) for phase, *_ in segments])
+    labels = np.stack([_words(f",{op}", 3) for _, op, _ in segments])
+    flip_y = np.array([op == "oracle_x" for _, op, _ in segments])
+    count = (len(str(2 * trace.L)) + 3) // 4  # words of the largest step number
+    scale = 10 ** (4 * np.arange(count - 1, -1, -1))
+    z = 4 + count + 2 * _FIELD  # word 0 of a row's z field
+    with open(path, "wb") as fh:
+        fh.write(b"phase,step,op,x,y,z,p_success\n")
+        for lo in range(0, iterations if len(stops) else 0, _CSV_CHUNK):
+            hi = min(iterations, lo + _CSV_CHUNK)
+            chunk = stops[lo:hi + 1]  # iteration i: stops i and i + 1
+            values = np.column_stack([chunk, np.square(chunk[:, 2])])
+            fields = _float_words(values.reshape(-1)).reshape(-1, 4 * _FIELD)
+            fields[:, -1] |= _NEWLINE  # the last byte of a field is always NUL
+            if not lo:
+                fh.write(b"0,0,init" + fields[0].tobytes().translate(None, b"\0"))
+            i = np.arange(lo, hi)
+            seg = np.searchsorted(starts, i, side="right") - 1
+            k = (i - starts[seg])[:, None]
+            rows = np.empty((hi - lo, 2, z + 2 * _FIELD), np.uint32)
+            rows[:, :, 0] = phases[seg, None]
+            # the step in groups of four digits: the group holding its first
+            # digit drops leading zeros, groups before it print nothing (the
+            # NUL word at 10000), and step 0 prints '0'
+            rows[:, :, 1:1 + count] = _tables()[0][k // scale % 10000 + 20000 * (
+                k < 10000 * scale) - 10000 * (k < scale) * (scale > 1)][:, None]
+            rows[:, 0, 1 + count:4 + count] = labels[seg]
+            rows[:, 1, 1 + count:4 + count] = _words(",diffusion", 3)
+            rows[:, 0, 4 + count:] = fields[:-1]
+            rows[:, 1, 4 + count:] = fields[1:]
+            rows[:, 0, z] ^= _SIGN
+            rows[flip_y[seg], 0, z - _FIELD] ^= _SIGN
+            fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def phase1_circle_points(trace: Trace) -> np.ndarray:

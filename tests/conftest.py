@@ -1,7 +1,7 @@
 """Shared helpers: quick instance constructors, a random-instance generator,
 the one-expensive-query success ceiling, and the row-at-a-time full-state
-operators, membership classes and class ranks by bisection that the engines
-and the sampler are checked against."""
+operators, scalar reduced stepping, membership classes and class ranks by
+bisection that the engines and the sampler are checked against."""
 
 from __future__ import annotations
 
@@ -39,6 +39,19 @@ def oracle_full(state: np.ndarray, inst: ig.ProblemInstance, which: str) -> np.n
 def diffusion_full(state: np.ndarray) -> np.ndarray:
     """Reference diffusion, inversion about the mean: d_i -> 2*mean - d_i."""
     return 2.0 * state.mean() - state
+
+
+def stepped_stops(counts: ig.ClassCounts, L: int) -> np.ndarray:
+    """Reference traced run: every stop of the schedule, stepped one
+    `ReducedState` at a time with `apply_oracle_x`/`_y` and `apply_diffusion`."""
+    s = p = ig.initial_point(counts)
+    stops = [(p.x, p.y, p.z)]
+    for _, op, steps in ig.Schedule(L).segments():
+        oracle = ig.apply_oracle_x if op == "oracle_x" else ig.apply_oracle_y
+        for _ in range(steps):
+            p = ig.apply_diffusion(oracle(p), s)
+            stops.append((p.x, p.y, p.z))
+    return np.array(stops)
 
 
 def class_of(inst: ig.ProblemInstance, i: int) -> str:

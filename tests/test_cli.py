@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -162,17 +163,65 @@ class TestRun:
             run_cli("run", "--instance", inst_path, "--engine", "quantum")
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("cap", [None, str(2 ** 80)])
     @pytest.mark.parametrize("L", [2 ** 62, 2 ** 70])
-    def test_trace_of_huge_L_is_a_typed_error(self, inst_path, tmp_path, capsys, L):
-        # 3L + 2 rows of 24 bytes pass a C ssize_t: refused before any mapping
+    def test_trace_of_huge_L_is_a_typed_error(self, inst_path, tmp_path, capsys,
+                                              monkeypatch, L, cap):
+        # 3L + 2 rows of 24 bytes pass a C ssize_t: refused before any mapping,
+        # whatever IGROVER_TRACE_CAP asks for
+        if cap is not None:
+            monkeypatch.setenv("IGROVER_TRACE_CAP", cap)
         trace = tmp_path / "t.csv"
         assert run_cli("run", "--instance", inst_path, "--L", str(L),
                        "--trace", str(trace)) == 1
         captured = capsys.readouterr()
+        limit = 2 ** 25 if cap is None else sys.maxsize // 24
         assert captured.out == ""
-        assert captured.err == (f"error: L={L} is too large to trace "
-                                "(3L + 2 rows of 24 bytes)\n")
+        assert captured.err == (f"error: L={L} is too large to trace: 3L + 2 stops exceed"
+                                f" the trace cap {limit} (set IGROVER_TRACE_CAP to raise it)\n")
         assert not trace.exists()
+
+    @pytest.mark.parametrize("engine", ["reduced", "full", "both"])
+    def test_trace_cap_checked_before_any_stepping(self, inst_path, tmp_path, capsys,
+                                                   monkeypatch, engine):
+        def never(*args, **kw):
+            raise AssertionError("stepped a trace past the cap")
+
+        monkeypatch.setenv("IGROVER_TRACE_CAP", "20")
+        monkeypatch.setattr(cli, "run_schedule", never)
+        monkeypatch.setattr(cli, "run_schedule_full", never)
+        trace = tmp_path / "t.csv"
+        # L = 7 needs 23 stops; --engine both traces even without --trace
+        flags = ["--trace", str(trace)] if engine != "both" else []
+        assert run_cli("run", "--instance", inst_path, "--L", "7", "--engine", engine,
+                       *flags) == 1
+        assert capsys.readouterr().err == (
+            "error: L=7 is too large to trace: 3L + 2 stops exceed the trace cap 20"
+            " (set IGROVER_TRACE_CAP to raise it)\n")
+        assert not trace.exists()
+
+    def test_trace_cap_boundary_and_untraced_runs(self, inst_path, tmp_path, monkeypatch):
+        monkeypatch.setenv("IGROVER_TRACE_CAP", "20")
+        trace = tmp_path / "t.csv"
+        # L = 6 needs exactly 20 stops; an untraced run never allocates a trace
+        for engine in ("reduced", "full", "both"):
+            assert run_cli("run", "--instance", inst_path, "--L", "6", "--engine", engine,
+                           "--trace", str(trace)) in (0, 3)
+            assert trace.read_text().count("\n") == 2 + 2 * 19
+        assert run_cli("run", "--instance", inst_path, "--L", "7") in (0, 3)
+
+    @pytest.mark.parametrize("raw, message", [
+        ("many", "IGROVER_TRACE_CAP must be an integer, got 'many'"),
+        ("1", "IGROVER_TRACE_CAP must be >= 2, got 1"),
+    ])
+    def test_bad_trace_cap_rejected(self, inst_path, tmp_path, capsys, monkeypatch,
+                                    raw, message):
+        monkeypatch.setenv("IGROVER_TRACE_CAP", raw)
+        assert run_cli("run", "--instance", inst_path, "--trace", str(tmp_path / "t.csv")) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "t.csv").exists()
+        with pytest.raises(ig.SpecFormatError, match=message):
+            ig.reduced.check_trace_cap(0)
 
     def test_negative_L_rejected(self, inst_path):
         assert run_cli("run", "--instance", inst_path, "--L", "-3") == 1

@@ -215,6 +215,20 @@ class TestRunScheduleFull:
         with pytest.raises(ig.SpecFormatError):
             ig.run_schedule_full(inst, ig.Schedule(1))
 
+    def test_trace_cap_enforced_before_allocating(self, monkeypatch):
+        def never(*args, **kw):
+            raise AssertionError("allocated a trace past the cap")
+
+        monkeypatch.setenv("IGROVER_TRACE_CAP", "20")
+        inst = small_inst()
+        ig.run_schedule_full(inst, ig.Schedule(7), record_trace=False)  # no trace, no cap
+        monkeypatch.setattr(fullstate, "init_uniform", never)
+        monkeypatch.setattr(fullstate.np, "zeros", never)  # the package's one lazy numpy
+        monkeypatch.setattr(fullstate.np, "frombuffer", never)
+        for run in (ig.run_schedule_full, lambda inst, sched: ig.run_schedule(inst.counts, sched)):
+            with pytest.raises(ig.InstanceTooLarge, match="L=7 is too large to trace"):
+                run(inst, ig.Schedule(7))
+
 
 class CountingArray(np.ndarray):
     """An array that adds up the amplitudes every ufunc call on it touches.

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 import igrover as ig
 from igrover import cli, fullstate, reduced
-from conftest import make_counts, range_instance
+from conftest import make_counts, range_instance, stepped_stops
 
 
 def bits(v: float) -> bytes:
@@ -143,6 +145,23 @@ class TestRunSchedule:
         assert stats.count_x == 15000
         assert len(trace) == 1 + 2 * 15001
         assert abs(final.norm_sq() - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("cell", [
+        (16, 4, 1, None),
+        (4096, 64, 64, 25),               # k10 = 0: y is +-0.0 at every stop
+        (1024, 1024, 3, 7),               # k00 = 0: x is +-0.0 at every stop
+        (2 ** 1000, 2 ** 990, 3, None),   # z starts near 2**-500
+        (10 ** 30, 10 ** 26, 10 ** 20, None),
+        (10 ** 9, 100, 1, 2 * ig.reduced._STEP_CHUNK + 5),  # several step chunks
+    ])
+    def test_traced_loop_matches_scalar_operators_bit_for_bit(self, cell):
+        n, kx, ky, L = cell
+        counts = make_counts(n, kx, ky)
+        L = ig.choose_L(counts).L if L is None else L
+        final, trace, _ = ig.run_schedule(counts, ig.Schedule(L))
+        want = stepped_stops(counts, L)
+        assert trace.stops.tobytes() == want.tobytes()  # signed zeros included
+        assert (final.x, final.y, final.z) == tuple(want[-1])
 
     def test_label_and_gaps_reject_rows_of_another_run(self):
         _, trace, _ = ig.run_schedule(make_counts(64, 16, 4), ig.Schedule(3))
@@ -371,6 +390,31 @@ class TestTraceCsv:
         cheap = [row[4] for row in rows if row[2] == "oracle_x"]
         assert len(cheap) == 3 * L and set(cheap) == {"-0"}
 
+    @pytest.mark.parametrize("cell, marker", [
+        ((10 ** 8, 4, 4, None), b",-0,"),   # trace-large-L shape: y is +-0.0
+        ((10 ** 10, 16, 1, 600), b"e-05"),  # z starts at 1e-5, p below 1e-4: by '%'
+    ])
+    def test_large_cells_match_row_at_a_time_writer(self, tmp_path, cell, marker):
+        n, kx, ky, L = cell
+        counts = make_counts(n, kx, ky)
+        _, trace, _ = ig.run_schedule(counts, ig.choose_L(counts) if L is None else ig.Schedule(L))
+        assert 3 * trace.L + 1 > 3 * reduced._CSV_CHUNK
+        self.assert_matches_reference(tmp_path, trace)
+        assert marker in (tmp_path / "fast.csv").read_bytes()
+
+    @pytest.mark.parametrize("cell, digest", [
+        # paper L = 19,635, y = +-0.0 throughout
+        ((10 ** 10, 16, 16), "9d2ca142cf0d462a7e1407f7f947ae30459e1dfa67c55fd5b1cb9a8f0c65f56d"),
+        # paper L = 28,679
+        ((4 * 10 ** 9, 3, 1), "ff49ed788a47ba72653c274da98e131c8aedcc1dc16397b62c3339b0670525c4"),
+    ])
+    def test_golden_digests(self, tmp_path, cell, digest):
+        # recorded from the '%'-formatting writer this one replaced
+        counts = make_counts(*cell)
+        _, trace, _ = ig.run_schedule(counts, ig.choose_L(counts))
+        ig.write_trace_csv(tmp_path / "t.csv", trace)
+        assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == digest
+
     def test_untraced_run_writes_the_header_only(self, tmp_path):
         _, trace, _ = ig.run_schedule(make_counts(64, 16, 4), ig.Schedule(3),
                                       record_trace=False)
@@ -393,3 +437,72 @@ class TestTraceCsv:
             assert float(row[4]) == rec.point.y
             assert float(row[5]) == rec.point.z
             assert float(row[6]) == rec.p_success
+
+
+def printed(values) -> list[str]:
+    """The text `_float_words` gives each value, one string per value."""
+    words = reduced._float_words(np.asarray(values, dtype=np.float64))
+    return words.tobytes().translate(None, b"\0").decode().split(",")[1:]
+
+
+def percent_g(values) -> list[str]:
+    return ["%.17g" % v for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+# 10**-k and the floats around it, the float below each power of ten (it
+# prints 17 nines), and dyadic values j / 2**(P + 1), j odd, whose 18th digit
+# is an exact tie, at both ends of each decade
+TIES = [j / 2 ** (P + 1) for P in (17, 18, 19, 20)
+        for end in (10 ** (16 - P), 10 ** (17 - P))
+        for j in range(int(end * 2 ** (P + 1)) - 41, int(end * 2 ** (P + 1)) + 41)
+        if j % 2 and 10 ** (16 - P) <= j / 2 ** (P + 1) < 10 ** (17 - P)]
+EDGES = sorted({
+    *(math.nextafter(b, toward) for k in range(7) for b in (10.0 ** -k, float(f"1e-{k}"))
+      for toward in (0.0, 1.0, b)),
+    0.099999999999999992, 0.0099999999999999985, 0.00099999999999999980,
+    9.9999999999999991e-05, 0.99999999999999989, 1.0000000000000002, 2.0, *TIES,
+    0.0, 5e-324, 2.2250738585072014e-308, 2.2250738585072009e-308, 1e-300, 1.7976931348623157e308,
+})
+
+
+class TestFloatFormat:
+    """`_float_words` prints every float exactly as '%.17g' does."""
+
+    def test_exponent_bounds_and_no_carry(self):
+        # each bound is the least float >= its power of ten, and the float
+        # just below each power rounds to 17 nines, not up to the power
+        for k in range(5):
+            bound = float(f"1e-{k}")
+            assert Fraction(bound) >= Fraction(1, 10 ** k) > Fraction(math.nextafter(bound, 0))
+            below = Fraction(math.nextafter(bound, 0)) * 10 ** (16 + k + 1)
+            assert below < 10 ** 17 - Fraction(1, 2)
+
+    def test_edge_values(self):
+        assert len(TIES) > 150
+        for v in TIES:
+            P = 16 - math.floor(math.log10(v))
+            assert Fraction(v) * 10 ** P % 1 == Fraction(1, 2)
+        values = np.array(EDGES + [-v for v in EDGES])
+        assert printed(values) == percent_g(values)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    @example([0.0, -0.0, 1.0, math.nextafter(1.0, 0), -math.nextafter(1.0, 0), 5e-324, -5e-324,
+              2.2250738585072009e-308, 1.5, 123456789.0, 1e300, -1e-300])
+    def test_all_finite_doubles(self, values):
+        assert printed(values) == percent_g(values)
+
+    def test_non_finite(self):
+        values = [math.inf, -math.inf, math.nan, -math.nan, np.copysign(math.nan, -1.0)]
+        assert printed(values) == percent_g(values) == ["inf", "-inf", "nan", "nan", "nan"]
+
+    @pytest.mark.parametrize("draw", ["bit patterns", "log-uniform below 1"])
+    def test_a_million_values(self, draw):
+        rng = np.random.default_rng(20261018)
+        for _ in range(10):
+            if draw == "bit patterns":  # inf and nan (with any payload) included
+                values = rng.integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64).view(np.float64)
+            else:
+                values = np.exp(rng.uniform(math.log(1e-6), 0.0, 10 ** 5))
+                values *= rng.choice([-1.0, 1.0], values.size)
+            assert printed(values) == percent_g(values)
