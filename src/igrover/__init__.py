@@ -16,7 +16,6 @@ from .errors import (
     IGroverError,
     IndexOutOfRange,
     InstanceTooLarge,
-    InsufficientTrace,
     NormDrift,
     NotClassUniform,
     NotSubset,
@@ -49,8 +48,6 @@ from .reduced import (
     apply_oracle_y,
     final_point,
     initial_point,
-    phase1_coplanarity_residual,
-    phase1_rotation_check,
     run_schedule,
     success_probability,
     write_trace_csv,

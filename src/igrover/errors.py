@@ -47,10 +47,6 @@ class NormDrift(IGroverError):
     """A simulated state ended a run off the unit sphere."""
 
 
-class InsufficientTrace(IGroverError):
-    """A trace holds too few points for the requested geometric check."""
-
-
 class ExhaustedRepetitions(IGroverError):
     """Every allowed repetition measured an unverified index.
 

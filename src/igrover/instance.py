@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
@@ -40,6 +39,40 @@ CLASS_K00 = "k00"
 _MAX_N = 1 << 1023  # |X|/n and sqrt(n) must stay finite nonzero floats
 
 
+def frozen(cls):
+    """Make cls an immutable record, as `dataclass(frozen=True)` would.
+
+    The fields are the annotated names, the defaults their class attributes.
+    `__init__` is generated once per class; it sets every field with
+    `object.__setattr__` (which, unlike writing `__dict__`, keeps attribute
+    reads on CPython's fast path) and then calls `__post_init__` if there is
+    one.  `__eq__`, `__hash__` and `__repr__` read the fields in order, and
+    setting or deleting any attribute raises AttributeError.  A
+    `functools.cached_property` still works: it writes the instance
+    `__dict__` directly, and no field method reads what it stores.
+    """
+    names = tuple(cls.__annotations__)
+    env = {f"_{n}": getattr(cls, n) for n in names if hasattr(cls, n)}
+    env["_set"] = object.__setattr__
+    params = ", ".join(f"{n}=_{n}" if f"_{n}" in env else n for n in names)
+    body = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
+    if hasattr(cls, "__post_init__"):
+        body += "\n    self.__post_init__()"
+    exec(f"def __init__(self, {params}):{body}", env)
+    fields = lambda self: tuple(getattr(self, n) for n in names)
+
+    def refuse(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    cls.__init__, cls.__setattr__, cls.__delattr__ = env["__init__"], refuse, refuse
+    cls.__eq__ = lambda self, other: (fields(self) == fields(other)
+                                      if other.__class__ is self.__class__ else NotImplemented)
+    cls.__hash__ = lambda self: hash(fields(self))
+    cls.__repr__ = lambda self: "%s(%s)" % (type(self).__qualname__, ", ".join(
+        f"{n}={v!r}" for n, v in zip(names, fields(self))))
+    return cls
+
+
 def _check_int(value, what: str) -> int:
     # bool is an int subclass; JSON true/false must not sneak in as 1/0
     if isinstance(value, bool) or not isinstance(value, int):
@@ -47,7 +80,7 @@ def _check_int(value, what: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
+@frozen
 class Members:
     """Explicit member list, stored sorted and duplicate-free."""
 
@@ -74,7 +107,7 @@ class Members:
         return {"kind": "list", "members": list(self.members)}
 
 
-@dataclass(frozen=True)
+@frozen
 class Range:
     """Inclusive index range lo..hi."""
 
@@ -103,7 +136,7 @@ class Range:
         return {"kind": "range", "lo": self.lo, "hi": self.hi}
 
 
-@dataclass(frozen=True)
+@frozen
 class Modular:
     """Every index i in [0, n-1] with i % m == r."""
 
@@ -214,7 +247,7 @@ def _subset_violation(n: int, x: SetSpec, y: SetSpec) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
+@frozen
 class ProblemInstance:
     """Validated instance: universe size n with membership specs for X and Y."""
 
@@ -246,7 +279,7 @@ class ProblemInstance:
         return partition_classes(self)
 
 
-@dataclass(frozen=True)
+@frozen
 class ClassCounts:
     """Sizes of the three index classes; always sums to n <= 2**1023, with k11 >= 1."""
 

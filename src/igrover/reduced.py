@@ -26,8 +26,7 @@ arXiv:quant-ph/9605034).  The expensive iteration is applied as it stands.
 In phase 3, w is orthogonal to s and lies inside X, so the cheap oracle and
 the diffusion each negate it: the w component stays fixed while the (e, u)
 part turns by 4 L theta.  `final_point` evaluates exactly that with `math`
-alone; the stepwise loop in `run_schedule` remains for traces and as the
-reference the tests hold the closed form to.
+alone, and a traced `run_schedule` every stop of it, with an exact phase.
 
 A trace (`Trace`) stores only the stops: the init state and the state after
 each diffusion, one float64 (x, y, z) row of 24 bytes each.  The state
@@ -40,13 +39,11 @@ from __future__ import annotations
 import math
 import os
 import sys
-from array import array
-from dataclasses import dataclass
 from functools import cache
 
 from ._numpy import np
-from .errors import InstanceTooLarge, InsufficientTrace, NormDrift, SpecFormatError
-from .instance import ClassCounts
+from .errors import InstanceTooLarge, NormDrift, SpecFormatError
+from .instance import ClassCounts, frozen
 
 POLICY_PAPER_FORMULA = "paper_formula"
 POLICY_ROUNDED_HALF = "rounded_half"
@@ -55,11 +52,11 @@ POLICIES = (POLICY_PAPER_FORMULA, POLICY_ROUNDED_HALF, POLICY_SWEPT)
 
 _NORM_TOL = 1e-9
 _MAX_L = 1 << 1021  # final_point turns by 4L * theta, a float
-_STEP_CHUNK = 1024  # traced iterations stepped into one buffer
+_ARC_CHUNK = 4096  # traced stops computed per numpy pass
 DEFAULT_TRACE_CAP = 1 << 25  # stops, 768 MiB
 
 
-@dataclass(frozen=True)
+@frozen
 class ReducedState:
     """A point (x, y, z) on the unit sphere; one coordinate per index class."""
 
@@ -71,7 +68,7 @@ class ReducedState:
         return self.x * self.x + self.y * self.y + self.z * self.z
 
 
-@dataclass(frozen=True)
+@frozen
 class Schedule:
     """The single knob of a run: L cheap iterations, then 1, then 2L."""
 
@@ -95,7 +92,7 @@ class Schedule:
         return QueryStats(3 * self.L, 1, repetitions)
 
 
-@dataclass(frozen=True)
+@frozen
 class QueryStats:
     """Oracle-call counters for one run, times the number of repetitions."""
 
@@ -104,7 +101,7 @@ class QueryStats:
     repetitions: int = 1
 
 
-@dataclass(frozen=True)
+@frozen
 class TraceRecord:
     """One recorded step: which op ran, where the state landed, and z**2."""
 
@@ -115,7 +112,6 @@ class TraceRecord:
     p_success: float
 
 
-@dataclass(eq=False, slots=True)
 class Trace:
     """A recorded run as columns: one (x, y, z) row per stop of the schedule.
 
@@ -128,8 +124,11 @@ class Trace:
     trace with no stops.  Iterating yields one `TraceRecord` per row.
     """
 
-    L: int
-    stops: np.ndarray  # float64, shape (3L + 2, 3), or (0, 3) untraced
+    __slots__ = ("L", "stops")
+
+    def __init__(self, L: int, stops: np.ndarray):
+        self.L = L
+        self.stops = stops  # float64, shape (3L + 2, 3), or (0, 3) untraced
 
     def __len__(self) -> int:
         return max(0, 2 * len(self.stops) - 1)
@@ -256,10 +255,10 @@ def final_point(counts: ClassCounts, L: int) -> ReducedState:
 
     O(1) closed form (see the module docstring): phase 1 and phase 3 are
     rotations by 2*theta per iteration in the (e, u) plane, and phase 3
-    leaves the w component alone.  Matches the stepwise loop of `run_schedule`
-    to rounding, but the float64 phase (2L+1)*theta makes its error grow
-    linearly in L (about 1.6e-12 at L = 10^4).  Raises NormDrift if the
-    result is off the unit sphere.
+    leaves the w component alone.  Matches stepping to rounding, but the
+    float64 phase (2L+1)*theta makes its error grow linearly in L (about
+    1.6e-12 at L = 10^4).  Raises NormDrift if the result is off the unit
+    sphere.
     """
     s = initial_point(counts)
     kx = counts.k10 + counts.k11
@@ -277,51 +276,115 @@ def final_point(counts: ClassCounts, L: int) -> ReducedState:
     return p
 
 
+def _split(v):
+    """Veltkamp's split of v into hi + lo, 26 significant bits each."""
+    c = 134217729.0 * v
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _two_product(a, b, b_split=None):
+    """Dekker's TwoProduct, no FMA: p + e is exactly a * b.  b_split, if
+    given, is `_split(b)`."""
+    (ah, al), (bh, bl), p = _split(a), b_split or _split(b), a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _theta(counts: ClassCounts) -> tuple[float, float]:
+    """theta as a double-double hi + lo, within about 2**-120 theta.
+
+    hi is `final_point`'s float and lo = tan(theta - hi), from sin and cos
+    of hi (Taylor series) and of theta (square roots) in integers scaled by
+    2**P, P = 127 bits below hi's leading bit.
+    """
+    kx, n = counts.k10 + counts.k11, counts.n
+    hi = math.atan2(math.sqrt(kx), math.sqrt(counts.k00))
+    P = 127 - math.frexp(hi)[1]
+    num, den = hi.as_integer_ratio()
+    h = (num << P) // den
+    cs, term, k = [0, 0], 1 << P, 0  # cos hi, sin hi; h**k / k!
+    while term:
+        cs[k & 1] += -term if k & 2 else term
+        k += 1
+        term = term * h // (k << P)
+    (c, s), a, b = cs, math.isqrt((counts.k00 << 2 * P) // n), math.isqrt((kx << 2 * P) // n)
+    return hi, (b * c - a * s) / (a * c + b * s)
+
+
+def _cos_sin(m: np.ndarray, theta: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of m theta, for integers m below 2**53, to rounding.
+
+    m hi = p + e exactly, so the phase is p + t with t = e + m lo, and
+    |t| < 2**-50 p: `math`'s cos p and sin p give both to second order in
+    t.  No numpy transcendental runs, so the bits depend on libm alone, as
+    `final_point`'s do.
+    """
+    p, e = _two_product(m, theta[0])
+    t = e + m * theta[1]
+    phases = p.tolist()
+    cp, sp = (np.fromiter(map(f, phases), float, len(phases)) for f in (math.cos, math.sin))
+    flat = 1.0 - 0.5 * t * t
+    return cp * flat - sp * t, sp * flat + cp * t
+
+
 def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
                  ) -> tuple[ReducedState, Trace, QueryStats]:
     """Execute init, L cheap iterations, 1 expensive, 2L cheap.
 
-    Untraced, the final state comes from `final_point` in O(1) and the trace
-    has no rows.  Traced, every iteration is stepped as oracle-then-diffusion
-    on plain floats (the arithmetic of `apply_oracle_x`/`_y` and
-    `apply_diffusion`, in the same order, so every value is bit-identical)
-    and stores the stop after it, so a trace holds 3L + 2 stops; past the
-    cap of `check_trace_cap` it raises InstanceTooLarge before allocating.
-    Either way the counters are `sched.queries()`, and the final state must
-    still have unit norm, or NormDrift is raised.
+    The final state is `final_point`'s.  Untraced, the trace has no rows.
+    Traced, its 3L + 2 stops come from the same closed form, `_ARC_CHUNK`
+    at a time: stop 0 is `initial_point`, phase-1 stop k is
+    cos((2k+1) theta) e + sin((2k+1) theta) u, the expensive iteration is
+    applied to stop L as it stands, and phase 3 turns the (e, u) part of
+    that by 2j theta and keeps its w part.  Every phase is formed from
+    theta as a double-double (`_theta`), so each stop is within about
+    1e-16 of the exact one for any 4L below 2**53, far past the trace cap.
+    The last stop is the final state, and an empty class's column is +0.0
+    throughout, as the full engine projects it.  Past the cap of
+    `check_trace_cap` it raises InstanceTooLarge before allocating.  The
+    counters are `sched.queries()`; a final state off the unit sphere
+    raises NormDrift.
     """
+    final, L = final_point(counts, sched.L), sched.L
     if not record_trace:
-        return final_point(counts, sched.L), Trace(sched.L, np.empty((0, 3))), sched.queries()
+        return final, Trace(L, np.empty((0, 3))), sched.queries()
     import mmap  # only traced runs load it, as with numpy
 
-    check_trace_cap(sched.L)
-    s = initial_point(counts)
-    sx, sy, sz = x, y, z = s.x, s.y, s.z
-    tx, ty, tz = 2.0 * sx, 2.0 * sy, 2.0 * sz
+    check_trace_cap(L)
+    kx = counts.k10 + counts.k11
+    uy, uz = math.sqrt(counts.k10 / kx), math.sqrt(counts.k11 / kx)
+    # cos and sin of 2r theta for r below one chunk, then of the first phase
+    # of each chunk of phase 1 (odd multiples of theta) and phase 3 (even)
+    size, step = min(2 * L + 1, _ARC_CHUNK), 2 * _ARC_CHUNK
+    firsts = np.arange(1, 2 * L + 2, step), np.arange(0, 4 * L + 2, step)
+    cs = _cos_sin(np.concatenate([np.arange(0, 2 * size, 2), *firsts]).astype(np.float64),
+                  _theta(counts))
+    (tc, c1, c3), (ts, s1, s3) = (np.split(v, [size, size + len(firsts[0])]) for v in cs)
     # one anonymous mapping of the final size, filled a chunk at a time: it
     # goes back to the OS when the trace is dropped, while a malloc'd buffer
     # of that size leaves a hole the heap keeps
-    stops = np.frombuffer(mmap.mmap(-1, 24 * (3 * sched.L + 2)), np.float64).reshape(-1, 3)
-    flat = stops.reshape(-1)
-    flat[:3] = x, y, z
-    end = 3
-    for _, op, steps in sched.segments():
-        # the cheap oracle negates y, the expensive one keeps it; 1.0 * y and
-        # -1.0 * y are y and -y bit for bit, signed zeros included, as are
-        # a + (-b) and a - b, and d * (2 s) and (2 d) * s
-        flip_y = -1.0 if op == "oracle_x" else 1.0
-        for lo in range(0, steps, _STEP_CHUNK):
-            rows = array("d")
-            for _ in range(min(_STEP_CHUNK, steps - lo)):
-                oy = flip_y * y
-                d = x * sx + oy * sy - z * sz
-                x, y, z = d * tx - x, d * ty - oy, d * tz + z
-                rows.extend((x, y, z))
-            flat[end:end + len(rows)] = rows
-            end += len(rows)
-    p = ReducedState(x, y, z)
-    check_norm(p.norm_sq(), "reduced")
-    return p, Trace(sched.L, stops), sched.queries()
+    stops = np.frombuffer(mmap.mmap(-1, 24 * (3 * L + 2)), np.float64).reshape(-1, 3)
+
+    def arc(rows, fc, fs, a, b, g):  # (a, b, g) in the frame (e, u, w); (a, b) turns
+        firsts = zip((a * fc - b * fs).tolist(), (a * fs + b * fc).tolist())
+        for k, (a0, b0) in enumerate(firsts):
+            out = rows[k * _ARC_CHUNK:(k + 1) * _ARC_CHUNK]
+            c, s = tc[:len(out)], ts[:len(out)]
+            along_u = a0 * s + b0 * c
+            out[:, 0] = a0 * c - b0 * s
+            out[:, 1] = along_u * uy + g * uz
+            out[:, 2] = along_u * uz - g * uy
+
+    arc(stops[:L + 1], c1, s1, 1.0, 0.0, 0.0)
+    s = initial_point(counts)
+    p = apply_diffusion(apply_oracle_y(ReducedState(*stops[L].tolist())), s)
+    arc(stops[L + 1:], c3, s3, p.x, p.y * uy + p.z * uz, p.y * uz - p.z * uy)
+    stops[0], stops[L + 1] = (s.x, s.y, s.z), (p.x, p.y, p.z)
+    stops[-1] = final.x, final.y, final.z  # so the trace ends on the record's state
+    for column, members in enumerate((counts.k00, counts.k10)):
+        if not members:
+            stops[:, column] = 0.0
+    return final, Trace(L, stops), sched.queries()
 
 
 # Iterations (two rows each) formatted per write.  Writing a 58,907-stop trace
@@ -351,9 +414,18 @@ def _tables() -> tuple:
     quads[2][np.logical_and.accumulate(zero, axis=1)] = 0
     heads = "".join(("0" * k).ljust(3, "\0") + str(d) for k in range(4) for d in range(10))
     ten = np.array([float(10 ** p) for p in range(21)])  # exact: 5**20 < 2**53
-    ten_hi = ten * 134217729.0 - (ten * 134217729.0 - ten)
     return (quads.view(np.uint32).reshape(-1), _words("\0" * 680 + heads, 211),
-            _words(",\x000.,-0.,\x000\0,-0\0", 4), ten, ten_hi, ten - ten_hi)
+            _words(",\x000.,-0.,\x000\0,-0\0", 4), ten, *_split(ten))
+
+
+@cache
+def _segment_words() -> tuple:
+    """Per phase, the words of 'phase,' and ',op', plus ',diffusion', and
+    whether the phase's oracle negates y; none of them depends on L."""
+    segments = Schedule(0).segments()
+    return (np.concatenate([_words(f"{phase},", 1) for phase, *_ in segments]),
+            np.stack([_words(f",{op}", 3) for _, op, _ in segments]),
+            _words(",diffusion", 3), np.array([op == "oracle_x" for _, op, _ in segments]))
 
 
 def _float_words(v: np.ndarray) -> np.ndarray:
@@ -364,12 +436,7 @@ def _float_words(v: np.ndarray) -> np.ndarray:
     zeros = a == 0.0
     a = np.where(fast, a, 0.5)
     p = 21 - np.searchsorted((1e-4, 1e-3, 1e-2, 1e-1), a, side="right")
-    th, tl = ten_hi[p], ten_lo[p]
-    c = 134217729.0 * a  # Veltkamp: a = ah + al, 26 significant bits each
-    ah = c - (c - a)
-    al = a - ah
-    hi = a * ten[p]
-    lo = ((ah * th - hi) + ah * tl + al * th) + al * tl  # Dekker: hi + lo = a * 10**P
+    hi, lo = _two_product(a, ten[p], (ten_hi[p], ten_lo[p]))  # hi + lo = a * 10**P
     # hi >= 10**16 > 2**53 is an even integer: rint(lo) rounds hi + lo half to even
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     high = d // 10 ** 8  # '//' by a constant is fast, '%' is not
@@ -418,9 +485,7 @@ def write_trace_csv(path, trace: Trace) -> None:
     stops, iterations = trace.stops, 3 * trace.L + 1
     segments = Schedule(trace.L).segments()
     starts = np.cumsum([0] + [steps for *_, steps in segments[:-1]])  # first iterations
-    phases = np.concatenate([_words(f"{phase},", 1) for phase, *_ in segments])
-    labels = np.stack([_words(f",{op}", 3) for _, op, _ in segments])
-    flip_y = np.array([op == "oracle_x" for _, op, _ in segments])
+    phases, labels, diffusion, flip_y = _segment_words()
     count = (len(str(2 * trace.L)) + 3) // 4  # words of the largest step number
     scale = 10 ** (4 * np.arange(count - 1, -1, -1))
     z = 4 + count + 2 * _FIELD  # word 0 of a row's z field
@@ -445,61 +510,9 @@ def write_trace_csv(path, trace: Trace) -> None:
             rows[:, :, 1:1 + count] = _tables()[0][k // scale % 10000 + 20000 * (
                 k < 10000 * scale) - 10000 * (k < scale) * (scale > 1)][:, None]
             rows[:, 0, 1 + count:4 + count] = labels[seg]
-            rows[:, 1, 1 + count:4 + count] = _words(",diffusion", 3)
+            rows[:, 1, 1 + count:4 + count] = diffusion
             rows[:, 0, 4 + count:] = fields[:-1]
             rows[:, 1, 4 + count:] = fields[1:]
             rows[:, 0, z] ^= _SIGN
             rows[flip_y[seg], 0, z - _FIELD] ^= _SIGN
             fh.write(rows.tobytes().translate(None, b"\0"))
-
-
-def phase1_circle_points(trace: Trace) -> np.ndarray:
-    """The init point plus every post-diffusion point of the first cheap phase.
-
-    These are the L+1 successive stops of the phase-1 trajectory; the oracle
-    half-steps in between are reflections off the circle and are excluded.
-    Raises InsufficientTrace when fewer than 3 are available (a circle, or
-    a plane, needs three).
-    """
-    points = trace.stops[:trace.L + 1]
-    if len(points) < 3:
-        raise InsufficientTrace(
-            f"phase-1 geometry needs at least 3 stops, trace has {len(points)}"
-        )
-    return points
-
-
-def _fit_plane(points: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares plane through the points: unit normal and max residual."""
-    centroid = points.mean(axis=0)
-    _, _, vt = np.linalg.svd(points - centroid, full_matrices=False)
-    normal = vt[-1]
-    resid = float(np.max(np.abs((points - centroid) @ normal)))
-    return normal, resid
-
-
-def phase1_coplanarity_residual(trace: Trace) -> float:
-    """Largest out-of-plane deviation of the phase-1 stops (0 for a true circle)."""
-    return _fit_plane(phase1_circle_points(trace))[1]
-
-
-def phase1_rotation_check(trace: Trace) -> list[float]:
-    """Per-step turning angles of the phase-1 trajectory about its own axis.
-
-    Fits the circle the stops lie on (plane normal via SVD, center from the
-    mean offset along the normal) and measures successive central angles
-    with atan2 in the circle's own frame.  For L phase-1 iterations this
-    yields L angles; they should all equal twice the per-step rotation
-    angle.  Raises InsufficientTrace when fewer than 3 points are available.
-    """
-    arr = phase1_circle_points(trace)
-    normal, _ = _fit_plane(arr)
-    center = float((arr @ normal).mean()) * normal
-    radial = arr - center
-    e1 = radial[0] / np.linalg.norm(radial[0])
-    e2 = np.cross(normal, e1)
-    angles = np.arctan2(radial @ e2, radial @ e1)
-    steps = np.diff(angles)
-    # wrap into (-pi, pi] before taking magnitudes
-    steps = (steps + np.pi) % (2.0 * np.pi) - np.pi
-    return [float(a) for a in np.abs(steps)]

@@ -19,7 +19,6 @@ and the selection policies differ only in how they round pi/4 / theta_chord.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._numpy import np
 from .errors import ExhaustedRepetitions
@@ -29,6 +28,7 @@ from .instance import (
     CLASS_K11,
     ClassCounts,
     ProblemInstance,
+    frozen,
     instance_to_json,
     kth_in_class,
     verify_outcome,
@@ -38,7 +38,7 @@ from .reduced import (POLICIES, POLICY_PAPER_FORMULA, POLICY_ROUNDED_HALF, POLIC
                       QueryStats, Schedule, final_point, run_schedule, success_probability)
 
 
-@dataclass(frozen=True)
+@frozen
 class AngleParams:
     theta_chord: float
     theta_approx: float
@@ -97,7 +97,7 @@ def sweep_L(counts: ClassCounts, window: int = 3) -> tuple[Schedule, list[tuple[
     return Schedule(best_L, POLICY_SWEPT), table
 
 
-@dataclass(frozen=True)
+@frozen
 class CostModel:
     """Abstract per-query prices for the cheap (t_x) and expensive (t_y) oracles."""
 
@@ -140,7 +140,7 @@ def crossover_t_y(count_x: int, n_iters: int, t_x: float = 1.0) -> float | None:
     return count_x * t_x / (n_iters - 1)
 
 
-@dataclass(frozen=True)
+@frozen
 class RunOutcome:
     """What a repeat-until-verified execution produced."""
 

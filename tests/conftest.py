@@ -1,11 +1,14 @@
 """Shared helpers: quick instance constructors, a random-instance generator,
-the one-expensive-query success ceiling, and the row-at-a-time full-state
-operators, scalar reduced stepping, membership classes and class ranks by
-bisection that the engines and the sampler are checked against."""
+the one-expensive-query success ceiling, phase-1 trace geometry, and the
+row-at-a-time full-state operators, scalar and 40-digit reduced stepping,
+membership classes and class ranks by bisection that the engines and the
+sampler are checked against."""
 
 from __future__ import annotations
 
+import decimal
 import math
+from functools import cache
 
 import numpy as np
 
@@ -52,6 +55,86 @@ def stepped_stops(counts: ig.ClassCounts, L: int) -> np.ndarray:
             p = ig.apply_diffusion(oracle(p), s)
             stops.append((p.x, p.y, p.z))
     return np.array(stops)
+
+
+@cache
+def exact_stops(counts: ig.ClassCounts, L: int) -> np.ndarray:
+    """Every stop of the schedule, stepped on three coordinates in 40-digit
+    decimals and rounded to float64 at the end: the accuracy reference
+    (`stepped_stops` steps in float64 and drifts by up to ~1e-11)."""
+    ctx = decimal.Context(prec=40)
+    axis = [ctx.sqrt(ctx.divide(k, counts.n)) for k in (counts.k00, counts.k10, counts.k11)]
+    sx, sy, sz = axis
+    x, y, z = axis
+    stops = [(x, y, z)]
+    with decimal.localcontext(ctx):
+        for _, op, steps in ig.Schedule(L).segments():
+            cheap = op == "oracle_x"
+            for _ in range(steps):
+                if cheap:
+                    y = -y
+                d = 2 * (x * sx + y * sy - z * sz)
+                x, y, z = d * sx - x, d * sy - y, d * sz + z
+                stops.append((x, y, z))
+    stops = np.array([[float(v) for v in stop] for stop in stops])
+    stops.flags.writeable = False  # one array serves every caller
+    return stops
+
+
+class InsufficientTrace(ig.IGroverError):
+    """A trace holds too few points for the requested geometric check."""
+
+
+def phase1_circle_points(trace: ig.Trace) -> np.ndarray:
+    """The init point plus every post-diffusion point of the first cheap phase.
+
+    These are the L+1 successive stops of the phase-1 trajectory; the oracle
+    half-steps in between are reflections off the circle and are excluded.
+    Raises InsufficientTrace when fewer than 3 are available (a circle, or
+    a plane, needs three).
+    """
+    points = trace.stops[:trace.L + 1]
+    if len(points) < 3:
+        raise InsufficientTrace(
+            f"phase-1 geometry needs at least 3 stops, trace has {len(points)}"
+        )
+    return points
+
+
+def _fit_plane(points: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares plane through the points: unit normal and max residual."""
+    centroid = points.mean(axis=0)
+    _, _, vt = np.linalg.svd(points - centroid, full_matrices=False)
+    normal = vt[-1]
+    resid = float(np.max(np.abs((points - centroid) @ normal)))
+    return normal, resid
+
+
+def phase1_coplanarity_residual(trace: ig.Trace) -> float:
+    """Largest out-of-plane deviation of the phase-1 stops (0 for a true circle)."""
+    return _fit_plane(phase1_circle_points(trace))[1]
+
+
+def phase1_rotation_check(trace: ig.Trace) -> list[float]:
+    """Per-step turning angles of the phase-1 trajectory about its own axis.
+
+    Fits the circle the stops lie on (plane normal via SVD, center from the
+    mean offset along the normal) and measures successive central angles
+    with atan2 in the circle's own frame.  For L phase-1 iterations this
+    yields L angles; they should all equal twice the per-step rotation
+    angle.  Raises InsufficientTrace when fewer than 3 points are available.
+    """
+    arr = phase1_circle_points(trace)
+    normal, _ = _fit_plane(arr)
+    center = float((arr @ normal).mean()) * normal
+    radial = arr - center
+    e1 = radial[0] / np.linalg.norm(radial[0])
+    e2 = np.cross(normal, e1)
+    angles = np.arctan2(radial @ e2, radial @ e1)
+    steps = np.diff(angles)
+    # wrap into (-pi, pi] before taking magnitudes
+    steps = (steps + np.pi) % (2.0 * np.pi) - np.pi
+    return [float(a) for a in np.abs(steps)]
 
 
 def class_of(inst: ig.ProblemInstance, i: int) -> str:

@@ -14,7 +14,8 @@ import time
 import numpy as np
 
 import igrover as ig
-from conftest import make_counts, one_query_ceiling, random_instance
+from conftest import (make_counts, one_query_ceiling, phase1_coplanarity_residual,
+                      phase1_rotation_check, random_instance, stepped_stops)
 
 REF = {"n": 16, "x": {"kind": "range", "lo": 0, "hi": 3},
        "y": {"kind": "list", "members": [2]}}
@@ -58,9 +59,8 @@ def test_criterion_1_engine_equivalence():
 def test_criterion_2_query_counters():
     """Every run spends exactly 3L cheap and 1 expensive query; L stays bounded.
 
-    The stepwise (traced) path counts per oracle call, and its counters must
-    match the oracle rows of its own trace; the closed-form (untraced) path
-    reports the schedule's counts, and both must equal (3L, 1).
+    A traced run's counters must match the oracle rows of its own trace,
+    and both the traced and the untraced counters must equal (3L, 1).
     """
     rng = np.random.default_rng(77)
     violations = []
@@ -68,13 +68,13 @@ def test_criterion_2_query_counters():
         inst = random_instance(rng)
         counts = ig.partition_classes(inst)
         sched = ig.choose_L(counts)
-        _, trace, stepped = ig.run_schedule(counts, sched)
+        _, trace, traced = ig.run_schedule(counts, sched)
         _, _, stats = ig.run_schedule(counts, sched, record_trace=False)
         calls = (sum(r.op == "oracle_x" for r in trace),
                  sum(r.op == "oracle_y" for r in trace))
-        if (stepped.count_x, stepped.count_y) != calls:
-            violations.append(("stepwise-vs-trace", counts, stepped, calls))
-        for path, got in (("stepwise", stepped), ("untraced", stats)):
+        if (traced.count_x, traced.count_y) != calls:
+            violations.append(("traced-vs-trace", counts, traced, calls))
+        for path, got in (("traced", traced), ("untraced", stats)):
             if (got.count_x, got.count_y) != (3 * sched.L, 1):
                 violations.append((path, counts, got))
         bound = math.ceil((math.pi / 4.0) * math.sqrt(counts.n / (counts.k11 + counts.k10))) + 1
@@ -82,7 +82,7 @@ def test_criterion_2_query_counters():
             violations.append(("L-bound", counts, sched.L, bound))
     ok = not violations
     line = report("criterion-2 query-counters", ok,
-                  "60 runs, stepwise and untraced counters exactly (3L, 1), "
+                  "60 runs, traced and untraced counters exactly (3L, 1), "
                   "L within ceil((pi/4)sqrt(n/|X|))+1"
                   if ok else f"violations: {violations[:3]}")
     assert ok, line
@@ -91,15 +91,17 @@ def test_criterion_2_query_counters():
 def test_criterion_3_norm_drift():
     """Unit norm survives 1e5 reduced operations and a full 2^20-amplitude run.
 
-    The reduced run is traced, which steps every operation (the untraced
-    path is a closed form and applies none); each trace row after init is
-    one applied operation, and drift is the worst over all of them.
+    The engine computes its stops in closed form, so the operations are
+    applied by `stepped_stops`, one call of the package's oracles and
+    diffusion each; drift is the worst over those stops and over the
+    engine's own.  Oracle rows are negated stops, with the same norm.
     """
     counts = make_counts(4096, 64, 4)
     L = 16667  # 2*(3L+1) > 1e5 operations applied in one schedule
     _, trace, _ = ig.run_schedule(counts, ig.Schedule(L))
     ops_reduced = len(trace) - 1
-    drift_reduced = max(abs(r.point.norm_sq() - 1.0) for r in trace)
+    drift_reduced = max(float(np.abs(np.square(stops).sum(axis=1) - 1.0).max())
+                        for stops in (trace.stops, stepped_stops(counts, L)))
 
     inst = ig.build_instance({
         "n": 1 << 20,
@@ -125,15 +127,17 @@ def test_criterion_4_phase1_geometry():
     failures = []
     for n, kx, ky in cells:
         counts = make_counts(n, kx, ky)
-        sched = ig.choose_L(counts)
-        _, trace, _ = ig.run_schedule(counts, sched)
-        angles = ig.phase1_rotation_check(trace)
-        resid = ig.phase1_coplanarity_residual(trace)
-        theta = ig.compute_theta(counts).theta_chord
-        spread = max(angles) - min(angles)
-        rel = max(abs(a - 2.0 * theta) / (2.0 * theta) for a in angles)
-        if spread > 1e-9 or rel > 0.05 or resid > 1e-9:
-            failures.append((n, kx, ky, spread, rel, resid))
+        L = ig.choose_L(counts).L
+        # the closed-form trace, and the stops of the iteration itself
+        for trace in (ig.run_schedule(counts, ig.Schedule(L))[1],
+                      ig.Trace(L, stepped_stops(counts, L))):
+            angles = phase1_rotation_check(trace)
+            resid = phase1_coplanarity_residual(trace)
+            theta = ig.compute_theta(counts).theta_chord
+            spread = max(angles) - min(angles)
+            rel = max(abs(a - 2.0 * theta) / (2.0 * theta) for a in angles)
+            if spread > 1e-9 or rel > 0.05 or resid > 1e-9:
+                failures.append((n, kx, ky, spread, rel, resid))
     ok = not failures
     line = report("criterion-4 phase1-geometry", ok,
                   f"{len(cells)} cells with |X|/n <= 1/64: angle spread <= 1e-9, "

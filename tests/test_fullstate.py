@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import decimal
 import json
 import math
 import struct
@@ -13,7 +12,8 @@ import pytest
 
 import igrover as ig
 from igrover import cli, fullstate, reduced
-from conftest import class_of, diffusion_full, oracle_full, random_instance, trace_rows
+from conftest import (class_of, diffusion_full, exact_stops, oracle_full, random_instance,
+                      trace_rows)
 
 
 def small_inst():
@@ -278,21 +278,6 @@ def reference_rows(inst, L):
     return np.array([(p.x, p.y, p.z) for p in rows])
 
 
-def exact_final_point(counts, L):
-    """The schedule stepped on three coordinates in 40-digit decimals."""
-    decimal.getcontext().prec = 40
-    sizes = [decimal.Decimal(k) for k in (counts.k00, counts.k10, counts.k11)]
-    axis = [(k / counts.n).sqrt() for k in sizes]
-    v = list(axis)
-    for _, op, steps in ig.Schedule(L).segments():
-        first = 1 if op == "oracle_x" else 2
-        for _ in range(steps):
-            v = [-a if c >= first else a for c, a in enumerate(v)]
-            dot = sum(a * s for a, s in zip(v, axis))
-            v = [2 * dot * s - a for a, s in zip(v, axis)]
-    return [float(a) for a in v]
-
-
 class TestOnePassEvolution:
     """The loop carries per-class sums instead of re-reading the state."""
 
@@ -305,7 +290,7 @@ class TestOnePassEvolution:
         state, _, _ = ig.run_schedule_full(inst, ig.Schedule(10_000),
                                            record_trace=False)
         p = ig.project_to_reduced(state, inst)
-        exact = exact_final_point(ig.partition_classes(inst), 10_000)
+        exact = exact_stops(ig.partition_classes(inst), 10_000)[-1]
         np.testing.assert_allclose((p.x, p.y, p.z), exact, rtol=0, atol=1e-12)
         assert abs(float(state @ state) - 1.0) <= 1e-12
 
@@ -446,12 +431,9 @@ class TestStops:
         (4096, span(0, 63), 5),
         (100, span(0, 2), 7),
     ])
-    def test_engines_agree_on_the_sign_of_zero_up_to_the_expensive_oracle(self, cell):
-        # Y = X leaves k10 empty: y is a signed zero in both engines, and a
-        # cheap oracle row negates it in both.  Through phase 2's oracle row
-        # both engines' stops hold +0.0.  From phase 2's diffusion on, the
-        # reduced engine's zero turns -0.0 whenever the diffusion's p . s is
-        # negative, while the full engine projects +0.0 at every stop
+    def test_engines_agree_on_the_sign_of_zero(self, cell):
+        # Y = X leaves k10 empty: both engines hold +0.0 at every stop, and
+        # every cheap oracle row negates it to -0.0 in both
         n, x, L = cell
         inst = ig.build_instance({"n": n, "x": x, "y": x})
         if L is None:
@@ -459,8 +441,8 @@ class TestStops:
         traces = engine_traces(inst, L)
         ys = {name: trace_rows(trace)[:, 1] for name, trace in traces.items()}
         assert (ys["reduced"] == 0.0).all() and (ys["full"] == 0.0).all()
-        head = slice(0, 2 * L + 2)
-        np.testing.assert_array_equal(np.signbit(ys["reduced"][head]),
-                                      np.signbit(ys["full"][head]))
+        np.testing.assert_array_equal(np.signbit(ys["reduced"]), np.signbit(ys["full"]))
+        assert not np.signbit(traces["reduced"].stops[:, 1]).any()
         cheap = [row for row, rec in enumerate(traces["full"]) if rec.op == "oracle_x"]
         assert np.signbit(ys["full"][cheap]).all()
+        assert np.signbit(ys["full"]).sum() == len(cheap) == 3 * L

@@ -1,0 +1,203 @@
+"""Golden CLI corpus: every output byte of about fifty `igrover` command lines.
+
+Each case is an argv, an instance file and environment variables.  It runs
+in-process through `cli.main`, and the exit code plus the sha256 of stdout,
+of stderr and of every file it writes must match `golden_cli.json`.  The
+temporary directory's path is replaced by `TMP` before hashing, so error
+lines that name a file compare equal on any machine.
+
+A change that moves a digest on purpose lists each moved case in
+CHANGES.md.  `python tests/test_golden_cli.py` prints the table the cases
+give now, next to nothing else, so that it can be diffed against the
+committed one before that one is replaced.
+
+`run` draws from numpy's `default_rng`, and NEP 19 lets numpy change a
+Generator's stream between feature releases; such a change fails the `run`
+digests here loudly, which is what they are for.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from igrover import cli
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+
+def members(*values):
+    return {"kind": "list", "members": list(values)}
+
+
+def span(lo, hi):
+    return {"kind": "range", "lo": lo, "hi": hi}
+
+
+def mod(m, r):
+    return {"kind": "mod", "m": m, "r": r}
+
+
+def inst(n, x, y):
+    return {"n": n, "x": x, "y": y}
+
+
+INSTANCES = {
+    "ref": inst(16, span(0, 3), members(2)),
+    # the nine (X kind, Y kind) pairs, on n = 1000
+    "list-list": inst(1000, members(3, 17, 18, 400, 999), members(17, 999)),
+    "list-range": inst(1000, members(3, 4, 5, 6, 10, 20, 500), span(4, 6)),
+    "list-mod": inst(1000, members(3, 103, 250, 303, 503, 703, 903), mod(200, 103)),
+    "range-list": inst(1000, span(100, 299), members(100, 150, 299)),
+    "range-range": inst(1000, span(0, 99), span(10, 12)),
+    "range-mod": inst(1000, span(7, 999), mod(97, 7)),
+    "mod-list": inst(1000, mod(5, 2), members(2, 12, 997)),
+    "mod-range": inst(1000, mod(1, 0), span(0, 9)),        # X is the universe
+    "mod-mod": inst(1000, mod(3, 1), mod(6, 4)),
+    "y-eq-x": inst(1024, mod(8, 3), mod(8, 3)),             # k10 empty
+    "universe": inst(999, mod(1, 0), members(5)),            # k00 empty
+    "wide": inst(10 ** 9, span(0, 99), members(3)),
+    "n1e12": inst(10 ** 12, span(0, 99), members(7)),
+    "n2^1000": inst(2 ** 1000, mod(2 ** 990, 0), members(0, 2 ** 990)),
+    "too-big": inst(2 ** 1030, mod(2 ** 1000, 0), members(0)),
+    "not-subset": inst(8, span(0, 1), members(5)),
+    "full-cap": inst(65, span(0, 3), members(2)),
+}
+
+PAIRS = ["list-list", "list-range", "list-mod", "range-list", "range-range", "range-mod",
+         "mod-list", "mod-range", "mod-mod"]
+
+# (case id, instance or None, argv with {inst} and {tmp} placeholders, environment)
+CASES = [
+    *((f"run-both-trace-{pair}", pair,
+       ["run", "--instance", "{inst}", "--engine", "both", "--seed", "5",
+        "--trace", "{tmp}/t.csv"], {}) for pair in PAIRS),
+    *((f"run-{engine}-untraced-{pair}", pair,
+       ["run", "--instance", "{inst}", "--engine", engine, "--seed", "2"], {})
+      for pair, engine in zip(PAIRS[::3], ("reduced", "full", "both"))),
+    ("run-reduced", "ref", ["run", "--instance", "{inst}"], {}),
+    ("run-reduced-trace-out", "ref",
+     ["run", "--instance", "{inst}", "--seed", "42", "--out", "{tmp}/r.json",
+      "--trace", "{tmp}/t.csv"], {}),
+    ("run-full", "ref", ["run", "--instance", "{inst}", "--engine", "full"], {}),
+    ("run-full-trace", "ref",
+     ["run", "--instance", "{inst}", "--engine", "full", "--L", "5",
+      "--trace", "{tmp}/t.csv"], {}),
+    ("run-both", "ref", ["run", "--instance", "{inst}", "--engine", "both", "--tx", "2"], {}),
+    ("run-full-trace-y-eq-x", "y-eq-x",
+     ["run", "--instance", "{inst}", "--engine", "full", "--trace", "{tmp}/t.csv"], {}),
+    ("run-reduced-trace-y-eq-x", "y-eq-x",
+     ["run", "--instance", "{inst}", "--trace", "{tmp}/t.csv"], {}),
+    ("run-full-trace-universe", "universe",
+     ["run", "--instance", "{inst}", "--engine", "full", "--policy", "half",
+      "--trace", "{tmp}/t.csv"], {}),
+    ("run-reduced-trace-universe", "universe",
+     ["run", "--instance", "{inst}", "--policy", "sweep", "--trace", "{tmp}/t.csv"], {}),
+    ("run-reduced-trace-chunks", "wide",
+     ["run", "--instance", "{inst}", "--L", "400", "--trace", "{tmp}/t.csv"], {}),
+    ("run-n1e12", "n1e12", ["run", "--instance", "{inst}", "--seed", "9"], {}),
+    ("run-n2^1000", "n2^1000", ["run", "--instance", "{inst}", "--reps", "3"], {}),
+    ("run-exit-3", "ref", ["run", "--instance", "{inst}", "--seed", "1", "--reps", "1"], {}),
+    ("run-exit-2", "ref",
+     ["run", "--instance", "{inst}", "--engine", "both", "--tol", "-1"], {}),
+    ("run-trace-cap", "ref",
+     ["run", "--instance", "{inst}", "--L", "7", "--trace", "{tmp}/t.csv"],
+     {"IGROVER_TRACE_CAP": "20"}),
+    ("run-both-trace-cap", "ref",
+     ["run", "--instance", "{inst}", "--L", "7", "--engine", "both"],
+     {"IGROVER_TRACE_CAP": "20"}),
+    ("run-bad-trace-cap", "ref",
+     ["run", "--instance", "{inst}", "--trace", "{tmp}/t.csv"],
+     {"IGROVER_TRACE_CAP": "many"}),
+    ("run-full-cap", "full-cap", ["run", "--instance", "{inst}", "--engine", "full"],
+     {"IGROVER_FULL_CAP": "64"}),
+    ("run-tol-nan", "ref", ["run", "--instance", "{inst}", "--engine", "both", "--tol", "nan"],
+     {}),
+    ("run-n-too-big", "too-big", ["run", "--instance", "{inst}"], {}),
+    ("run-not-subset", "not-subset", ["run", "--instance", "{inst}"], {}),
+    ("run-missing-file", None, ["run", "--instance", "{tmp}/nope.json"], {}),
+    ("run-negative-L", "ref", ["run", "--instance", "{inst}", "--L", "-3"], {}),
+    ("run-cost-model-error", "ref", ["run", "--instance", "{inst}", "--tx", "0"], {}),
+    ("sweep-instance", "ref",
+     ["sweep", "--instance", "{inst}", "--window", "5", "--tx", "2"], {}),
+    ("sweep-n2^1000", "n2^1000", ["sweep", "--instance", "{inst}", "--out", "{tmp}/s.csv"], {}),
+    ("sweep-grid", None,
+     ["sweep", "--grid-n", "16,1024,1000000", "--grid-x", "1,4,64", "--grid-y", "1,2",
+      "--ty", "3", "--out", "{tmp}/g.csv"], {}),
+    ("sweep-partial-grid", None, ["sweep", "--grid-n", "16"], {}),
+    ("sweep-empty-grid", None, ["sweep", "--grid-n", "16", "--grid-x", "32",
+                                "--grid-y", "64"], {}),
+    ("compare", "ref", ["compare", "--instance", "{inst}"], {}),
+    ("compare-tx-ty", "ref",
+     ["compare", "--instance", "{inst}", "--tx", "0.5", "--ty", "10", "--policy", "sweep"], {}),
+    ("compare-n1e12", "n1e12", ["compare", "--instance", "{inst}", "--ty", "100",
+                                "--out", "{tmp}/c.json"], {}),
+    ("compare-n2^1000", "n2^1000", ["compare", "--instance", "{inst}", "--policy", "half"], {}),
+    ("compare-L-too-big", "ref", ["compare", "--instance", "{inst}", "--L", str(2 ** 1022)],
+     {}),
+    ("compare-cost-model-error", "ref", ["compare", "--instance", "{inst}", "--ty", "nan"], {}),
+    ("argparse-no-command", None, [], {}),
+    ("argparse-run-needs-instance", None, ["run"], {}),
+    ("argparse-bad-engine", "ref", ["run", "--instance", "{inst}", "--engine", "quantum"], {}),
+    ("argparse-sweep-rejects-L", "ref", ["sweep", "--instance", "{inst}", "--L", "3"], {}),
+]
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(tmp: Path, name: str | None, argv: list[str], env: dict) -> dict:
+    """Exit code and digests of one case, run in-process in directory tmp."""
+    path = tmp / "inst.json"
+    if name is not None:
+        path.write_text(json.dumps(INSTANCES[name]))
+    argv = [a.format(inst=path, tmp=tmp) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    saved = {k: os.environ.get(k) for k in env}
+    os.environ.update(env)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
+    text = {k: v.getvalue().replace(str(tmp), "TMP").encode() for k, v in
+            (("stdout", out), ("stderr", err))}
+    files = {f.name: sha(f.read_bytes()) for f in sorted(tmp.iterdir()) if f != path}
+    return {"exit": code, "stdout": sha(text["stdout"]), "stderr": sha(text["stderr"]),
+            "files": files}
+
+
+def test_case_ids_are_unique_and_recorded():
+    ids = [case[0] for case in CASES]
+    assert len(set(ids)) == len(ids) >= 40
+    assert sorted(json.loads(GOLDEN.read_text())) == sorted(ids)
+
+
+@pytest.mark.parametrize("case_id, name, argv, env", CASES, ids=[c[0] for c in CASES])
+def test_outputs_match_the_recorded_digests(tmp_path, case_id, name, argv, env):
+    assert run_case(tmp_path, name, argv, env) == json.loads(GOLDEN.read_text())[case_id]
+
+
+if __name__ == "__main__":
+    table = {}
+    for case_id, name, argv, env in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            table[case_id] = run_case(Path(tmp), name, argv, env)
+    json.dump(table, sys.stdout, indent=1, sort_keys=True)
+    print()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from bisect import bisect_right
 
@@ -11,8 +12,58 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import igrover as ig
-from igrover.instance import Members, Modular, Range, _subset_violation, spec_from_json
+from igrover.instance import Members, Modular, Range, _subset_violation, frozen, spec_from_json
 from conftest import class_of, kth_by_bisection, random_instance
+
+
+class TestFrozen:
+    """`frozen` records behave as `dataclass(frozen=True)` ones do."""
+
+    @staticmethod
+    def twins():
+        checked = []
+
+        def body():
+            class Price:
+                t_x: float = 1.0
+                tag: str = "a"
+
+                def __post_init__(self):
+                    checked.append(self.t_x)
+                    if self.t_x < 0:
+                        raise ValueError(f"bad {self}")
+            return Price
+
+        return frozen(body()), dataclasses.dataclass(frozen=True)(body()), checked
+
+    def test_construction_eq_hash_and_repr_match_a_dataclass(self):
+        ours, theirs, checked = self.twins()
+        for args, kwargs in (((), {}), ((2.5,), {}), ((3.0, "b"), {}), ((), {"tag": "c"})):
+            a, b = ours(*args, **kwargs), theirs(*args, **kwargs)
+            assert repr(a) == repr(b) and hash(a) == hash(b)
+            assert a == ours(*args, **kwargs) and a != b
+        assert checked == [t for t in (1.0, 2.5, 3.0, 1.0) for _ in range(3)]  # post-init ran
+        assert ours(1.0) != ours(1.0, "b") and ours(1.0) != (1.0, "a")
+        with pytest.raises(ValueError, match=r"\.Price\(t_x=-1, tag='a'\)$"):
+            ours(-1)
+        with pytest.raises(TypeError):
+            ours(1.0, "a", 3)
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        ours, _, _ = self.twins()
+        price = ours()
+        for action in (lambda: setattr(price, "t_x", 2.0), lambda: delattr(price, "tag"),
+                       lambda: setattr(price, "other", 1)):
+            with pytest.raises(AttributeError):
+                action()
+        assert (price.t_x, price.tag) == (1.0, "a")
+
+    def test_package_records(self):
+        assert repr(ig.CostModel(0.5)) == "CostModel(t_x=0.5, t_y=1.0)"
+        assert repr(ig.Schedule(3)) == "Schedule(L=3, selection_policy='paper_formula')"
+        assert {ig.QueryStats(3, 1), ig.QueryStats(3, 1, 1)} == {ig.QueryStats(3, 1)}
+        with pytest.raises(AttributeError):
+            ig.ClassCounts(1, 0, 1, 2).n = 3
 
 
 def brute_members(spec, n):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import decimal
 import hashlib
 import json
 import math
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 import igrover as ig
 from igrover import cli, fullstate, reduced
-from conftest import make_counts, range_instance, stepped_stops
+from conftest import (InsufficientTrace, exact_stops, make_counts, phase1_coplanarity_residual,
+                      phase1_rotation_check, range_instance, stepped_stops)
 
 
 def bits(v: float) -> bytes:
@@ -139,29 +141,12 @@ class TestRunSchedule:
         assert ig.success_probability(final) >= 1.0 - 1e-9
 
     def test_norm_preserved_along_long_run(self):
-        # traced, so all 2*(3L+1) operations are really stepped
         counts = make_counts(4096, 64, 4)
         final, trace, stats = ig.run_schedule(counts, ig.Schedule(5000))
         assert stats.count_x == 15000
         assert len(trace) == 1 + 2 * 15001
         assert abs(final.norm_sq() - 1.0) <= 1e-9
-
-    @pytest.mark.parametrize("cell", [
-        (16, 4, 1, None),
-        (4096, 64, 64, 25),               # k10 = 0: y is +-0.0 at every stop
-        (1024, 1024, 3, 7),               # k00 = 0: x is +-0.0 at every stop
-        (2 ** 1000, 2 ** 990, 3, None),   # z starts near 2**-500
-        (10 ** 30, 10 ** 26, 10 ** 20, None),
-        (10 ** 9, 100, 1, 2 * ig.reduced._STEP_CHUNK + 5),  # several step chunks
-    ])
-    def test_traced_loop_matches_scalar_operators_bit_for_bit(self, cell):
-        n, kx, ky, L = cell
-        counts = make_counts(n, kx, ky)
-        L = ig.choose_L(counts).L if L is None else L
-        final, trace, _ = ig.run_schedule(counts, ig.Schedule(L))
-        want = stepped_stops(counts, L)
-        assert trace.stops.tobytes() == want.tobytes()  # signed zeros included
-        assert (final.x, final.y, final.z) == tuple(want[-1])
+        assert np.abs(np.square(trace.stops).sum(axis=1) - 1.0).max() <= 1e-15
 
     def test_label_and_gaps_reject_rows_of_another_run(self):
         _, trace, _ = ig.run_schedule(make_counts(64, 16, 4), ig.Schedule(3))
@@ -197,7 +182,7 @@ def cells(draw, n_max: int, L_max: int):
 
 
 class TestClosedForm:
-    """`final_point` against the stepwise loop and the full engine, within 1e-9."""
+    """`final_point` against scalar stepping and the full engine, within 1e-9."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(cells(n_max=10 ** 12, L_max=400))
@@ -209,7 +194,7 @@ class TestClosedForm:
     def test_matches_stepwise(self, cell):
         n, kx, ky, L = cell
         counts = make_counts(n, kx, ky)
-        stepped, _, _ = ig.run_schedule(counts, ig.Schedule(L))
+        stepped = ig.ReducedState(*stepped_stops(counts, L)[-1])
         assert max_gap(ig.final_point(counts, L), stepped) <= 1e-9
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -229,10 +214,97 @@ class TestClosedForm:
         counts = make_counts(10 ** 9, 1, 1)
         sched = ig.choose_L(counts)
         assert sched.L > 20000
-        stepped, _, _ = ig.run_schedule(counts, sched)
+        stepped = ig.ReducedState(*stepped_stops(counts, sched.L)[-1])
         closed, trace, stats = ig.run_schedule(counts, sched, record_trace=False)
         assert max_gap(closed, stepped) <= 1e-9
         assert len(trace) == 0 and (stats.count_x, stats.count_y) == (3 * sched.L, 1)
+
+
+# the accuracy cells of the ROADMAP at their paper L: 78,540, 19,635, 28,679 and 3,927
+POLICY_CELLS = [(10 ** 12, 100, 1), (10 ** 10, 16, 16), (4 * 10 ** 9, 3, 1), (10 ** 8, 4, 4)]
+
+
+class TestClosedFormTrace:
+    """Traced stops from the closed form, against 40-digit stepping."""
+
+    @pytest.mark.parametrize("cell", [
+        (2, 1, 1), (16, 4, 1), (10 ** 12, 100, 1), (1000, 999, 10), (1000, 1000, 10),
+        (2 ** 1000, 2 ** 10, 3), (2 ** 1000, 2 ** 1000 - 1, 3), (10 ** 300, 1, 1)])
+    def test_theta_is_a_double_double(self, cell):
+        # theta solves sqrt(k00/n) sin t = sqrt(|X|/n) cos t; 60-digit Newton
+        # steps on that from hi, with sin and cos as decimal Taylor series
+        counts = make_counts(*cell)
+        hi, lo = reduced._theta(counts)
+        with decimal.localcontext(decimal.Context(prec=60)):
+            a = (decimal.Decimal(counts.k00) / counts.n).sqrt()
+            b = (decimal.Decimal(counts.k10 + counts.k11) / counts.n).sqrt()
+            t = decimal.Decimal(hi)
+            for _ in range(3):
+                c = s = 0
+                term = decimal.Decimal(1)  # t**(k-1) / (k-1)!
+                for k in range(1, 70):
+                    if k % 2:
+                        c += term if k % 4 == 1 else -term
+                    else:
+                        s += term if k % 4 == 2 else -term
+                    term = term * t / k
+                t -= (a * s - b * c) / (a * c + b * s)
+            assert abs(decimal.Decimal(hi) + decimal.Decimal(lo) - t) <= t / 2 ** 104
+            assert abs(lo) <= math.ulp(hi)
+
+    @pytest.mark.parametrize("cell", POLICY_CELLS)
+    def test_every_stop_within_1e_15_at_policy_L(self, cell):
+        counts = make_counts(*cell)
+        sched = ig.choose_L(counts)
+        _, trace, _ = ig.run_schedule(counts, sched)
+        assert np.abs(trace.stops - exact_stops(counts, sched.L)).max() <= 1e-15
+
+    @pytest.mark.parametrize("L", [10 ** 3, 10 ** 4, 10 ** 5])
+    @pytest.mark.parametrize("kx", [999, 1000], ids=["|X|=n-1", "X=universe"])
+    def test_no_less_exact_than_stepping_far_past_the_optimum(self, kx, L):
+        # the last stop is final_point's, whose float phase (2L+1) theta
+        # loses accuracy linearly in L
+        counts = make_counts(1000, kx, 10)
+        _, trace, _ = ig.run_schedule(counts, ig.Schedule(L))
+        exact = exact_stops(counts, L)[:-1]
+        closed = np.abs(trace.stops[:-1] - exact).max()
+        stepped = np.abs(stepped_stops(counts, L)[:-1] - exact).max()
+        assert closed <= stepped and closed <= 1e-15
+
+    def test_last_csv_row_is_the_record(self, tmp_path):
+        # the README trace cell, L = 78,540
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"n": 10 ** 12, "x": {"kind": "range", "lo": 0, "hi": 99},
+                                    "y": {"kind": "list", "members": [7]}}))
+        assert cli.main(["run", "--instance", str(path), "--trace", str(tmp_path / "t.csv"),
+                         "--out", str(tmp_path / "r.json")]) == 0
+        with open(tmp_path / "t.csv", "rb") as fh:
+            fh.seek(-200, 2)
+            last = fh.read().decode().splitlines()[-1].split(",")
+        assert last[:3] == ["3", "157079", "diffusion"]
+        assert float(last[6]) == json.loads((tmp_path / "r.json").read_text())["p_success_exact"]
+
+    @pytest.mark.parametrize("cell", [
+        (4096, 64, 64, None),   # k10 = 0
+        (256, 8, 8, 4),         # k10 = 0, p . s < 0 at some diffusions
+        (1024, 1024, 3, 7),     # k00 = 0
+        (64, 64, 64, 3),        # both empty
+    ])
+    def test_an_empty_class_is_positive_zero_at_every_stop(self, cell):
+        n, kx, ky, L = cell
+        counts = make_counts(n, kx, ky)
+        _, trace, _ = ig.run_schedule(counts, ig.choose_L(counts) if L is None else ig.Schedule(L))
+        empty = [c for c, size in enumerate((counts.k00, counts.k10)) if not size]
+        assert empty
+        for column in empty:
+            assert trace.stops[:, column].tobytes() == bytes(8 * len(trace.stops))
+
+    def test_every_stop_is_on_the_orbit_of_the_operators(self):
+        # many chunks of both arcs, against the float stepping itself
+        counts = make_counts(10 ** 9, 100, 1)
+        L = 3 * reduced._ARC_CHUNK + 5
+        _, trace, _ = ig.run_schedule(counts, ig.Schedule(L))
+        assert np.abs(trace.stops - stepped_stops(counts, L)).max() <= 1e-11
 
 
 class TestNormDrift:
@@ -272,21 +344,27 @@ class TestNormDrift:
 
 
 class TestPhase1Geometry:
-    def trace_for(self, n, kx, ky, L=None):
-        counts = make_counts(n, kx, ky)
-        sched = ig.choose_L(counts) if L is None else ig.Schedule(L)
-        _, trace, _ = ig.run_schedule(counts, sched)
-        return counts, trace
+    """On the closed-form trace, and on the stops of the iteration itself."""
 
-    def test_reference_angles(self):
-        _, trace = self.trace_for(16, 4, 1)
-        angles = ig.phase1_rotation_check(trace)
+    @pytest.fixture(params=["closed form", "stepped"])
+    def trace_for(self, request):
+        def make(n, kx, ky, L=None):
+            counts = make_counts(n, kx, ky)
+            L = ig.choose_L(counts).L if L is None else L
+            if request.param == "stepped":
+                return counts, ig.Trace(L, stepped_stops(counts, L))
+            return counts, ig.run_schedule(counts, ig.Schedule(L))[1]
+        return make
+
+    def test_reference_angles(self, trace_for):
+        _, trace = trace_for(16, 4, 1)
+        angles = phase1_rotation_check(trace)
         np.testing.assert_allclose(angles, [math.pi / 3, math.pi / 3],
                                    rtol=0, atol=1e-12)
 
-    def test_angles_match_chord_formula(self):
-        counts, trace = self.trace_for(4096, 64, 4)
-        angles = ig.phase1_rotation_check(trace)
+    def test_angles_match_chord_formula(self, trace_for):
+        counts, trace = trace_for(4096, 64, 4)
+        angles = phase1_rotation_check(trace)
         params = ig.compute_theta(counts)
         assert len(angles) == ig.choose_L(counts).L
         # all steps turn by the same angle ...
@@ -297,16 +375,16 @@ class TestPhase1Geometry:
                                    rtol=1e-12)
         np.testing.assert_allclose(angles, 2.0 * params.theta_chord, rtol=0.05)
 
-    def test_coplanarity(self):
-        _, trace = self.trace_for(1024, 16, 1)
-        assert ig.phase1_coplanarity_residual(trace) <= 1e-9
+    def test_coplanarity(self, trace_for):
+        _, trace = trace_for(1024, 16, 1)
+        assert phase1_coplanarity_residual(trace) <= 1e-9
 
-    def test_insufficient_trace(self):
-        _, trace = self.trace_for(16, 4, 1, L=1)
-        with pytest.raises(ig.InsufficientTrace):
-            ig.phase1_rotation_check(trace)
-        with pytest.raises(ig.InsufficientTrace):
-            ig.phase1_coplanarity_residual(trace)
+    def test_insufficient_trace(self, trace_for):
+        _, trace = trace_for(16, 4, 1, L=1)
+        with pytest.raises(InsufficientTrace):
+            phase1_rotation_check(trace)
+        with pytest.raises(InsufficientTrace):
+            phase1_coplanarity_residual(trace)
 
 
 def write_rows_one_at_a_time(path, trace) -> None:
@@ -402,18 +480,23 @@ class TestTraceCsv:
         self.assert_matches_reference(tmp_path, trace)
         assert marker in (tmp_path / "fast.csv").read_bytes()
 
-    @pytest.mark.parametrize("cell, digest", [
+    @pytest.mark.parametrize("cell, stepped, closed", [
         # paper L = 19,635, y = +-0.0 throughout
-        ((10 ** 10, 16, 16), "9d2ca142cf0d462a7e1407f7f947ae30459e1dfa67c55fd5b1cb9a8f0c65f56d"),
+        ((10 ** 10, 16, 16), "9d2ca142cf0d462a7e1407f7f947ae30459e1dfa67c55fd5b1cb9a8f0c65f56d",
+         "11194d3fa136feaa9de5ee2bc845d8ac131c1d0dc4b8a76bb6503d1f3b5c4569"),
         # paper L = 28,679
-        ((4 * 10 ** 9, 3, 1), "ff49ed788a47ba72653c274da98e131c8aedcc1dc16397b62c3339b0670525c4"),
+        ((4 * 10 ** 9, 3, 1), "ff49ed788a47ba72653c274da98e131c8aedcc1dc16397b62c3339b0670525c4",
+         "322c2a6d7da99f97db1937cd6d3d6cab4e2d6bb9d5bfff76f437aca81e08de5a"),
     ])
-    def test_golden_digests(self, tmp_path, cell, digest):
-        # recorded from the '%'-formatting writer this one replaced
+    def test_golden_digests(self, tmp_path, cell, stepped, closed):
+        # the stepped stops' digest was recorded from the '%'-formatting
+        # writer, so it pins this writer; the other pins the closed form
         counts = make_counts(*cell)
-        _, trace, _ = ig.run_schedule(counts, ig.choose_L(counts))
-        ig.write_trace_csv(tmp_path / "t.csv", trace)
-        assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == digest
+        L = ig.choose_L(counts).L
+        for trace, digest in ((ig.Trace(L, stepped_stops(counts, L)), stepped),
+                              (ig.run_schedule(counts, ig.Schedule(L))[1], closed)):
+            ig.write_trace_csv(tmp_path / "t.csv", trace)
+            assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == digest
 
     def test_untraced_run_writes_the_header_only(self, tmp_path):
         _, trace, _ = ig.run_schedule(make_counts(64, 16, 4), ig.Schedule(3),

@@ -28,15 +28,14 @@ INSTANCE = {"n": 4096, "x": {"kind": "mod", "m": 16, "r": 3},
 # `igrover/__init__.py`, or bringing a retired one back, fails this test
 EXPORTS = """
 AngleParams ClassCounts CostModel DEFAULT_FULL_CAP DimensionMismatch EmptyX EmptyY
-ExhaustedRepetitions IGroverError IndexOutOfRange InstanceTooLarge InsufficientTrace
-Members Modular NormDrift NotClassUniform NotSubset POLICY_PAPER_FORMULA
-POLICY_ROUNDED_HALF POLICY_SWEPT ProblemInstance QueryStats Range ReducedState
-RunOutcome Schedule SpecFormatError Trace TraceRecord apply_diffusion apply_oracle_x
-apply_oracle_y build_instance choose_L compute_theta crossover_t_y errors final_point
-fullstate init_uniform initial_point instance instance_to_json kth_in_class
-load_instance naive_iterations partition_classes phase1_coplanarity_residual
-phase1_rotation_check project_to_reduced query_cost reduced result_record
-run_schedule run_schedule_full run_with_repetitions sample_from_reduced
+ExhaustedRepetitions IGroverError IndexOutOfRange InstanceTooLarge Members Modular
+NormDrift NotClassUniform NotSubset POLICY_PAPER_FORMULA POLICY_ROUNDED_HALF
+POLICY_SWEPT ProblemInstance QueryStats Range ReducedState RunOutcome Schedule
+SpecFormatError Trace TraceRecord apply_diffusion apply_oracle_x apply_oracle_y
+build_instance choose_L compute_theta crossover_t_y errors final_point fullstate
+init_uniform initial_point instance instance_to_json kth_in_class load_instance
+naive_iterations partition_classes project_to_reduced query_cost reduced
+result_record run_schedule run_schedule_full run_with_repetitions sample_from_reduced
 sample_measurement scheduling success_probability sweep_L verify_outcome
 write_trace_csv __version__
 """.split()
@@ -171,8 +170,8 @@ def test_modules_import_in_layer_order_and_only_at_module_level():
 
 # the stdlib modules that src/ imports at module level, so that every fresh
 # `import igrover.cli` loads them: adding one is a deliberate edit
-STARTUP_STDLIB = {"__future__", "argparse", "array", "bisect", "dataclasses", "functools",
-                  "importlib", "json", "math", "operator", "os", "sys", "typing"}
+STARTUP_STDLIB = {"__future__", "argparse", "bisect", "functools", "importlib", "json", "math",
+                  "operator", "os", "sys", "typing"}
 
 
 def test_module_level_stdlib_imports_stay_pinned():
@@ -190,6 +189,14 @@ def test_module_level_stdlib_imports_stay_pinned():
             elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 stack.extend(ast.iter_child_nodes(node))
     assert found == STARTUP_STDLIB
+
+
+def test_import_skips_dataclasses_inspect_and_array():
+    # `dataclasses` alone pulls in `inspect`, about a fifth of a fresh import
+    code = ("import json, igrover.cli\n"
+            "print(json.dumps([m for m in ('dataclasses', 'inspect', 'array', 'numpy')"
+            " if m in sys.modules]))")
+    assert fresh_python(code) == []
 
 
 def test_query_stats_built_only_by_the_schedule():
