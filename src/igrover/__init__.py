@@ -42,7 +42,6 @@ from .reduced import (
     ReducedState,
     Schedule,
     Trace,
-    TraceRecord,
     apply_diffusion,
     apply_oracle_x,
     apply_oracle_y,

@@ -16,8 +16,7 @@ from json.encoder import encode_basestring_ascii
 from .errors import ExhaustedRepetitions, IGroverError
 from .fullstate import run_schedule_full
 from .instance import load_instance, ClassCounts
-from .reduced import (check_trace_cap, final_point, run_schedule, success_probability,
-                      write_trace_csv)
+from .reduced import check_trace_cap, run_schedule, write_trace_csv
 from .scheduling import (
     POLICY_PAPER_FORMULA,
     POLICY_ROUNDED_HALF,
@@ -25,9 +24,7 @@ from .scheduling import (
     CostModel,
     Schedule,
     choose_L,
-    cost_record,
-    crossover_t_y,
-    naive_iterations,
+    compare_record,
     query_cost,
     result_record,
     run_with_repetitions,
@@ -144,8 +141,6 @@ def cmd_run(args) -> int:
             print(f"engine disagreement: phase {phase} step {step} op {op}: "
                   f"max delta {gap[1]:.3g} > tol {args.tol:.3g}", file=sys.stderr)
             return 2
-    if args.trace:
-        write_trace_csv(args.trace, trace)
 
     code = 0
     try:
@@ -154,7 +149,10 @@ def cmd_run(args) -> int:
     except ExhaustedRepetitions as exc:
         outcome = exc.outcome
         code = 3
-    _emit(result_record(inst, sched, outcome, model), args.out)
+    record = result_record(inst, sched, outcome, model)  # checks the costs before any write
+    if args.trace:
+        write_trace_csv(args.trace, trace)
+    _emit(record, args.out)
     return code
 
 
@@ -213,27 +211,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     inst = load_instance(args.instance)
-    counts = inst.counts
-    sched = _schedule_for(args, counts)
-    model = CostModel(args.tx, args.ty)
-    final = final_point(counts, sched.L)
-    stats = sched.queries()
-    cost = cost_record(counts, stats, model)
-    iters = naive_iterations(counts)
-    ratio = cost["total"] / cost["naive_total"] if cost["naive_total"] > 0 else None
-    report = {
-        "instance": {"n": inst.n, "x_size": inst.x_size, "y_size": inst.y_size},
-        "L": sched.L,
-        "policy": sched.selection_policy,
-        "counts": {"x_queries": stats.count_x, "y_queries": stats.count_y},
-        "cost": cost,
-        "naive_iterations": iters,
-        "cost_ratio": ratio,
-        "crossover_t_y": crossover_t_y(stats.count_x, iters, model.t_x),
-        "two_oracle_wins": bool(ratio is not None and ratio < 1.0),
-        "p_success_exact": success_probability(final),
-    }
-    _emit(report, args.out)
+    sched = _schedule_for(args, inst.counts)
+    _emit(compare_record(inst, sched, CostModel(args.tx, args.ty)), args.out)
     return 0
 
 

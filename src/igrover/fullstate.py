@@ -22,8 +22,7 @@ from typing import Callable
 from ._numpy import np
 from .errors import DimensionMismatch, NotClassUniform
 from .instance import ProblemInstance
-from .reduced import (QueryStats, ReducedState, Schedule, Trace, check_cap, check_norm,
-                      check_trace_cap)
+from .reduced import QueryStats, ReducedState, Schedule, Trace, check_cap, check_norm
 
 DEFAULT_FULL_CAP = 1 << 20
 _UNIFORM_TOL = 1e-9
@@ -104,16 +103,15 @@ def run_schedule_full(inst: ProblemInstance, sched: Schedule, record_trace: bool
     The state is evolved in place in the class-contiguous layout and
     returned in index order, one pass over it per iteration (two traced:
     each stop is projected, and stops never feed back, so traced and
-    untraced runs end in the same bits).  The trace holds the same stops as
-    the reduced engine's, so the two runs can be compared pointwise;
-    untraced, it has none.  The counters are `sched.queries()`.  The run ends
+    untraced runs end in the same bits).  Its `Trace.allocate` stops are the
+    reduced engine's, so the two runs can be compared pointwise; untraced,
+    the trace has none.  The counters are `sched.queries()`.  The run ends
     by checking the norm (NormDrift) and that every class is still uniform
     (NotClassUniform).  Raises InstanceTooLarge, before allocating anything,
-    when n or a traced L exceeds its cap (`check_full_cap`, `check_trace_cap`).
+    when n or a traced L exceeds its cap (`check_full_cap`, `Trace.allocate`).
     """
     check_full_cap(inst.n)
-    if record_trace:
-        check_trace_cap(sched.L)
+    trace = Trace.allocate(sched.L) if record_trace else Trace(sched.L, np.empty((0, 3)))
     labels, bounds = _layout(inst)
     st = init_uniform(inst.n)  # uniform, so already in layout order
     sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
@@ -123,8 +121,7 @@ def run_schedule_full(inst: ProblemInstance, sched: Schedule, record_trace: bool
     sums = [float(st[lo:hi].sum()) for lo, hi in zip(bounds, bounds[1:])]
     flips = {op: (st[bounds[first]:], [c for c in range(first, 3) if sizes[c]])
              for op, first in (("oracle_x", 1), ("oracle_y", 2))}
-    stops = np.zeros((3 * sched.L + 2 if record_trace else 0, 3))
-    stop = 0
+    stops, stop = trace.stops, 0
     if record_trace:
         stops[stop] = _project(st, bounds)
     for _, op, steps in sched.segments():
@@ -144,7 +141,7 @@ def run_schedule_full(inst: ProblemInstance, sched: Schedule, record_trace: bool
     state = np.empty_like(st)
     for c in range(3):
         state[labels == c] = st[bounds[c]:bounds[c + 1]]
-    return state, Trace(sched.L, stops), sched.queries()
+    return state, trace, sched.queries()
 
 
 def measurement_sampler(state: np.ndarray, rng: np.random.Generator) -> Callable[[], int]:

@@ -29,9 +29,9 @@ part turns by 4 L theta.  `final_point` evaluates exactly that with `math`
 alone, and a traced `run_schedule` every stop of it, with an exact phase.
 
 A trace (`Trace`) stores only the stops: the init state and the state after
-each diffusion, one float64 (x, y, z) row of 24 bytes each.  The state
-after an oracle is the stop before it with signs flipped, so `Trace`
-derives those rows, and `write_trace_csv` formats only the stops.
+each diffusion, one float64 (x, y, z) row of 24 bytes each, in one mapping.
+The state after an oracle is the stop before it with signs flipped, so the
+writer, `write_trace_csv`, derives those rows as it prints them.
 """
 
 from __future__ import annotations
@@ -101,17 +101,6 @@ class QueryStats:
     repetitions: int = 1
 
 
-@frozen
-class TraceRecord:
-    """One recorded step: which op ran, where the state landed, and z**2."""
-
-    phase: int
-    step: int
-    op: str
-    point: ReducedState
-    p_success: float
-
-
 class Trace:
     """A recorded run as columns: one (x, y, z) row per stop of the schedule.
 
@@ -120,8 +109,8 @@ class Trace:
     rows: row 0 is stop 0, and iteration i adds its oracle row 1 + 2i,
     which is stop i with the oracle's sign flips applied, and its diffusion
     row 2 + 2i, which is stop i + 1.  Phase, step and op labels follow from
-    L and are not stored, and p_success is z*z.  Untraced runs return a
-    trace with no stops.  Iterating yields one `TraceRecord` per row.
+    L and are not stored, and p_success is z*z.  Traced runs fill the stops
+    of `Trace.allocate`; untraced runs return a trace with no stops.
     """
 
     __slots__ = ("L", "stops")
@@ -129,6 +118,18 @@ class Trace:
     def __init__(self, L: int, stops: np.ndarray):
         self.L = L
         self.stops = stops  # float64, shape (3L + 2, 3), or (0, 3) untraced
+
+    @classmethod
+    def allocate(cls, L: int) -> Trace:
+        """3L + 2 zeroed stops for an engine to fill, in one anonymous mapping
+        (it goes back to the OS when the trace is dropped, where a malloc'd
+        buffer of that size leaves a hole the heap keeps).  Raises
+        InstanceTooLarge past `check_trace_cap`'s cap, before mapping."""
+        import mmap  # only traced runs load it, as with numpy
+
+        check_trace_cap(L)
+        stops = np.frombuffer(mmap.mmap(-1, 24 * (3 * L + 2)), np.float64)
+        return cls(L, stops.reshape(-1, 3))
 
     def __len__(self) -> int:
         return max(0, 2 * len(self.stops) - 1)
@@ -144,17 +145,8 @@ class Trace:
             i -= steps
         raise IndexError(f"row {row} is past the end of a trace with L={self.L}")
 
-    def __iter__(self):
-        stops = self.stops.tolist()
-        for row in range(len(self)):
-            phase, step, op = self.label(row)
-            p = ReducedState(*stops[row // 2])
-            if op in _ORACLES:
-                p = _ORACLES[op](p)
-            yield TraceRecord(phase, step, op, p, p.z * p.z)
-
     def gaps(self, other: Trace) -> np.ndarray:
-        """Per row, the largest absolute difference in x, y, z or p_success.
+        """Per stop, the largest absolute difference in x, y, z or p_success.
 
         An oracle row has the gap of its stop: negation changes neither.
         """
@@ -164,15 +156,15 @@ class Trace:
                 f" vs L={other.L}, {len(other)} rows"
             )
         a, b = self.stops, other.stops
-        gaps = np.maximum(np.abs(a - b).max(axis=1),
+        return np.maximum(np.abs(a - b).max(axis=1),
                           np.abs(a[:, 2] * a[:, 2] - b[:, 2] * b[:, 2]))
-        return np.repeat(gaps, 2)[:-1]
 
     def first_gap(self, other: Trace, tol: float) -> tuple[int, float] | None:
-        """The first row whose gap to other exceeds tol, and that gap, or None."""
+        """The first row whose gap to other exceeds tol, and that gap, or None:
+        row 2s for stop s, since its oracle row 2s + 1 has the same gap."""
         gaps = self.gaps(other)
         bad = np.flatnonzero(gaps > tol)
-        return (int(bad[0]), float(gaps[bad[0]])) if bad.size else None
+        return (2 * int(bad[0]), float(gaps[bad[0]])) if bad.size else None
 
 
 def initial_point(counts: ClassCounts) -> ReducedState:
@@ -193,9 +185,6 @@ def apply_oracle_x(p: ReducedState) -> ReducedState:
 def apply_oracle_y(p: ReducedState) -> ReducedState:
     """Expensive-oracle phase flip on the targets alone."""
     return ReducedState(p.x, p.y, -p.z)
-
-
-_ORACLES = {"oracle_x": apply_oracle_x, "oracle_y": apply_oracle_y}
 
 
 def apply_diffusion(p: ReducedState, s: ReducedState) -> ReducedState:
@@ -340,17 +329,16 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
     theta as a double-double (`_theta`), so each stop is within about
     1e-16 of the exact one for any 4L below 2**53, far past the trace cap.
     The last stop is the final state, and an empty class's column is +0.0
-    throughout, as the full engine projects it.  Past the cap of
-    `check_trace_cap` it raises InstanceTooLarge before allocating.  The
-    counters are `sched.queries()`; a final state off the unit sphere
-    raises NormDrift.
+    throughout, as the full engine projects it.  The stops are
+    `Trace.allocate`'s, so past the trace cap it raises InstanceTooLarge
+    before computing them.  The counters are `sched.queries()`; a final
+    state off the unit sphere raises NormDrift.
     """
     final, L = final_point(counts, sched.L), sched.L
     if not record_trace:
         return final, Trace(L, np.empty((0, 3))), sched.queries()
-    import mmap  # only traced runs load it, as with numpy
-
-    check_trace_cap(L)
+    trace = Trace.allocate(L)
+    stops = trace.stops
     kx = counts.k10 + counts.k11
     uy, uz = math.sqrt(counts.k10 / kx), math.sqrt(counts.k11 / kx)
     # cos and sin of 2r theta for r below one chunk, then of the first phase
@@ -360,10 +348,6 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
     cs = _cos_sin(np.concatenate([np.arange(0, 2 * size, 2), *firsts]).astype(np.float64),
                   _theta(counts))
     (tc, c1, c3), (ts, s1, s3) = (np.split(v, [size, size + len(firsts[0])]) for v in cs)
-    # one anonymous mapping of the final size, filled a chunk at a time: it
-    # goes back to the OS when the trace is dropped, while a malloc'd buffer
-    # of that size leaves a hole the heap keeps
-    stops = np.frombuffer(mmap.mmap(-1, 24 * (3 * L + 2)), np.float64).reshape(-1, 3)
 
     def arc(rows, fc, fs, a, b, g):  # (a, b, g) in the frame (e, u, w); (a, b) turns
         firsts = zip((a * fc - b * fs).tolist(), (a * fs + b * fc).tolist())
@@ -384,7 +368,7 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
     for column, members in enumerate((counts.k00, counts.k10)):
         if not members:
             stops[:, column] = 0.0
-    return final, Trace(L, stops), sched.queries()
+    return final, trace, sched.queries()
 
 
 # Iterations (two rows each) formatted per write.  Writing a 58,907-stop trace

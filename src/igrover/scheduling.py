@@ -109,14 +109,23 @@ class CostModel:
             raise ValueError(f"query costs must be positive and finite, got {self}")
 
 
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):  # finite prices, but their product overflowed
+        raise ValueError(f"{what} overflows a float ({value}); lower the query costs")
+    return value
+
+
 def query_cost(stats: QueryStats, model: CostModel) -> float:
-    return stats.repetitions * (stats.count_x * model.t_x + stats.count_y * model.t_y)
+    """The price of stats' oracle calls; ValueError if it is not finite."""
+    per_run = stats.count_x * model.t_x + stats.count_y * model.t_y
+    return _finite(stats.repetitions * per_run, "cost total")
 
 
 def cost_record(counts: ClassCounts, stats: QueryStats, model: CostModel) -> dict:
-    """The "cost" entry of the run and compare records."""
+    """The "cost" entry of the run and compare records; ValueError if a
+    total is not finite."""
     return {"t_x": model.t_x, "t_y": model.t_y, "total": query_cost(stats, model),
-            "naive_total": naive_iterations(counts) * model.t_y}
+            "naive_total": _finite(naive_iterations(counts) * model.t_y, "naive cost total")}
 
 
 def naive_iterations(counts: ClassCounts) -> int:
@@ -223,6 +232,27 @@ def run_with_repetitions(inst: ProblemInstance, sched: Schedule, max_reps: int,
             return RunOutcome(index, True, rep, sched.queries(rep), p, seed)
     raise ExhaustedRepetitions(
         RunOutcome(index, False, max_reps, sched.queries(max_reps), p, seed))
+
+
+def compare_record(inst: ProblemInstance, sched: Schedule, model: CostModel) -> dict:
+    """The JSON-ready cost report of one run against the expensive-oracle-only
+    baseline; ValueError if a cost or their ratio is not finite."""
+    counts, stats = inst.counts, sched.queries()
+    cost = cost_record(counts, stats, model)
+    iters, naive = naive_iterations(counts), cost["naive_total"]
+    ratio = _finite(cost["total"] / naive, "cost ratio") if naive > 0 else None
+    return {
+        "instance": {"n": inst.n, "x_size": inst.x_size, "y_size": inst.y_size},
+        "L": sched.L,
+        "policy": sched.selection_policy,
+        "counts": {"x_queries": stats.count_x, "y_queries": stats.count_y},
+        "cost": cost,
+        "naive_iterations": iters,
+        "cost_ratio": ratio,
+        "crossover_t_y": crossover_t_y(stats.count_x, iters, model.t_x),
+        "two_oracle_wins": bool(ratio is not None and ratio < 1.0),
+        "p_success_exact": success_probability(final_point(counts, sched.L)),
+    }
 
 
 def result_record(inst: ProblemInstance, sched: Schedule, outcome: RunOutcome,

@@ -1,8 +1,8 @@
 """Shared helpers: quick instance constructors, a random-instance generator,
-the one-expensive-query success ceiling, phase-1 trace geometry, and the
-row-at-a-time full-state operators, scalar and 40-digit reduced stepping,
-membership classes and class ranks by bisection that the engines and the
-sampler are checked against."""
+the one-expensive-query success ceiling, phase-1 trace geometry, every row
+of a trace and its labels, and the row-at-a-time full-state operators,
+scalar and 40-digit reduced stepping, membership classes and class ranks by
+bisection that the engines and the sampler are checked against."""
 
 from __future__ import annotations
 
@@ -163,8 +163,21 @@ def kth_by_bisection(inst: ig.ProblemInstance, cls: str, j: int) -> int:
 
 
 def trace_rows(trace: ig.Trace) -> np.ndarray:
-    """Every row of a trace, oracle rows included, as a (rows, 3) array."""
-    return np.array([(r.point.x, r.point.y, r.point.z) for r in trace]).reshape(-1, 3)
+    """Every row of a trace, oracle rows included, as a (rows, 3) array.
+
+    Row 2s is stop s, and oracle row 2s + 1 is stop s with z negated, and
+    y too unless s = L (the expensive oracle's iteration).
+    """
+    rows = np.repeat(trace.stops, 2, axis=0)[:-1]
+    oracle = rows[1::2]  # a view: the flips land in rows
+    oracle[:, 2] *= -1.0
+    oracle[np.arange(len(oracle)) != trace.L, 1] *= -1.0
+    return rows
+
+
+def trace_labels(trace: ig.Trace) -> list[tuple[int, int, str]]:
+    """(phase, step, op) of every row of a trace."""
+    return [trace.label(r) for r in range(len(trace))]
 
 
 def range_instance(n: int, kx: int, ky: int) -> ig.ProblemInstance:

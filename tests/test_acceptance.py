@@ -15,7 +15,7 @@ import numpy as np
 
 import igrover as ig
 from conftest import (make_counts, one_query_ceiling, phase1_coplanarity_residual,
-                      phase1_rotation_check, random_instance, stepped_stops)
+                      phase1_rotation_check, random_instance, stepped_stops, trace_labels)
 
 REF = {"n": 16, "x": {"kind": "range", "lo": 0, "hi": 3},
        "y": {"kind": "list", "members": [2]}}
@@ -70,8 +70,8 @@ def test_criterion_2_query_counters():
         sched = ig.choose_L(counts)
         _, trace, traced = ig.run_schedule(counts, sched)
         _, _, stats = ig.run_schedule(counts, sched, record_trace=False)
-        calls = (sum(r.op == "oracle_x" for r in trace),
-                 sum(r.op == "oracle_y" for r in trace))
+        ops = [op for _, _, op in trace_labels(trace)]
+        calls = (ops.count("oracle_x"), ops.count("oracle_y"))
         if (traced.count_x, traced.count_y) != calls:
             violations.append(("traced-vs-trace", counts, traced, calls))
         for path, got in (("traced", traced), ("untraced", stats)):

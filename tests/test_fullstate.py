@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import struct
 import tracemalloc
 
@@ -13,7 +14,7 @@ import pytest
 import igrover as ig
 from igrover import cli, fullstate, reduced
 from conftest import (class_of, diffusion_full, exact_stops, oracle_full, random_instance,
-                      trace_rows)
+                      trace_labels, trace_rows)
 
 
 def small_inst():
@@ -137,12 +138,11 @@ class TestRunScheduleFull:
             _, trace_f, stats_f = ig.run_schedule_full(inst, sched)
             assert stats_r == stats_f
             assert len(trace_r) == len(trace_f)
-            for a, b in zip(trace_r, trace_f):
-                assert (a.phase, a.step, a.op) == (b.phase, b.step, b.op)
-                np.testing.assert_allclose(
-                    (a.point.x, a.point.y, a.point.z, a.p_success),
-                    (b.point.x, b.point.y, b.point.z, b.p_success),
-                    rtol=0, atol=1e-12)
+            assert trace_labels(trace_r) == trace_labels(trace_f)
+            rows_r, rows_f = trace_rows(trace_r), trace_rows(trace_f)
+            np.testing.assert_allclose(np.column_stack([rows_r, rows_r[:, 2] ** 2]),
+                                       np.column_stack([rows_f, rows_f[:, 2] ** 2]),
+                                       rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("case", sorted(SPEC_PAIRS))
     def test_class_layout_matches_reduced_on_every_spec_kind(self, case):
@@ -402,14 +402,14 @@ class TestStops:
             for trace in engine_traces(inst, L).values():
                 ig.write_trace_csv(tmp_path / "t.csv", trace)
                 lines = (tmp_path / "t.csv").read_text().splitlines()[1:]
-                records = list(trace)
-                assert len(records) == len(lines) == 1 + 2 * (3 * L + 1)
-                for stop, rec, line in zip(records, records[1:], lines[1:]):
-                    if rec.op == "diffusion":
+                labels, rows = trace_labels(trace), trace_rows(trace)
+                assert len(labels) == len(lines) == 1 + 2 * (3 * L + 1)
+                for row, ((_, _, op), line) in enumerate(zip(labels, lines)):
+                    if op not in oracles:
                         continue
-                    assert stop.op in ("init", "diffusion")
-                    want = oracles[rec.op](stop.point)
-                    assert bits(rec.point) == bits(want)
+                    assert labels[row - 1][2] in ("init", "diffusion") and row % 2
+                    want = oracles[op](ig.ReducedState(*trace.stops[row // 2].tolist()))
+                    assert bits(ig.ReducedState(*rows[row].tolist())) == bits(want)
                     assert line.split(",")[3:] == [f"{v:.17g}" for v in (
                         want.x, want.y, want.z, want.z * want.z)]
 
@@ -423,6 +423,27 @@ class TestStops:
         assert untraced.stops.nbytes == 0 and len(untraced) == 0
         _, untraced, _ = ig.run_schedule_full(inst, ig.Schedule(L), record_trace=False)
         assert untraced.stops.nbytes == 0 and len(untraced) == 0
+
+    def test_allocate_checks_the_cap_before_mapping(self, monkeypatch):
+        def never(*args, **kw):
+            raise AssertionError("mapped a trace")
+
+        monkeypatch.setattr(mmap, "mmap", never)
+        monkeypatch.setenv("IGROVER_TRACE_CAP", "20")
+        with pytest.raises(ig.InstanceTooLarge, match="L=7 is too large to trace"):
+            ig.Trace.allocate(7)
+        with pytest.raises(AssertionError, match="mapped a trace"):
+            ig.Trace.allocate(6)  # 20 stops fit the cap, so it maps them
+
+    @pytest.mark.parametrize("L", [0, 4])
+    def test_both_engines_fill_one_mapping(self, L):
+        inst = ig.build_instance({"n": 1000, "x": mod(5, 2), "y": members(2, 12, 997)})
+        for trace in engine_traces(inst, L).values():
+            owner = trace.stops
+            while isinstance(owner, (np.ndarray, memoryview)):  # views, then the buffer
+                owner = owner.base if isinstance(owner, np.ndarray) else owner.obj
+            assert isinstance(owner, mmap.mmap) and len(owner) == 24 * (3 * L + 2)
+            assert trace.stops.shape == (3 * L + 2, 3)
 
     @pytest.mark.parametrize("cell", [
         (1000, members(5, 6, 700), None),
@@ -443,6 +464,7 @@ class TestStops:
         assert (ys["reduced"] == 0.0).all() and (ys["full"] == 0.0).all()
         np.testing.assert_array_equal(np.signbit(ys["reduced"]), np.signbit(ys["full"]))
         assert not np.signbit(traces["reduced"].stops[:, 1]).any()
-        cheap = [row for row, rec in enumerate(traces["full"]) if rec.op == "oracle_x"]
+        cheap = [row for row, (_, _, op) in enumerate(trace_labels(traces["full"]))
+                 if op == "oracle_x"]
         assert np.signbit(ys["full"][cheap]).all()
         assert np.signbit(ys["full"]).sum() == len(cheap) == 3 * L

@@ -1,8 +1,9 @@
-"""Golden CLI corpus: every output byte of about fifty `igrover` command lines.
+"""Golden CLI corpus: every output byte of about sixty `igrover` command lines.
 
 Each case is an argv, an instance file and environment variables.  It runs
 in-process through `cli.main`, and the exit code plus the sha256 of stdout,
-of stderr and of every file it writes must match `golden_cli.json`.  The
+of stderr and of every file it writes must match `golden_cli.json`.  Three
+cases (`FRESH`) also run as new `python -m igrover.cli` processes.  The
 temporary directory's path is replaced by `TMP` before hashing, so error
 lines that name a file compare equal on any machine.
 
@@ -23,6 +24,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -32,6 +34,7 @@ import pytest
 from igrover import cli
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def members(*values):
@@ -66,6 +69,7 @@ INSTANCES = {
     "universe": inst(999, mod(1, 0), members(5)),            # k00 empty
     "wide": inst(10 ** 9, span(0, 99), members(3)),
     "n1e12": inst(10 ** 12, span(0, 99), members(7)),
+    "n2^70": inst(2 ** 70, span(0, 99), members(7)),     # k00 past 2**63
     "n2^1000": inst(2 ** 1000, mod(2 ** 990, 0), members(0, 2 ** 990)),
     "too-big": inst(2 ** 1030, mod(2 ** 1000, 0), members(0)),
     "not-subset": inst(8, span(0, 1), members(5)),
@@ -105,6 +109,9 @@ CASES = [
      ["run", "--instance", "{inst}", "--L", "400", "--trace", "{tmp}/t.csv"], {}),
     ("run-n1e12", "n1e12", ["run", "--instance", "{inst}", "--seed", "9"], {}),
     ("run-n2^1000", "n2^1000", ["run", "--instance", "{inst}", "--reps", "3"], {}),
+    # every draw lands in k00, a class above 2**63, so each takes rng.bytes
+    ("run-n2^70", "n2^70",
+     ["run", "--instance", "{inst}", "--L", "0", "--reps", "3", "--seed", "1"], {}),
     ("run-exit-3", "ref", ["run", "--instance", "{inst}", "--seed", "1", "--reps", "1"], {}),
     ("run-exit-2", "ref",
      ["run", "--instance", "{inst}", "--engine", "both", "--tol", "-1"], {}),
@@ -128,6 +135,7 @@ CASES = [
     ("run-cost-model-error", "ref", ["run", "--instance", "{inst}", "--tx", "0"], {}),
     ("sweep-instance", "ref",
      ["sweep", "--instance", "{inst}", "--window", "5", "--tx", "2"], {}),
+    ("sweep-n2^70", "n2^70", ["sweep", "--instance", "{inst}"], {}),
     ("sweep-n2^1000", "n2^1000", ["sweep", "--instance", "{inst}", "--out", "{tmp}/s.csv"], {}),
     ("sweep-grid", None,
      ["sweep", "--grid-n", "16,1024,1000000", "--grid-x", "1,4,64", "--grid-y", "1,2",
@@ -140,10 +148,24 @@ CASES = [
      ["compare", "--instance", "{inst}", "--tx", "0.5", "--ty", "10", "--policy", "sweep"], {}),
     ("compare-n1e12", "n1e12", ["compare", "--instance", "{inst}", "--ty", "100",
                                 "--out", "{tmp}/c.json"], {}),
+    ("compare-n2^70", "n2^70", ["compare", "--instance", "{inst}"], {}),
     ("compare-n2^1000", "n2^1000", ["compare", "--instance", "{inst}", "--policy", "half"], {}),
     ("compare-L-too-big", "ref", ["compare", "--instance", "{inst}", "--L", str(2 ** 1022)],
      {}),
     ("compare-cost-model-error", "ref", ["compare", "--instance", "{inst}", "--ty", "nan"], {}),
+    # finite prices whose costs still fit a float, then ones whose costs overflow:
+    # exit 1 with one error line and no --out or --trace file
+    ("compare-huge-finite", "ref", ["compare", "--instance", "{inst}", "--tx", "1e300",
+                                    "--ty", "1e300"], {}),
+    ("compare-overflow", "ref", ["compare", "--instance", "{inst}", "--tx", "1e308",
+                                 "--ty", "1e308", "--out", "{tmp}/c.json"], {}),
+    ("compare-ratio-overflow", "ref", ["compare", "--instance", "{inst}", "--tx", "1e300",
+                                       "--ty", "1e-300"], {}),
+    ("run-overflow", "ref", ["run", "--instance", "{inst}", "--tx", "1e308", "--ty", "1e308",
+                             "--trace", "{tmp}/t.csv", "--out", "{tmp}/r.json"], {}),
+    ("sweep-grid-overflow", None, ["sweep", "--grid-n", "1000000", "--grid-x", "1",
+                                   "--grid-y", "1", "--tx", "1e306", "--out", "{tmp}/g.csv"],
+     {}),
     ("argparse-no-command", None, [], {}),
     ("argparse-run-needs-instance", None, ["run"], {}),
     ("argparse-bad-engine", "ref", ["run", "--instance", "{inst}", "--engine", "quantum"], {}),
@@ -155,12 +177,32 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_case(tmp: Path, name: str | None, argv: list[str], env: dict) -> dict:
-    """Exit code and digests of one case, run in-process in directory tmp."""
+def run_case(tmp: Path, name: str | None, argv: list[str], env: dict,
+             fresh: bool = False) -> dict:
+    """Exit code and digests of one case, run in directory tmp: in-process, or
+    as a new `python -m igrover.cli` process (same -O level) if fresh."""
     path = tmp / "inst.json"
     if name is not None:
         path.write_text(json.dumps(INSTANCES[name]))
     argv = [a.format(inst=path, tmp=tmp) for a in argv]
+    if fresh:
+        child_env = {**os.environ, **env,
+                     "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, *["-O"] * sys.flags.optimize, "-m",
+                               "igrover.cli", *argv], capture_output=True, text=True,
+                              env=child_env, timeout=120)
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        code, out, err = run_in_process(argv, env)
+    text = {k: v.replace(str(tmp), "TMP").encode() for k, v in
+            (("stdout", out), ("stderr", err))}
+    files = {f.name: sha(f.read_bytes()) for f in sorted(tmp.iterdir()) if f != path}
+    return {"exit": code, "stdout": sha(text["stdout"]), "stderr": sha(text["stderr"]),
+            "files": files}
+
+
+def run_in_process(argv: list[str], env: dict) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `cli.main(argv)` under env."""
     out, err = io.StringIO(), io.StringIO()
     saved = {k: os.environ.get(k) for k in env}
     os.environ.update(env)
@@ -176,11 +218,7 @@ def run_case(tmp: Path, name: str | None, argv: list[str], env: dict) -> dict:
                 os.environ.pop(k, None)
             else:
                 os.environ[k] = v
-    text = {k: v.getvalue().replace(str(tmp), "TMP").encode() for k, v in
-            (("stdout", out), ("stderr", err))}
-    files = {f.name: sha(f.read_bytes()) for f in sorted(tmp.iterdir()) if f != path}
-    return {"exit": code, "stdout": sha(text["stdout"]), "stderr": sha(text["stderr"]),
-            "files": files}
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_case_ids_are_unique_and_recorded():
@@ -192,6 +230,17 @@ def test_case_ids_are_unique_and_recorded():
 @pytest.mark.parametrize("case_id, name, argv, env", CASES, ids=[c[0] for c in CASES])
 def test_outputs_match_the_recorded_digests(tmp_path, case_id, name, argv, env):
     assert run_case(tmp_path, name, argv, env) == json.loads(GOLDEN.read_text())[case_id]
+
+
+# a traced run, a compare writing --out and a grid sweep, each as a new process
+FRESH = ["run-reduced-trace-out", "compare-n1e12", "sweep-grid"]
+
+
+@pytest.mark.parametrize("case_id", FRESH)
+def test_a_fresh_process_prints_the_same_bytes(tmp_path, case_id):
+    _, name, argv, env = next(case for case in CASES if case[0] == case_id)
+    want = json.loads(GOLDEN.read_text())[case_id]
+    assert run_case(tmp_path, name, argv, env, fresh=True) == want
 
 
 if __name__ == "__main__":

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import igrover as ig
 from igrover import cli, fullstate, reduced
 from conftest import (InsufficientTrace, exact_stops, make_counts, phase1_coplanarity_residual,
-                      phase1_rotation_check, range_instance, stepped_stops)
+                      phase1_rotation_check, range_instance, stepped_stops, trace_labels,
+                      trace_rows)
 
 
 def bits(v: float) -> bytes:
@@ -114,17 +115,17 @@ class TestRunSchedule:
         counts = make_counts(64, 16, 4)
         sched = ig.Schedule(3)
         _, trace, _ = ig.run_schedule(counts, sched)
-        ops = [(r.phase, r.op) for r in trace]
+        labels = trace_labels(trace)
         expected = [(0, "init")]
         expected += [(1, "oracle_x"), (1, "diffusion")] * 3
         expected += [(2, "oracle_y"), (2, "diffusion")]
         expected += [(3, "oracle_x"), (3, "diffusion")] * 6
-        assert ops == expected
-        steps = [r.step for r in trace if r.phase == 3 and r.op == "oracle_x"]
+        assert [(phase, op) for phase, _, op in labels] == expected
+        steps = [step for phase, step, op in labels if phase == 3 and op == "oracle_x"]
         assert steps == [0, 1, 2, 3, 4, 5]
-        for r in trace:
-            assert abs(r.point.norm_sq() - 1.0) <= 1e-9
-            assert r.p_success == r.point.z * r.point.z
+        rows = trace_rows(trace)
+        assert len(rows) == len(labels)
+        assert (np.abs(np.square(rows).sum(axis=1) - 1.0) <= 1e-9).all()
 
     def test_L_zero_still_queries_y_once(self):
         counts = make_counts(16, 4, 2)
@@ -391,12 +392,8 @@ def write_rows_one_at_a_time(path, trace) -> None:
     """The row-at-a-time writer that `write_trace_csv` must match byte for byte."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("phase,step,op,x,y,z,p_success\n")
-        for r in trace:
-            fh.write(
-                f"{r.phase},{r.step},{r.op},"
-                f"{r.point.x:.17g},{r.point.y:.17g},{r.point.z:.17g},"
-                f"{r.p_success:.17g}\n"
-            )
+        for (phase, step, op), (x, y, z) in zip(trace_labels(trace), trace_rows(trace).tolist()):
+            fh.write(f"{phase},{step},{op},{x:.17g},{y:.17g},{z:.17g},{z * z:.17g}\n")
 
 
 class TestTraceCsv:
@@ -514,12 +511,10 @@ class TestTraceCsv:
             rows = list(csv.reader(fh))
         assert rows[0] == ["phase", "step", "op", "x", "y", "z", "p_success"]
         assert len(rows) - 1 == len(trace)
-        for row, rec in zip(rows[1:], trace):
-            assert (int(row[0]), int(row[1]), row[2]) == (rec.phase, rec.step, rec.op)
-            assert float(row[3]) == rec.point.x
-            assert float(row[4]) == rec.point.y
-            assert float(row[5]) == rec.point.z
-            assert float(row[6]) == rec.p_success
+        points = trace_rows(trace).tolist()
+        for row, label, (x, y, z) in zip(rows[1:], trace_labels(trace), points):
+            assert (int(row[0]), int(row[1]), row[2]) == label
+            assert [float(v) for v in row[3:]] == [x, y, z, z * z]
 
 
 def printed(values) -> list[str]:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import igrover as ig
-from igrover import cli
+from igrover import cli, scheduling
 from conftest import class_of, make_counts, one_query_ceiling, random_instance
 
 REF = {"n": 16, "x": {"kind": "range", "lo": 0, "hi": 3},
@@ -143,6 +143,20 @@ class TestCosts:
         # target set = everything: measuring immediately is free
         iters = ig.naive_iterations(make_counts(16, 16, 16))
         assert (iters, iters * ig.CostModel().t_y) == (0, 0.0)
+
+    def test_costs_past_the_largest_float_raise(self):
+        # finite prices whose products, or whose ratio, overflow a float
+        inst, sched = ig.build_instance(REF), ig.Schedule(2)
+        huge = ig.CostModel(t_x=1e308, t_y=1e308)
+        with pytest.raises(ValueError, match="^cost total overflows a float"):
+            ig.query_cost(sched.queries(), huge)
+        with pytest.raises(ValueError, match="^naive cost total overflows a float"):
+            scheduling.cost_record(inst.counts, ig.QueryStats(0, 1), huge)
+        with pytest.raises(ValueError, match="^cost ratio overflows a float"):
+            scheduling.compare_record(inst, sched, ig.CostModel(t_x=1e300, t_y=1e-300))
+        rep = scheduling.compare_record(inst, sched, ig.CostModel(t_x=1e300, t_y=1e300))
+        assert (rep["cost"]["total"], rep["cost"]["naive_total"]) == (7e300, 3e300)
+        assert rep["cost_ratio"] == 7e300 / 3e300
 
     def test_crossover(self):
         assert ig.crossover_t_y(18, 25, 1.0) == 0.75

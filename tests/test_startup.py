@@ -31,7 +31,7 @@ AngleParams ClassCounts CostModel DEFAULT_FULL_CAP DimensionMismatch EmptyX Empt
 ExhaustedRepetitions IGroverError IndexOutOfRange InstanceTooLarge Members Modular
 NormDrift NotClassUniform NotSubset POLICY_PAPER_FORMULA POLICY_ROUNDED_HALF
 POLICY_SWEPT ProblemInstance QueryStats Range ReducedState RunOutcome Schedule
-SpecFormatError Trace TraceRecord apply_diffusion apply_oracle_x apply_oracle_y
+SpecFormatError Trace apply_diffusion apply_oracle_x apply_oracle_y
 build_instance choose_L compute_theta crossover_t_y errors final_point fullstate
 init_uniform initial_point instance instance_to_json kth_in_class load_instance
 naive_iterations partition_classes project_to_reduced query_cost reduced
