@@ -25,6 +25,7 @@ from .scheduling import (
     Schedule,
     choose_L,
     compare_record,
+    cost_record,
     query_cost,
     result_record,
     run_with_repetitions,
@@ -128,6 +129,7 @@ def cmd_run(args) -> int:
     traced = bool(args.trace) or args.engine == "both"
     if traced:
         check_trace_cap(sched.L)  # before any evolution, so --engine both fails at once
+    cost_record(inst.counts, sched.queries(), model)  # if one run's costs overflow, fail at once
     if args.engine != "reduced":
         # checks the cap before it allocates, so before any O(L) reduced trace
         state, full_trace, _ = run_schedule_full(inst, sched, record_trace=traced)
@@ -149,7 +151,7 @@ def cmd_run(args) -> int:
     except ExhaustedRepetitions as exc:
         outcome = exc.outcome
         code = 3
-    record = result_record(inst, sched, outcome, model)  # checks the costs before any write
+    record = result_record(inst, sched, outcome, model)  # all repetitions' costs, before any write
     if args.trace:
         write_trace_csv(args.trace, trace)
     _emit(record, args.out)

@@ -9,9 +9,10 @@ moderate n, overridable through the IGROVER_FULL_CAP environment variable.
 `run_schedule_full` evolves the amplitudes in a class-contiguous layout:
 the k00 members, then the k10 members, then the k11 members, each class in
 ascending index order.  There X is the tail from k00 on and Y the tail from
-k00 + k10 on, so an oracle negates one contiguous slice and a class
-projection is the mean of one, with no gather or scatter.  The state goes
-back to index order once, at the end of the run.
+k00 + k10 on, so an oracle negates one contiguous slice, with no gather
+or scatter.  Every operation is elementwise with one shared scalar, so a
+class's amplitudes stay bitwise equal and a stop reads one per class.  At
+the end of the run the same buffer is refilled in index order.
 """
 
 from __future__ import annotations
@@ -41,23 +42,9 @@ def init_uniform(n: int) -> np.ndarray:
     return np.full(n, 1.0 / math.sqrt(n))
 
 
-def _layout(inst: ProblemInstance) -> tuple[np.ndarray, tuple[int, int, int, int]]:
-    """Class labels of [0, n) and the class boundaries of the layout.
-
-    `labels[i]` is 0, 1 or 2 for an index in k00, k10 or k11.  The layout
-    lists the k00, k10 and k11 members, each class ascending, so class c
-    fills `bounds[c]:bounds[c + 1]`, and `labels == c` picks the same
-    members, in the same order, out of a vector in index order.
-    """
-    labels = np.zeros(inst.n, dtype=np.int8)
-    labels[inst.x_spec.selector()] = 1
-    labels[inst.y_spec.selector()] = 2
-    return labels, (0, inst.n - inst.x_size, inst.n - inst.y_size, inst.n)
-
-
 def _project(st: np.ndarray, bounds: tuple[int, ...], tol: float | None = None
              ) -> list[float]:
-    """(x, y, z) of a class-contiguous state: sqrt(size) * mean per class.
+    """(x, y, z) of a class-contiguous state: sqrt(size) * first amplitude per class.
 
     An empty class contributes exactly 0.0.  Given a tol, a class whose
     amplitudes spread wider than it raises NotClassUniform.
@@ -67,14 +54,14 @@ def _project(st: np.ndarray, bounds: tuple[int, ...], tol: float | None = None
         if lo == hi:
             coords.append(0.0)
             continue
-        vals = st[lo:hi]
         if tol is not None:
+            vals = st[lo:hi]
             spread = float(vals.max() - vals.min())
             if spread > tol:
                 raise NotClassUniform(
                     f"class {cls} amplitudes spread {spread:.3g} > tol {tol:.3g}"
                 )
-        coords.append(math.sqrt(hi - lo) * float(vals.mean()))
+        coords.append(math.sqrt(hi - lo) * float(st[lo]))
     return coords
 
 
@@ -91,8 +78,13 @@ def project_to_reduced(state: np.ndarray, inst: ProblemInstance,
         raise DimensionMismatch(
             f"state has shape {state.shape}, instance has n={inst.n}"
         )
-    labels, bounds = _layout(inst)
+    # label k00, k10, k11 as 0, 1, 2; the mask of one label picks that
+    # class's members ascending, the order of the class-contiguous layout
+    labels = np.zeros(inst.n, dtype=np.int8)
+    labels[inst.x_spec.selector()] = 1
+    labels[inst.y_spec.selector()] = 2
     st = np.concatenate([state[labels == c] for c in range(3)])
+    bounds = (0, inst.n - inst.x_size, inst.n - inst.y_size, inst.n)
     return ReducedState(*_project(st, bounds, tol))
 
 
@@ -100,19 +92,19 @@ def run_schedule_full(inst: ProblemInstance, sched: Schedule, record_trace: bool
                       ) -> tuple[np.ndarray, Trace, QueryStats]:
     """Execute the full schedule on n amplitudes; trace stops are projected.
 
-    The state is evolved in place in the class-contiguous layout and
-    returned in index order, one pass over it per iteration (two traced:
-    each stop is projected, and stops never feed back, so traced and
-    untraced runs end in the same bits).  Its `Trace.allocate` stops are the
-    reduced engine's, so the two runs can be compared pointwise; untraced,
-    the trace has none.  The counters are `sched.queries()`.  The run ends
-    by checking the norm (NormDrift) and that every class is still uniform
-    (NotClassUniform).  Raises InstanceTooLarge, before allocating anything,
-    when n or a traced L exceeds its cap (`check_full_cap`, `Trace.allocate`).
+    The state is evolved in place in the class-contiguous layout, one pass
+    over it per iteration, traced or not (a stop reads one amplitude per
+    class and never feeds back), and returned in index order in the same
+    buffer.  Its `Trace.allocate` stops are the reduced engine's, so the two
+    runs can be compared pointwise; untraced, the trace has none.  The
+    counters are `sched.queries()`.  The run ends by checking the norm
+    (NormDrift) and that every class is still uniform (NotClassUniform).
+    Raises InstanceTooLarge, before allocating anything, when n or a traced
+    L exceeds its cap (`check_full_cap`, `Trace.allocate`).
     """
     check_full_cap(inst.n)
     trace = Trace.allocate(sched.L) if record_trace else Trace(sched.L, np.empty((0, 3)))
-    labels, bounds = _layout(inst)
+    bounds = (0, inst.n - inst.x_size, inst.n - inst.y_size, inst.n)
     st = init_uniform(inst.n)  # uniform, so already in layout order
     sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
     # per-class amplitude sums stand in for a whole-vector mean: an oracle
@@ -138,19 +130,23 @@ def run_schedule_full(inst: ProblemInstance, sched: Schedule, record_trace: bool
                 stops[stop] = _project(st, bounds)
     check_norm(float(st @ st), "full")
     _project(st, bounds, _UNIFORM_TOL)  # raises NotClassUniform
-    state = np.empty_like(st)
-    for c in range(3):
-        state[labels == c] = st[bounds[c]:bounds[c + 1]]
-    return state, trace, sched.queries()
+    # each class is one value, so index order is k00's overwritten on X,
+    # then on Y (X and Y are never empty; an empty k10 reads k11's value)
+    a10, a11 = st[bounds[1]], st[bounds[2]]
+    st.fill(st[0])
+    st[inst.x_spec.selector()] = a10
+    st[inst.y_spec.selector()] = a11
+    return st, trace, sched.queries()
 
 
 def measurement_sampler(state: np.ndarray, rng: np.random.Generator) -> Callable[[], int]:
     """Draw indices with probability amplitude**2 from one cumulative table.
 
-    Each call of the returned function draws exactly as one more
+    The table is built in `state`'s buffer, so `sample_measurement` passes a
+    copy.  Each call of the returned function draws exactly as one more
     `sample_measurement(state, rng)` call would, at O(log n) per draw.
     """
-    weights = np.square(state)
+    weights = np.square(state, out=state)
     np.cumsum(weights, out=weights)
     total = float(weights[-1])
     return lambda: int(np.searchsorted(weights, rng.random() * total, side="right"))
@@ -158,4 +154,4 @@ def measurement_sampler(state: np.ndarray, rng: np.random.Generator) -> Callable
 
 def sample_measurement(state: np.ndarray, rng) -> int:
     """Draw one index with probability amplitude**2; rng is a seed or Generator."""
-    return measurement_sampler(state, np.random.default_rng(rng))()
+    return measurement_sampler(state.copy(), np.random.default_rng(rng))()

@@ -210,8 +210,9 @@ def run_with_repetitions(inst: ProblemInstance, sched: Schedule, max_reps: int,
     engine's closed form, and a draw picks a class, then a member by rank.
     With `state`, the index-order final state of a `run_schedule_full` run
     of this schedule, p is the squared norm of its target amplitudes and the
-    draws all read one cumulative table of its squared amplitudes.  Query
-    counters charge every repetition in full.  Raises ExhaustedRepetitions
+    draws all read one cumulative table of its squared amplitudes, built in
+    its buffer (the state is consumed).  Query counters charge every
+    repetition in full.  Raises ExhaustedRepetitions
     (carrying the final outcome) if no repetition verifies.
     """
     if max_reps < 1:

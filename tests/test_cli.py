@@ -245,6 +245,30 @@ class TestRun:
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("engine", ["reduced", "full", "both"])
+    def test_cost_overflow_checked_before_any_stepping(self, inst_path, tmp_path, capsys,
+                                                       monkeypatch, engine):
+        def never(*args, **kw):
+            raise AssertionError("stepped a run whose cost overflows")
+
+        monkeypatch.setattr(cli, "run_schedule", never)
+        monkeypatch.setattr(cli, "run_schedule_full", never)
+        assert run_cli("run", "--instance", inst_path, "--engine", engine, "--tx", "1e308",
+                       "--trace", str(tmp_path / "t.csv")) == 1
+        assert capsys.readouterr().err == (
+            "error: cost total overflows a float (inf); lower the query costs\n")
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_cost_overflow_over_repetitions_still_fails(self, inst_path, capsys):
+        # one run of L = 2 costs 6 * 2e307 + 1, finite: seed 0 verifies on
+        # the first draw, seed 2 on the second, whose total overflows
+        argv = ["run", "--instance", inst_path, "--L", "2", "--tx", "2e307"]
+        assert run_cli(*argv, "--seed", "0") == 0
+        capsys.readouterr()
+        assert run_cli(*argv, "--seed", "2") == 1
+        assert capsys.readouterr() == ("", "error: cost total overflows a float (inf);"
+                                           " lower the query costs\n")
+
+    @pytest.mark.parametrize("engine", ["reduced", "full", "both"])
     def test_class_sizes_computed_once(self, tmp_path, capsys, monkeypatch, engine):
         # the instance keeps its class sizes: the command, the engines, twenty
         # draws that all miss Y and the record share one partition

@@ -7,6 +7,7 @@ import math
 import mmap
 import struct
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -182,10 +183,9 @@ class TestRunScheduleFull:
         assert cli.main(["run", "--instance", path, "--engine", "full"]) == 1
         assert "amplitudes spread" in capsys.readouterr().err
 
-    def test_run_peak_memory_below_three_vectors(self, tmp_path):
-        # at its peak a run holds two n-float arrays (the class-contiguous
-        # state and the one it returns) plus a byte of class label and a
-        # byte of class mask per amplitude: 2.25 * 8n
+    def test_run_peak_memory_is_one_vector(self, tmp_path):
+        # at its peak a run holds one n-float array: the engine evolves, then
+        # reorders, in one buffer, and the sampler builds its table there
         n = 1 << 16
         path = write_instance(tmp_path, {"n": n, "x": mod(16, 3), "y": mod(256, 3)})
         argv = ["run", "--instance", path, "--engine", "full",
@@ -197,7 +197,15 @@ class TestRunScheduleFull:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 8 * n
+        assert peak <= 1.25 * 8 * n
+
+    def test_stop_reads_the_exact_class_amplitude(self):
+        # X the universe, Y = [5]: stop 0's y is sqrt(998) amplitudes of
+        # 1/sqrt(999), 1.3e-17 from sqrt(998/999) (their mean was 4.6e-16 off)
+        inst = ig.build_instance({"n": 999, "x": mod(1, 0), "y": members(5)})
+        _, trace, _ = ig.run_schedule_full(inst, ig.Schedule(1))
+        exact = (Decimal(998) / Decimal(999)).sqrt()
+        assert abs(Decimal(float(trace.stops[0][1])) - exact) <= Decimal("2.3e-16")
 
     def test_cap_below_two_rejected(self, monkeypatch):
         monkeypatch.setenv("IGROVER_FULL_CAP", "1")
@@ -313,6 +321,21 @@ class TestOnePassEvolution:
             np.testing.assert_allclose(trace_rows(trace), reference_rows(inst, L),
                                        rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("case", sorted(SPEC_PAIRS))
+    def test_classes_stay_bitwise_uniform(self, monkeypatch, case):
+        # stops and the final reorder read one amplitude per class, which is
+        # exact because every class stays bitwise uniform: the end-of-run
+        # check, reading the module's tolerance per call, passes at zero
+        n, x, y = SPEC_PAIRS[case]
+        inst = ig.build_instance({"n": n, "x": x, "y": y})
+        monkeypatch.setattr(fullstate, "_UNIFORM_TOL", 0.0)
+        for L in (0, 1, ig.choose_L(ig.partition_classes(inst)).L + 3):
+            for record_trace in (True, False):
+                ig.run_schedule_full(inst, ig.Schedule(L), record_trace=record_trace)
+        monkeypatch.setattr(fullstate, "_UNIFORM_TOL", -1.0)  # fails even a zero spread
+        with pytest.raises(ig.NotClassUniform):
+            ig.run_schedule_full(inst, ig.Schedule(1), record_trace=False)
+
     def test_broken_diffusion_raises(self, monkeypatch):
         # a diffusion that skips the first amplitude (a k00 member) leaves
         # the state off the sphere and that amplitude off its class
@@ -329,12 +352,12 @@ class TestOnePassEvolution:
         with pytest.raises((ig.NormDrift, ig.NotClassUniform)):
             ig.run_schedule_full(inst, ig.Schedule(2), record_trace=False)
 
-    @pytest.mark.parametrize("record_trace, passes", [(False, 1), (True, 2)])
-    def test_one_pass_per_iteration(self, monkeypatch, record_trace, passes):
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_one_pass_per_iteration(self, monkeypatch, record_trace):
         # amplitudes touched by 3 extra cheap iterations (L 1 -> 2), set-up
-        # and final checks cancelling: one pass over n per iteration (two
-        # traced, the second projecting the diffusion row), plus the
-        # negated X tail, read again for its class sums
+        # and final checks cancelling: one pass over n per iteration, traced
+        # or not (a stop reads one amplitude per class), plus the negated X
+        # tail, read again for its class sums
         monkeypatch.setattr(fullstate, "np", CountingNumpy())
         n = 4096
         inst = ig.build_instance({"n": n, "x": mod(64, 5), "y": mod(1024, 5)})
@@ -344,7 +367,7 @@ class TestOnePassEvolution:
             ig.run_schedule_full(inst, ig.Schedule(L), record_trace=record_trace)
             touched.append(CountingArray.touched)
         per_iteration = (touched[1] - touched[0]) / 3
-        assert per_iteration == passes * n + 2 * inst.x_size
+        assert per_iteration == n + 2 * inst.x_size
 
 
 class TestSampling:
@@ -370,6 +393,14 @@ class TestSampling:
         for _ in range(m):
             hits[ig.sample_measurement(state, rng)] += 1
         np.testing.assert_allclose(hits / m, state * state, rtol=0, atol=0.02)
+
+    def test_leaves_its_state_unchanged(self):
+        # the cumulative table is built in a copy, not in the caller's state
+        state, _, _ = ig.run_schedule_full(small_inst(), ig.Schedule(2),
+                                           record_trace=False)
+        before = state.tobytes()
+        ig.sample_measurement(state, 3)
+        assert state.tobytes() == before
 
 
 def bits(p: ig.ReducedState) -> bytes:

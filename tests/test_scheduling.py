@@ -257,7 +257,7 @@ class TestRepetitions:
         seen = set()
         for seed in range(250):
             try:
-                out = ig.run_with_repetitions(inst, sched, 4, seed, state=state)
+                out = ig.run_with_repetitions(inst, sched, 4, seed, state=state.copy())
             except ig.ExhaustedRepetitions as exc:
                 out = exc.outcome
             rng = np.random.default_rng(seed)
