@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 from .errors import ExhaustedRepetitions, IGroverError
 from .fullstate import run_schedule_full
 from .instance import load_instance, ClassCounts
-from .reduced import check_trace_cap, run_schedule, write_trace_csv
+from .reduced import run_schedule, write_trace_csv
 from .scheduling import (
     POLICY_PAPER_FORMULA,
     POLICY_ROUNDED_HALF,
@@ -127,11 +127,9 @@ def cmd_run(args) -> int:
 
     state = full_trace = None
     traced = bool(args.trace) or args.engine == "both"
-    if traced:
-        check_trace_cap(sched.L)  # before any evolution, so --engine both fails at once
     cost_record(inst.counts, sched.queries(), model)  # if one run's costs overflow, fail at once
     if args.engine != "reduced":
-        # checks the cap before it allocates, so before any O(L) reduced trace
+        # checks both caps before it allocates, so before any O(L) reduced trace
         state, full_trace, _ = run_schedule_full(inst, sched, record_trace=traced)
     trace = full_trace
     if traced and args.engine != "full":
@@ -170,9 +168,9 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
 
 def cmd_sweep(args) -> int:
     model = CostModel(args.tx, args.ty)
-    rows = []
     grid_flags = (args.grid_n, args.grid_x, args.grid_y)
-    if any(g is not None for g in grid_flags):
+    grid = any(g is not None for g in grid_flags)
+    if grid:
         if not all(g is not None for g in grid_flags):
             raise IGroverError("grid mode needs all of --grid-n, --grid-x, --grid-y")
         ns = _parse_int_list(args.grid_n, "--grid-n")
@@ -188,25 +186,19 @@ def cmd_sweep(args) -> int:
         ]
         if not cells:
             raise IGroverError("grid contains no valid cells (need 1 <= |Y| <= |X| <= n)")
-        for n, kx, ky in cells:
-            counts = ClassCounts(k11=ky, k10=kx - ky, k00=n - kx, n=n)
-            best, table = sweep_L(counts, args.window)
-            p_best = dict(table)[best.L]
-            cost = query_cost(best.queries(), model)
-            rows.append((n, kx, ky, best.L, p_best, cost))
     else:
         if not args.instance:
             raise IGroverError("sweep needs --instance or a full --grid-n/x/y trio")
-        inst = load_instance(args.instance)
-        counts = inst.counts
-        _, table = sweep_L(counts, args.window)
-        for L, p in table:
-            cost = query_cost(Schedule(L).queries(), model)
-            rows.append((counts.n, counts.k11 + counts.k10, counts.k11, L, p, cost))
+        counts = load_instance(args.instance).counts
+        cells = [(counts.n, counts.k11 + counts.k10, counts.k11)]
 
+    # a grid cell gives its best L's row, an instance every L of its window
     lines = ["n,x_size,y_size,L,p_success,cost\n"]
-    for n, kx, ky, L, p, cost in rows:
-        lines.append(f"{n},{kx},{ky},{L},{p:.17g},{cost:.17g}\n")
+    for n, kx, ky in cells:
+        best, table = sweep_L(ClassCounts(k11=ky, k10=kx - ky, k00=n - kx, n=n), args.window)
+        for L, p in [(best.L, dict(table)[best.L])] if grid else table:
+            cost = query_cost(Schedule(L).queries(), model)
+            lines.append(f"{n},{kx},{ky},{L},{p:.17g},{cost:.17g}\n")
     _write(lines, args.out)
     return 0
 

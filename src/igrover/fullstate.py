@@ -30,14 +30,6 @@ _UNIFORM_TOL = 1e-9
 _CLASSES = ("k00", "k10", "k11")
 
 
-def check_full_cap(n: int) -> None:
-    """Raise InstanceTooLarge if the full engine may not allocate n amplitudes.
-
-    The cap is 2**20; the IGROVER_FULL_CAP environment variable overrides it.
-    """
-    check_cap("IGROVER_FULL_CAP", DEFAULT_FULL_CAP, n, f"n={n} exceeds full-state cap")
-
-
 def init_uniform(n: int) -> np.ndarray:
     return np.full(n, 1.0 / math.sqrt(n))
 
@@ -99,10 +91,11 @@ def run_schedule_full(inst: ProblemInstance, sched: Schedule, record_trace: bool
     runs can be compared pointwise; untraced, the trace has none.  The
     counters are `sched.queries()`.  The run ends by checking the norm
     (NormDrift) and that every class is still uniform (NotClassUniform).
-    Raises InstanceTooLarge, before allocating anything, when n or a traced
-    L exceeds its cap (`check_full_cap`, `Trace.allocate`).
+    Raises InstanceTooLarge, before allocating anything, when n exceeds the
+    full cap (2**20, or IGROVER_FULL_CAP) or a traced L the trace cap
+    (`Trace.allocate`).
     """
-    check_full_cap(inst.n)
+    check_cap("IGROVER_FULL_CAP", DEFAULT_FULL_CAP, inst.n, f"n={inst.n} exceeds full-state cap")
     trace = Trace.allocate(sched.L) if record_trace else Trace(sched.L, np.empty((0, 3)))
     bounds = (0, inst.n - inst.x_size, inst.n - inst.y_size, inst.n)
     st = init_uniform(inst.n)  # uniform, so already in layout order
@@ -128,7 +121,8 @@ def run_schedule_full(inst: ProblemInstance, sched: Schedule, record_trace: bool
             if record_trace:
                 stop += 1
                 stops[stop] = _project(st, bounds)
-    check_norm(float(st @ st), "full")
+    # not st @ st: BLAS's threaded ddot takes ms to wake idle worker threads
+    check_norm(float(np.einsum("i,i->", st, st)), "full")
     _project(st, bounds, _UNIFORM_TOL)  # raises NotClassUniform
     # each class is one value, so index order is k00's overwritten on X,
     # then on Y (X and Y are never empty; an empty k10 reads k11's value)

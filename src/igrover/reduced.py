@@ -124,10 +124,13 @@ class Trace:
         """3L + 2 zeroed stops for an engine to fill, in one anonymous mapping
         (it goes back to the OS when the trace is dropped, where a malloc'd
         buffer of that size leaves a hole the heap keeps).  Raises
-        InstanceTooLarge past `check_trace_cap`'s cap, before mapping."""
+        InstanceTooLarge, before mapping, if the stops pass the trace cap:
+        2**25, or IGROVER_TRACE_CAP, at most what one mapping can hold."""
         import mmap  # only traced runs load it, as with numpy
 
-        check_trace_cap(L)
+        check_cap("IGROVER_TRACE_CAP", DEFAULT_TRACE_CAP, 3 * L + 2,
+                  f"L={L} is too large to trace: 3L + 2 stops exceed the trace cap",
+                  sys.maxsize // 24)
         stops = np.frombuffer(mmap.mmap(-1, 24 * (3 * L + 2)), np.float64)
         return cls(L, stops.reshape(-1, 3))
 
@@ -229,14 +232,6 @@ def check_cap(var: str, default: int, size: int, what: str, limit: int = sys.max
     cap = min(cap, limit)
     if size > cap:
         raise InstanceTooLarge(f"{what} {cap} (set {var} to raise it)")
-
-
-def check_trace_cap(L: int) -> None:
-    """Raise InstanceTooLarge if 3L + 2 stops pass the trace cap: 2**25, or
-    IGROVER_TRACE_CAP, at most what one memory mapping can hold."""
-    check_cap("IGROVER_TRACE_CAP", DEFAULT_TRACE_CAP, 3 * L + 2,
-              f"L={L} is too large to trace: 3L + 2 stops exceed the trace cap",
-              sys.maxsize // 24)
 
 
 def final_point(counts: ClassCounts, L: int) -> ReducedState:

@@ -188,8 +188,9 @@ class TestRun:
             raise AssertionError("stepped a trace past the cap")
 
         monkeypatch.setenv("IGROVER_TRACE_CAP", "20")
-        monkeypatch.setattr(cli, "run_schedule", never)
-        monkeypatch.setattr(cli, "run_schedule_full", never)
+        # the first work each engine does past its trace cap
+        monkeypatch.setattr(ig.reduced, "_theta", never)
+        monkeypatch.setattr(ig.fullstate, "init_uniform", never)
         trace = tmp_path / "t.csv"
         # L = 7 needs 23 stops; --engine both traces even without --trace
         flags = ["--trace", str(trace)] if engine != "both" else []
@@ -221,7 +222,7 @@ class TestRun:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "t.csv").exists()
         with pytest.raises(ig.SpecFormatError, match=message):
-            ig.reduced.check_trace_cap(0)
+            ig.Trace.allocate(0)
 
     def test_negative_L_rejected(self, inst_path):
         assert run_cli("run", "--instance", inst_path, "--L", "-3") == 1
@@ -314,6 +315,16 @@ class TestSweep:
         keys = [(int(r[0]), int(r[1]), int(r[2])) for r in rows]
         assert keys == sorted(keys)
         assert all(0.0 <= float(r[4]) <= 1.0 for r in rows)
+
+    def test_one_cell_grid_prints_the_instance_best_row(self, inst_path, capsys):
+        # REF is n = 16, |X| = 4, |Y| = 1: both modes print one row format
+        assert run_cli("sweep", "--instance", inst_path, "--window", "4", "--tx", "2") == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        p_max = max(float(row.split(",")[4]) for row in rows)
+        best = next(row for row in rows if float(row.split(",")[4]) == p_max)  # first on ties
+        assert run_cli("sweep", "--grid-n", "16", "--grid-x", "4", "--grid-y", "1",
+                       "--window", "4", "--tx", "2") == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [best]
 
     def test_grid_skips_invalid_cells(self, capsys):
         assert run_cli("sweep", "--grid-n", "16", "--grid-x", "8,32",

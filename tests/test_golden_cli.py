@@ -10,7 +10,9 @@ lines that name a file compare equal on any machine.
 A change that moves a digest on purpose lists each moved case in
 CHANGES.md.  `python tests/test_golden_cli.py` prints the table the cases
 give now, next to nothing else, so that it can be diffed against the
-committed one before that one is replaced.
+committed one before that one is replaced.  With `--changed` it prints
+only the fields that differ, the committed value next to the current one,
+and exits 1 if any does; neither form writes the table.
 
 `run` draws from numpy's `default_rng`, and NEP 19 lets numpy change a
 Generator's stream between feature releases; such a change fails the `run`
@@ -121,6 +123,13 @@ CASES = [
     ("run-both-trace-cap", "ref",
      ["run", "--instance", "{inst}", "--L", "7", "--engine", "both"],
      {"IGROVER_TRACE_CAP": "20"}),
+    # two checks fail at once: the costs come first, then the full cap, then the trace cap
+    ("run-trace-cap-and-overflow", "ref",
+     ["run", "--instance", "{inst}", "--L", "7", "--tx", "1e308", "--trace", "{tmp}/t.csv"],
+     {"IGROVER_TRACE_CAP": "20"}),
+    ("run-both-full-and-trace-cap", "full-cap",
+     ["run", "--instance", "{inst}", "--engine", "both", "--L", "7"],
+     {"IGROVER_FULL_CAP": "64", "IGROVER_TRACE_CAP": "20"}),
     ("run-bad-trace-cap", "ref",
      ["run", "--instance", "{inst}", "--trace", "{tmp}/t.csv"],
      {"IGROVER_TRACE_CAP": "many"}),
@@ -243,10 +252,46 @@ def test_a_fresh_process_prints_the_same_bytes(tmp_path, case_id):
     assert run_case(tmp_path, name, argv, env, fresh=True) == want
 
 
+def test_changed_lines_name_each_moved_field():
+    old = {"same": {"exit": 0, "stdout": "a", "stderr": "b", "files": {}},
+           "moved": {"exit": 1, "stdout": "a", "stderr": "b", "files": {"t.csv": "c"}}}
+    new = {"same": old["same"],
+           "moved": {"exit": 1, "stdout": "a", "stderr": "d", "files": {"r.json": "e"}},
+           "added": {"exit": 0, "stdout": "a", "stderr": "b", "files": {}}}
+    assert changed_lines(old, old) == []
+    assert changed_lines(old, new) == [
+        "added exit: - -> 0", "added stderr: - -> b", "added stdout: - -> a",
+        "moved files/r.json: - -> e", "moved files/t.csv: c -> -", "moved stderr: b -> d"]
+
+
+def changed_lines(committed: dict, table: dict) -> list[str]:
+    """One line per field that differs between two tables: case, field, the
+    committed value and the current one ('-' where a side has none)."""
+    def fields(record):
+        if record is None:
+            return {}
+        return {**{k: record[k] for k in ("exit", "stdout", "stderr")},
+                **{f"files/{name}": digest for name, digest in record["files"].items()}}
+
+    lines = []
+    for case_id in sorted(committed.keys() | table.keys()):
+        old, new = fields(committed.get(case_id)), fields(table.get(case_id))
+        lines += [f"{case_id} {field}: {old.get(field, '-')} -> {new.get(field, '-')}"
+                  for field in sorted(old.keys() | new.keys())
+                  if old.get(field) != new.get(field)]
+    return lines
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--changed"]):
+        sys.exit("usage: python tests/test_golden_cli.py [--changed]")
     table = {}
     for case_id, name, argv, env in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             table[case_id] = run_case(Path(tmp), name, argv, env)
+    if sys.argv[1:]:
+        lines = changed_lines(json.loads(GOLDEN.read_text()), table)
+        print(*lines, sep="\n")
+        sys.exit(1 if lines else 0)
     json.dump(table, sys.stdout, indent=1, sort_keys=True)
     print()

@@ -1,8 +1,8 @@
 """Start-up and shape: `sweep` and `compare` never import numpy; `run` loads it
 on demand; one parser serves every `cli.main` call of a process; the package's
 modules import one another in one layer order, and only a pinned set of the
-stdlib at module level; each derived value has one owner; the README's quick
-tour runs.
+stdlib at module level; each derived value has one owner, and each memory
+cap is checked by what it bounds; the README's quick tour runs.
 
 Each start-up test starts a fresh interpreter, since numpy, once imported,
 stays in `sys.modules` for the rest of a process.
@@ -212,10 +212,19 @@ def test_query_stats_built_only_by_the_schedule():
 def test_derived_values_are_not_parameters():
     removed = {"kth_in_class": {"counts"}, "sample_from_reduced": {"counts"},
                "choose_L": {"window"}, "run_schedule_full": {"cap"},
-               "check_full_cap": {"cap"}, "run_with_repetitions": {"engine", "evolved"}}
+               "run_with_repetitions": {"engine", "evolved"}}
     for name, params in removed.items():
-        fn = getattr(igrover, name, None) or getattr(igrover.fullstate, name)
-        assert not params & set(inspect.signature(fn).parameters), name
+        assert not params & set(inspect.signature(getattr(igrover, name)).parameters), name
+
+
+def test_each_cap_is_checked_by_what_it_bounds():
+    # the trace cap where stops are mapped, the full cap where amplitudes are
+    package = Path(igrover.__file__).parent
+    calls = {path.name: path.read_text().count("check_cap(")
+             for path in sorted(package.glob("*.py")) if "check_cap(" in path.read_text()}
+    assert calls == {"fullstate.py": 1, "reduced.py": 2}  # reduced.py also defines it
+    for owner in (igrover.Trace.allocate, igrover.run_schedule_full):
+        assert "check_cap(" in inspect.getsource(owner)
 
 
 def test_readme_quick_tour_runs():
