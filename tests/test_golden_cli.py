@@ -268,14 +268,12 @@ def changed_lines(committed: dict, table: dict) -> list[str]:
     """One line per field that differs between two tables: case, field, the
     committed value and the current one ('-' where a side has none)."""
     def fields(record):
-        if record is None:
-            return {}
-        return {**{k: record[k] for k in ("exit", "stdout", "stderr")},
-                **{f"files/{name}": digest for name, digest in record["files"].items()}}
+        return {**{k: v for k, v in record.items() if k != "files"},
+                **{f"files/{name}": digest for name, digest in record.get("files", {}).items()}}
 
     lines = []
     for case_id in sorted(committed.keys() | table.keys()):
-        old, new = fields(committed.get(case_id)), fields(table.get(case_id))
+        old, new = fields(committed.get(case_id, {})), fields(table.get(case_id, {}))
         lines += [f"{case_id} {field}: {old.get(field, '-')} -> {new.get(field, '-')}"
                   for field in sorted(old.keys() | new.keys())
                   if old.get(field) != new.get(field)]
@@ -291,7 +289,7 @@ if __name__ == "__main__":
             table[case_id] = run_case(Path(tmp), name, argv, env)
     if sys.argv[1:]:
         lines = changed_lines(json.loads(GOLDEN.read_text()), table)
-        print(*lines, sep="\n")
+        sys.stdout.writelines(line + "\n" for line in lines)
         sys.exit(1 if lines else 0)
     json.dump(table, sys.stdout, indent=1, sort_keys=True)
     print()
