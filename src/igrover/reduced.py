@@ -25,8 +25,11 @@ meet at angle theta, i.e. a rotation by 2*theta, so phase 1 ends at
 arXiv:quant-ph/9605034).  The expensive iteration is applied as it stands.
 In phase 3, w is orthogonal to s and lies inside X, so the cheap oracle and
 the diffusion each negate it: the w component stays fixed while the (e, u)
-part turns by 4 L theta.  `final_point` evaluates exactly that with `math`
-alone, and a traced `run_schedule` every stop of it, with an exact phase.
+part turns by 4 L theta.  s, u and theta depend on the class counts alone:
+`ClosedForm` computes them once, and then each L costs two cos/sin pairs
+with `math` alone.  `final_point` evaluates one L, `sweep_L` a window of
+them from one set-up, and a traced `run_schedule` every stop, with an
+exact phase.
 
 A trace (`Trace`) stores only the stops: the init state and the state after
 each diffusion, one float64 (x, y, z) row of 24 bytes each, in one mapping.
@@ -234,30 +237,50 @@ def check_cap(var: str, default: int, size: int, what: str, limit: int = sys.max
         raise InstanceTooLarge(f"{what} {cap} (set {var} to raise it)")
 
 
+class ClosedForm:
+    """The closed form of one class-count triple (see the module docstring):
+    the diffusion axis s, u's components uy and uz, with w = (0, uz, -uy),
+    and theta as a float.  None of it depends on L, so `sweep_L` builds it
+    once and evaluates every L of its window from it."""
+
+    __slots__ = ("s", "uy", "uz", "theta")
+
+    def __init__(self, counts: ClassCounts):
+        self.s = initial_point(counts)
+        kx = counts.k10 + counts.k11
+        self.uy, self.uz = math.sqrt(counts.k10 / kx), math.sqrt(counts.k11 / kx)
+        self.theta = math.atan2(math.sqrt(kx), math.sqrt(counts.k00))
+
+    def final(self, L: int) -> tuple[float, float, float]:
+        """(x, y, z) after init, L cheap, 1 expensive and 2L cheap iterations,
+        with `apply_oracle_y` and `apply_diffusion` written out; raises
+        NormDrift if it is off the unit sphere."""
+        s, uy, uz, theta = self.s, self.uy, self.uz, self.theta
+        phi = (2 * L + 1) * theta
+        sp = math.sin(phi)
+        x, y, z = math.cos(phi), sp * uy, -(sp * uz)  # phase 1, then the expensive oracle
+        d = x * s.x + y * s.y + z * s.z
+        x, y, z = 2.0 * d * s.x - x, 2.0 * d * s.y - y, 2.0 * d * s.z - z
+        a, b = x, y * uy + z * uz               # (e, u) plane coordinates
+        g = y * uz - z * uy                     # along w: fixed by phase 3
+        c, sn = math.cos(4 * L * theta), math.sin(4 * L * theta)
+        a, b = a * c - b * sn, a * sn + b * c
+        x, y, z = a, b * uy + g * uz, b * uz - g * uy
+        check_norm(x * x + y * y + z * z, "reduced")
+        return x, y, z
+
+
 def final_point(counts: ClassCounts, L: int) -> ReducedState:
     """The state after init, L cheap, 1 expensive and 2L cheap iterations.
 
-    O(1) closed form (see the module docstring): phase 1 and phase 3 are
-    rotations by 2*theta per iteration in the (e, u) plane, and phase 3
+    O(1) closed form, `ClosedForm(counts).final(L)`: phase 1 and phase 3
+    are rotations by 2*theta per iteration in the (e, u) plane, and phase 3
     leaves the w component alone.  Matches stepping to rounding, but the
     float64 phase (2L+1)*theta makes its error grow linearly in L (about
     1.6e-12 at L = 10^4).  Raises NormDrift if the result is off the unit
     sphere.
     """
-    s = initial_point(counts)
-    kx = counts.k10 + counts.k11
-    uy, uz = math.sqrt(counts.k10 / kx), math.sqrt(counts.k11 / kx)
-    theta = math.atan2(math.sqrt(kx), math.sqrt(counts.k00))
-    phi = (2 * L + 1) * theta
-    p = ReducedState(math.cos(phi), math.sin(phi) * uy, math.sin(phi) * uz)
-    p = apply_diffusion(apply_oracle_y(p), s)
-    a, b = p.x, p.y * uy + p.z * uz        # (e, u) plane coordinates
-    g = p.y * uz - p.z * uy                # along w: fixed by phase 3
-    c, sn = math.cos(4 * L * theta), math.sin(4 * L * theta)
-    a, b = a * c - b * sn, a * sn + b * c
-    p = ReducedState(a, b * uy + g * uz, b * uz - g * uy)
-    check_norm(p.norm_sq(), "reduced")
-    return p
+    return ReducedState(*ClosedForm(counts).final(L))
 
 
 def _split(v):
@@ -315,7 +338,8 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
                  ) -> tuple[ReducedState, Trace, QueryStats]:
     """Execute init, L cheap iterations, 1 expensive, 2L cheap.
 
-    The final state is `final_point`'s.  Untraced, the trace has no rows.
+    The final state is `final_point`'s, from a `ClosedForm` whose s, uy and
+    uz also place the traced stops.  Untraced, the trace has no rows.
     Traced, its 3L + 2 stops come from the same closed form, `_ARC_CHUNK`
     at a time: stop 0 is `initial_point`, phase-1 stop k is
     cos((2k+1) theta) e + sin((2k+1) theta) u, the expensive iteration is
@@ -329,13 +353,12 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
     before computing them.  The counters are `sched.queries()`; a final
     state off the unit sphere raises NormDrift.
     """
-    final, L = final_point(counts, sched.L), sched.L
+    form, L = ClosedForm(counts), sched.L
+    final = ReducedState(*form.final(L))
     if not record_trace:
         return final, Trace(L, np.empty((0, 3))), sched.queries()
     trace = Trace.allocate(L)
-    stops = trace.stops
-    kx = counts.k10 + counts.k11
-    uy, uz = math.sqrt(counts.k10 / kx), math.sqrt(counts.k11 / kx)
+    stops, s, uy, uz = trace.stops, form.s, form.uy, form.uz
     # cos and sin of 2r theta for r below one chunk, then of the first phase
     # of each chunk of phase 1 (odd multiples of theta) and phase 3 (even)
     size, step = min(2 * L + 1, _ARC_CHUNK), 2 * _ARC_CHUNK
@@ -355,7 +378,6 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
             out[:, 2] = along_u * uz - g * uy
 
     arc(stops[:L + 1], c1, s1, 1.0, 0.0, 0.0)
-    s = initial_point(counts)
     p = apply_diffusion(apply_oracle_y(ReducedState(*stops[L].tolist())), s)
     arc(stops[L + 1:], c3, s3, p.x, p.y * uy + p.z * uz, p.y * uz - p.z * uy)
     stops[0], stops[L + 1] = (s.x, s.y, s.z), (p.x, p.y, p.z)

@@ -35,7 +35,8 @@ from .instance import (
 )
 from .fullstate import measurement_sampler
 from .reduced import (POLICIES, POLICY_PAPER_FORMULA, POLICY_ROUNDED_HALF, POLICY_SWEPT,
-                      QueryStats, Schedule, final_point, run_schedule, success_probability)
+                      ClosedForm, QueryStats, Schedule, final_point, run_schedule,
+                      success_probability)
 
 
 @frozen
@@ -82,15 +83,19 @@ def sweep_L(counts: ClassCounts, window: int = 3) -> tuple[Schedule, list[tuple[
     """Exact success probability for every L within +-window of the formula L.
 
     Returns the best schedule (ties break toward smaller L) and the full
-    (L, p_success) table in ascending L order.
+    (L, p_success) table in ascending L order.  Each p is the bits of
+    `success_probability(final_point(counts, L))`, from one `ClosedForm`
+    set-up per call; every L is still checked for NormDrift.
     """
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
     center = choose_L(counts, POLICY_PAPER_FORMULA).L
+    final = ClosedForm(counts).final
     table = []
     best_L, best_p = None, -1.0
     for L in range(max(0, center - window), center + window + 1):
-        p = success_probability(final_point(counts, L))
+        z = final(L)[2]
+        p = z * z  # success_probability of final_point(counts, L)
         table.append((L, p))
         if p > best_p:
             best_L, best_p = L, p

@@ -149,6 +149,13 @@ CASES = [
     ("sweep-grid", None,
      ["sweep", "--grid-n", "16,1024,1000000", "--grid-x", "1,4,64", "--grid-y", "1,2",
       "--ty", "3", "--out", "{tmp}/g.csv"], {}),
+    # the bench's sweep scale: two n in [1e6, 1e9], |X| <= 64, L up to about 25,000
+    ("sweep-grid-large-L", None,
+     ["sweep", "--grid-n", "3141593,987654321", "--grid-x", "1,17,64", "--grid-y", "1,5,64",
+      "--tx", "0.7", "--ty", "40"], {}),
+    # a dense cell whose window runs from L = 0 to 42
+    ("sweep-window-40-dense", "range-list",
+     ["sweep", "--instance", "{inst}", "--window", "40"], {}),
     ("sweep-partial-grid", None, ["sweep", "--grid-n", "16"], {}),
     ("sweep-empty-grid", None, ["sweep", "--grid-n", "16", "--grid-x", "32",
                                 "--grid-y", "64"], {}),
@@ -157,6 +164,8 @@ CASES = [
      ["compare", "--instance", "{inst}", "--tx", "0.5", "--ty", "10", "--policy", "sweep"], {}),
     ("compare-n1e12", "n1e12", ["compare", "--instance", "{inst}", "--ty", "100",
                                 "--out", "{tmp}/c.json"], {}),
+    ("compare-n1e12-sweep", "n1e12", ["compare", "--instance", "{inst}", "--policy", "sweep"],
+     {}),
     ("compare-n2^70", "n2^70", ["compare", "--instance", "{inst}"], {}),
     ("compare-n2^1000", "n2^1000", ["compare", "--instance", "{inst}", "--policy", "half"], {}),
     ("compare-L-too-big", "ref", ["compare", "--instance", "{inst}", "--L", str(2 ** 1022)],

@@ -210,6 +210,26 @@ class TestClosedForm:
         full = ig.project_to_reduced(state, inst)
         assert max_gap(ig.final_point(ig.partition_classes(inst), L), full) <= 1e-9
 
+    @pytest.mark.parametrize("cell, L, xyz", [
+        # the README cell at L = 0 and at its paper L
+        ((1024, 16, 1), 0, ("0x1.f9fffbf3db8ebp-1", "0x1.edce2d29dff8fp-4",
+                            "0x1.7f80000000001p-4")),
+        ((1024, 16, 1), 6, ("-0x1.676a770af9d3ap-5", "0x1.7397f368c0522p-1",
+                            "0x1.5f81f488b0017p-1")),
+        ((1000, 999, 10), 10 ** 6, ("-0x1.3e44a8b58e192p-3", "-0x1.e31f8ca95593dp-1",
+                                    "-0x1.2b5dba7e003d1p-2")),
+        ((10 ** 12, 100, 1), 78540, ("-0x1.b872136d5740bp-17", "0x1.e90e64c3b85eep-1",
+                                     "0x1.2f1a9fbe00617p-2")),
+        ((2 ** 70, 100, 1), 0, ("0x1.0000000000000p+0", "0x1.3e655eefe1368p-32",
+                                "0x1.8000000000001p-34")),
+        ((1024, 8, 8), 25, ("0x1.1f7013947e28cp-1", "0x0.0p+0", "0x1.a7b3c018ba177p-1")),
+        ((999, 999, 5), 3, ("-0x1.58801a11a2ee6p-52", "-0x1.f47e1768b3036p-1",
+                            "-0x1.afc35cb4e5070p-3")),
+    ])
+    def test_bits_are_pinned(self, cell, L, xyz):
+        p = ig.final_point(make_counts(*cell), L)
+        assert (p.x.hex(), p.y.hex(), p.z.hex()) == xyz
+
     def test_large_L_cell(self):
         # n = 1e9, |X| = |Y| = 1 at the paper L (24,836): 74.5k stepped iterations
         counts = make_counts(10 ** 9, 1, 1)

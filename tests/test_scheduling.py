@@ -7,13 +7,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import igrover as ig
-from igrover import cli, scheduling
+from igrover import cli, reduced, scheduling
 from conftest import class_of, make_counts, one_query_ceiling, random_instance
 
 REF = {"n": 16, "x": {"kind": "range", "lo": 0, "hi": 3},
        "y": {"kind": "list", "members": [2]}}
+
+
+@st.composite
+def counts_up_to(draw, n_max: int) -> ig.ClassCounts:
+    n = draw(st.integers(2, n_max))
+    kx = draw(st.integers(1, n))
+    return make_counts(n, kx, draw(st.integers(1, kx)))
 
 
 class TestAngles:
@@ -119,6 +128,23 @@ class TestChooseL:
             ig.sweep_L(counts, window=-1)
         best, table = ig.sweep_L(counts, window=0)
         assert table == [(best.L, table[0][1])]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(counts_up_to(2 ** 70), st.integers(0, 20))
+    @example(make_counts(2 ** 1000, 2 ** 10, 3), 20)
+    @example(make_counts(1000, 200, 3), 20)  # the window reaches L = 0
+    def test_sweep_rows_are_final_point_bits(self, counts, window):
+        best, table = ig.sweep_L(counts, window)
+        center = ig.choose_L(counts).L
+        assert [L for L, _ in table] == list(range(max(0, center - window), center + window + 1))
+        for L, p in table:
+            assert p.hex() == ig.success_probability(ig.final_point(counts, L)).hex()
+        assert dict(table)[best.L] == max(p for _, p in table)
+
+    def test_sweep_checks_every_L(self, monkeypatch):
+        monkeypatch.setattr(reduced, "_NORM_TOL", -1.0)  # no state passes
+        with pytest.raises(ig.NormDrift, match="reduced state left the unit sphere"):
+            ig.sweep_L(make_counts(1024, 16, 1), window=0)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
