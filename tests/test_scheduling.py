@@ -142,6 +142,11 @@ class TestChooseL:
         assert dict(table)[best.L] == max(p for _, p in table)
 
     def test_sweep_checks_every_L(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(reduced, "check_norm", lambda norm_sq, engine: checked.append(engine))
+        _, table = ig.sweep_L(make_counts(1024, 16, 1), window=3)
+        assert checked == ["reduced"] * len(table) and len(table) == 7
+        monkeypatch.undo()
         monkeypatch.setattr(reduced, "_NORM_TOL", -1.0)  # no state passes
         with pytest.raises(ig.NormDrift, match="reduced state left the unit sphere"):
             ig.sweep_L(make_counts(1024, 16, 1), window=0)
