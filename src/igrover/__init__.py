@@ -42,9 +42,6 @@ from .reduced import (
     ReducedState,
     Schedule,
     Trace,
-    apply_diffusion,
-    apply_oracle_x,
-    apply_oracle_y,
     final_point,
     initial_point,
     run_schedule,

@@ -22,14 +22,14 @@ meet at angle theta, i.e. a rotation by 2*theta, so phase 1 ends at
     cos((2L+1) theta) e + sin((2L+1) theta) u
 
 (the sin((2k+1) theta) law of Boyer-Brassard-Hoyer-Tapp,
-arXiv:quant-ph/9605034).  The expensive iteration is applied as it stands.
-In phase 3, w is orthogonal to s and lies inside X, so the cheap oracle and
-the diffusion each negate it: the w component stays fixed while the (e, u)
-part turns by 4 L theta.  s, u and theta depend on the class counts alone:
-`ClosedForm` computes them once, and then each L costs two cos/sin pairs
-with `math` alone.  `final_point` evaluates one L, `sweep_L` a window of
-them from one set-up, and a traced `run_schedule` every stop, with an
-exact phase.
+arXiv:quant-ph/9605034).  The expensive iteration is applied as it stands,
+by `ClosedForm.expensive`.  In phase 3, w is orthogonal to s and lies inside
+X, so the cheap oracle and the diffusion each negate it: the w component
+stays fixed while the (e, u) part turns by 4 L theta.  s, u and theta
+depend on the class counts alone: `ClosedForm` computes them once, and then
+each L costs two cos/sin pairs with `math` alone.  `final_point` evaluates
+one L, `sweep_L` a window of them from one set-up, and a traced
+`run_schedule` every stop, with an exact phase.
 
 A trace (`Trace`) stores only the stops: the init state and the state after
 each diffusion, one float64 (x, y, z) row of 24 bytes each, in one mapping.
@@ -66,9 +66,6 @@ class ReducedState:
     x: float
     y: float
     z: float
-
-    def norm_sq(self) -> float:
-        return self.x * self.x + self.y * self.y + self.z * self.z
 
 
 @frozen
@@ -183,38 +180,18 @@ def initial_point(counts: ClassCounts) -> ReducedState:
     )
 
 
-def apply_oracle_x(p: ReducedState) -> ReducedState:
-    """Cheap-oracle phase flip on everything inside X; x passes untouched."""
-    return ReducedState(p.x, -p.y, -p.z)
-
-
-def apply_oracle_y(p: ReducedState) -> ReducedState:
-    """Expensive-oracle phase flip on the targets alone."""
-    return ReducedState(p.x, p.y, -p.z)
-
-
-def apply_diffusion(p: ReducedState, s: ReducedState) -> ReducedState:
-    """Reflection through the axis s: p -> 2 (p . s) s - p."""
-    d = p.x * s.x + p.y * s.y + p.z * s.z
-    return ReducedState(
-        2.0 * d * s.x - p.x,
-        2.0 * d * s.y - p.y,
-        2.0 * d * s.z - p.z,
-    )
-
-
 def success_probability(p: ReducedState) -> float:
     """Probability that measuring now lands on a target index."""
     return p.z * p.z
 
 
-def check_norm(norm_sq: float, engine: str) -> None:
+def check_norm(squared_norm: float, engine: str) -> None:
     """End-of-run invariant: the final state is still a unit vector.
 
     Raises NormDrift (an IGroverError, so the CLI exits 1) rather than
     asserting, so the check also holds under ``python -O``.
     """
-    drift = abs(norm_sq - 1.0)
+    drift = abs(squared_norm - 1.0)
     if not drift <= _NORM_TOL:  # written so that a NaN fails too
         raise NormDrift(
             f"{engine} state left the unit sphere: |norm^2 - 1| = {drift:.3g}"
@@ -251,16 +228,20 @@ class ClosedForm:
         self.uy, self.uz = math.sqrt(counts.k10 / kx), math.sqrt(counts.k11 / kx)
         self.theta = math.atan2(math.sqrt(kx), math.sqrt(counts.k00))
 
+    def expensive(self, x: float, y: float, z: float) -> tuple[float, float, float]:
+        """The expensive iteration: the oracle negates z, then diffusion
+        reflects the state through s, p -> 2 (p . s) s - p."""
+        s, z = self.s, -z
+        d = x * s.x + y * s.y + z * s.z
+        return 2.0 * d * s.x - x, 2.0 * d * s.y - y, 2.0 * d * s.z - z
+
     def final(self, L: int) -> tuple[float, float, float]:
-        """(x, y, z) after init, L cheap, 1 expensive and 2L cheap iterations,
-        with `apply_oracle_y` and `apply_diffusion` written out; raises
-        NormDrift if it is off the unit sphere."""
-        s, uy, uz, theta = self.s, self.uy, self.uz, self.theta
+        """(x, y, z) after init, L cheap, 1 expensive and 2L cheap iterations;
+        raises NormDrift if it is off the unit sphere."""
+        uy, uz, theta = self.uy, self.uz, self.theta
         phi = (2 * L + 1) * theta
         sp = math.sin(phi)
-        x, y, z = math.cos(phi), sp * uy, -(sp * uz)  # phase 1, then the expensive oracle
-        d = x * s.x + y * s.y + z * s.z
-        x, y, z = 2.0 * d * s.x - x, 2.0 * d * s.y - y, 2.0 * d * s.z - z
+        x, y, z = self.expensive(math.cos(phi), sp * uy, sp * uz)  # after phase 1
         a, b = x, y * uy + z * uz               # (e, u) plane coordinates
         g = y * uz - z * uy                     # along w: fixed by phase 3
         c, sn = math.cos(4 * L * theta), math.sin(4 * L * theta)
@@ -297,15 +278,15 @@ def _two_product(a, b, b_split=None):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _theta(counts: ClassCounts) -> tuple[float, float]:
+def _theta(counts: ClassCounts, hi: float) -> tuple[float, float]:
     """theta as a double-double hi + lo, within about 2**-120 theta.
 
-    hi is `final_point`'s float and lo = tan(theta - hi), from sin and cos
-    of hi (Taylor series) and of theta (square roots) in integers scaled by
-    2**P, P = 127 bits below hi's leading bit.
+    hi is `ClosedForm(counts).theta`, the float `final` turns by, and lo =
+    tan(theta - hi), from sin and cos of hi (Taylor series) and of theta
+    (square roots) in integers scaled by 2**P, P = 127 bits below hi's
+    leading bit.
     """
-    kx, n = counts.k10 + counts.k11, counts.n
-    hi = math.atan2(math.sqrt(kx), math.sqrt(counts.k00))
+    n, k00 = counts.n, counts.k00
     P = 127 - math.frexp(hi)[1]
     num, den = hi.as_integer_ratio()
     h = (num << P) // den
@@ -314,7 +295,7 @@ def _theta(counts: ClassCounts) -> tuple[float, float]:
         cs[k & 1] += -term if k & 2 else term
         k += 1
         term = term * h // (k << P)
-    (c, s), a, b = cs, math.isqrt((counts.k00 << 2 * P) // n), math.isqrt((kx << 2 * P) // n)
+    (c, s), a, b = cs, math.isqrt((k00 << 2 * P) // n), math.isqrt(((n - k00) << 2 * P) // n)
     return hi, (b * c - a * s) / (a * c + b * s)
 
 
@@ -342,8 +323,8 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
     uz also place the traced stops.  Untraced, the trace has no rows.
     Traced, its 3L + 2 stops come from the same closed form, `_ARC_CHUNK`
     at a time: stop 0 is `initial_point`, phase-1 stop k is
-    cos((2k+1) theta) e + sin((2k+1) theta) u, the expensive iteration is
-    applied to stop L as it stands, and phase 3 turns the (e, u) part of
+    cos((2k+1) theta) e + sin((2k+1) theta) u, stop L + 1 is
+    `ClosedForm.expensive` of stop L, and phase 3 turns the (e, u) part of
     that by 2j theta and keeps its w part.  Every phase is formed from
     theta as a double-double (`_theta`), so each stop is within about
     1e-16 of the exact one for any 4L below 2**53, far past the trace cap.
@@ -364,7 +345,7 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
     size, step = min(2 * L + 1, _ARC_CHUNK), 2 * _ARC_CHUNK
     firsts = np.arange(1, 2 * L + 2, step), np.arange(0, 4 * L + 2, step)
     cs = _cos_sin(np.concatenate([np.arange(0, 2 * size, 2), *firsts]).astype(np.float64),
-                  _theta(counts))
+                  _theta(counts, form.theta))
     (tc, c1, c3), (ts, s1, s3) = (np.split(v, [size, size + len(firsts[0])]) for v in cs)
 
     def arc(rows, fc, fs, a, b, g):  # (a, b, g) in the frame (e, u, w); (a, b) turns
@@ -378,9 +359,9 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
             out[:, 2] = along_u * uz - g * uy
 
     arc(stops[:L + 1], c1, s1, 1.0, 0.0, 0.0)
-    p = apply_diffusion(apply_oracle_y(ReducedState(*stops[L].tolist())), s)
-    arc(stops[L + 1:], c3, s3, p.x, p.y * uy + p.z * uz, p.y * uz - p.z * uy)
-    stops[0], stops[L + 1] = (s.x, s.y, s.z), (p.x, p.y, p.z)
+    x, y, z = form.expensive(*stops[L].tolist())
+    arc(stops[L + 1:], c3, s3, x, y * uy + z * uz, y * uz - z * uy)
+    stops[0], stops[L + 1] = (s.x, s.y, s.z), (x, y, z)
     stops[-1] = final.x, final.y, final.z  # so the trace ends on the record's state
     for column, members in enumerate((counts.k00, counts.k10)):
         if not members:

@@ -161,7 +161,6 @@ class RunOutcome:
     measured_index: int
     verified: bool
     repetitions: int
-    stats: QueryStats
     p_success: float
     seed: int
 
@@ -216,8 +215,7 @@ def run_with_repetitions(inst: ProblemInstance, sched: Schedule, max_reps: int,
     With `state`, the index-order final state of a `run_schedule_full` run
     of this schedule, p is the squared norm of its target amplitudes and the
     draws all read one cumulative table of its squared amplitudes, built in
-    its buffer (the state is consumed).  Query counters charge every
-    repetition in full.  Raises ExhaustedRepetitions
+    its buffer (the state is consumed).  Raises ExhaustedRepetitions
     (carrying the final outcome) if no repetition verifies.
     """
     if max_reps < 1:
@@ -235,9 +233,8 @@ def run_with_repetitions(inst: ProblemInstance, sched: Schedule, max_reps: int,
     for rep in range(1, max_reps + 1):
         index = draw()
         if verify_outcome(inst, index):
-            return RunOutcome(index, True, rep, sched.queries(rep), p, seed)
-    raise ExhaustedRepetitions(
-        RunOutcome(index, False, max_reps, sched.queries(max_reps), p, seed))
+            return RunOutcome(index, True, rep, p, seed)
+    raise ExhaustedRepetitions(RunOutcome(index, False, max_reps, p, seed))
 
 
 def compare_record(inst: ProblemInstance, sched: Schedule, model: CostModel) -> dict:
@@ -263,17 +260,19 @@ def compare_record(inst: ProblemInstance, sched: Schedule, model: CostModel) -> 
 
 def result_record(inst: ProblemInstance, sched: Schedule, outcome: RunOutcome,
                   model: CostModel) -> dict:
-    """The JSON-ready summary of one execution, costs included."""
+    """The JSON-ready summary of one execution, costs included; the query
+    counters charge every repetition in full."""
+    stats = sched.queries(outcome.repetitions)
     return {
         "instance": instance_to_json(inst),
         "L": sched.L,
         "policy": sched.selection_policy,
         "counts": {
-            "x_queries": outcome.stats.count_x,
-            "y_queries": outcome.stats.count_y,
-            "repetitions": outcome.stats.repetitions,
+            "x_queries": stats.count_x,
+            "y_queries": stats.count_y,
+            "repetitions": stats.repetitions,
         },
-        "cost": cost_record(inst.counts, outcome.stats, model),
+        "cost": cost_record(inst.counts, stats, model),
         "p_success_exact": outcome.p_success,
         "measured_index": outcome.measured_index,
         "verified": outcome.verified,

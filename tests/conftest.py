@@ -1,8 +1,9 @@
 """Shared helpers: quick instance constructors, a random-instance generator,
 the one-expensive-query success ceiling, phase-1 trace geometry, every row
-of a trace and its labels, and the row-at-a-time full-state operators,
-scalar and 40-digit reduced stepping, membership classes and class ranks by
-bisection that the engines and the sampler are checked against."""
+of a trace and its labels, the row-at-a-time full-state operators, the
+reduced operators on (x, y, z) tuples, scalar and 40-digit reduced stepping,
+membership classes and class ranks by bisection that the engines and the
+sampler are checked against."""
 
 from __future__ import annotations
 
@@ -44,16 +45,38 @@ def diffusion_full(state: np.ndarray) -> np.ndarray:
     return 2.0 * state.mean() - state
 
 
+def oracle_x(p: tuple) -> tuple:
+    """Reference cheap oracle on a reduced (x, y, z): flips everything inside
+    X, so x passes untouched."""
+    x, y, z = p
+    return x, -y, -z
+
+
+def oracle_y(p: tuple) -> tuple:
+    """Reference expensive oracle on a reduced (x, y, z): flips the targets."""
+    x, y, z = p
+    return x, y, -z
+
+
+def diffusion(p: tuple, s: tuple) -> tuple:
+    """Reference reflection of a reduced (x, y, z) through the axis s:
+    p -> 2 (p . s) s - p."""
+    (x, y, z), (sx, sy, sz) = p, s
+    d = x * sx + y * sy + z * sz
+    return 2.0 * d * sx - x, 2.0 * d * sy - y, 2.0 * d * sz - z
+
+
 def stepped_stops(counts: ig.ClassCounts, L: int) -> np.ndarray:
     """Reference traced run: every stop of the schedule, stepped one
-    `ReducedState` at a time with `apply_oracle_x`/`_y` and `apply_diffusion`."""
-    s = p = ig.initial_point(counts)
-    stops = [(p.x, p.y, p.z)]
+    (x, y, z) tuple at a time with `oracle_x` / `oracle_y` and `diffusion`."""
+    p = ig.initial_point(counts)
+    s = p = (p.x, p.y, p.z)
+    stops = [p]
     for _, op, steps in ig.Schedule(L).segments():
-        oracle = ig.apply_oracle_x if op == "oracle_x" else ig.apply_oracle_y
+        oracle = oracle_x if op == "oracle_x" else oracle_y
         for _ in range(steps):
-            p = ig.apply_diffusion(oracle(p), s)
-            stops.append((p.x, p.y, p.z))
+            p = diffusion(oracle(p), s)
+            stops.append(p)
     return np.array(stops)
 
 

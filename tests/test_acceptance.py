@@ -92,7 +92,7 @@ def test_criterion_3_norm_drift():
     """Unit norm survives 1e5 reduced operations and a full 2^20-amplitude run.
 
     The engine computes its stops in closed form, so the operations are
-    applied by `stepped_stops`, one call of the package's oracles and
+    applied by `stepped_stops`, one call of the reference oracles and
     diffusion each; drift is the worst over those stops and over the
     engine's own.  Oracle rows are negated stops, with the same norm.
     """

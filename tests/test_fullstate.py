@@ -14,8 +14,8 @@ import pytest
 
 import igrover as ig
 from igrover import cli, fullstate, reduced
-from conftest import (class_of, diffusion_full, exact_stops, oracle_full, random_instance,
-                      trace_labels, trace_rows)
+from conftest import (class_of, diffusion_full, exact_stops, oracle_full, oracle_x, oracle_y,
+                      random_instance, trace_labels, trace_rows)
 
 
 def small_inst():
@@ -403,8 +403,8 @@ class TestSampling:
         assert state.tobytes() == before
 
 
-def bits(p: ig.ReducedState) -> bytes:
-    return struct.pack("<3d", p.x, p.y, p.z)
+def bits(p: tuple) -> bytes:
+    return struct.pack("<3d", *p)
 
 
 def engine_traces(inst, L):
@@ -428,7 +428,7 @@ class TestStops:
             monkeypatch.setattr(reduced, "_CSV_CHUNK", chunk)
         n, x, y = SPEC_PAIRS[case]
         inst = ig.build_instance({"n": n, "x": x, "y": y})
-        oracles = {"oracle_x": ig.apply_oracle_x, "oracle_y": ig.apply_oracle_y}
+        oracles = {"oracle_x": oracle_x, "oracle_y": oracle_y}
         for L in (0, ig.choose_L(ig.partition_classes(inst)).L):
             for trace in engine_traces(inst, L).values():
                 ig.write_trace_csv(tmp_path / "t.csv", trace)
@@ -439,10 +439,10 @@ class TestStops:
                     if op not in oracles:
                         continue
                     assert labels[row - 1][2] in ("init", "diffusion") and row % 2
-                    want = oracles[op](ig.ReducedState(*trace.stops[row // 2].tolist()))
-                    assert bits(ig.ReducedState(*rows[row].tolist())) == bits(want)
+                    want = oracles[op](trace.stops[row // 2].tolist())
+                    assert bits(rows[row].tolist()) == bits(want)
                     assert line.split(",")[3:] == [f"{v:.17g}" for v in (
-                        want.x, want.y, want.z, want.z * want.z)]
+                        *want, want[2] * want[2])]
 
     @pytest.mark.parametrize("L", [0, 4])
     def test_memory_is_24_bytes_a_stop(self, L):

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 import igrover as ig
 from igrover import cli, fullstate, reduced
-from conftest import (InsufficientTrace, exact_stops, make_counts, phase1_coplanarity_residual,
-                      phase1_rotation_check, range_instance, stepped_stops, trace_labels,
-                      trace_rows)
+from conftest import (InsufficientTrace, diffusion, exact_stops, make_counts, oracle_x,
+                      oracle_y, phase1_coplanarity_residual, phase1_rotation_check,
+                      range_instance, stepped_stops, trace_labels, trace_rows)
 
 
 def bits(v: float) -> bytes:
@@ -39,57 +39,54 @@ class TestOperators:
         assert (p.x, p.y, p.z) == (0.0, 0.0, 1.0)
 
     def test_oracles_flip_the_right_signs(self):
-        p = ig.ReducedState(0.3, -0.5, 0.7)
-        qx = ig.apply_oracle_x(p)
-        assert (qx.x, qx.y, qx.z) == (0.3, 0.5, -0.7)
-        qy = ig.apply_oracle_y(p)
-        assert (qy.x, qy.y, qy.z) == (0.3, -0.5, -0.7)
+        p = (0.3, -0.5, 0.7)
+        assert oracle_x(p) == (0.3, 0.5, -0.7)
+        assert oracle_y(p) == (0.3, -0.5, -0.7)
 
     def test_oracles_are_involutions_bitwise(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             v = rng.normal(size=3)
             v /= np.linalg.norm(v)
-            p = ig.ReducedState(*v)
-            for oracle in (ig.apply_oracle_x, ig.apply_oracle_y):
-                q = oracle(oracle(p))
-                assert bits(q.x) == bits(p.x)
-                assert bits(q.y) == bits(p.y)
-                assert bits(q.z) == bits(p.z)
+            p = tuple(v.tolist())
+            for oracle in (oracle_x, oracle_y):
+                assert list(map(bits, oracle(oracle(p)))) == list(map(bits, p))
                 # the outside-X coordinate never moves at all
-                assert bits(oracle(p).x) == bits(p.x)
+                assert bits(oracle(p)[0]) == bits(p[0])
 
     def test_diffusion_hand_case(self):
-        s = ig.ReducedState(0.5, 0.5, math.sqrt(0.5))
-        p = ig.ReducedState(1.0, 0.0, 0.0)
-        q = ig.apply_diffusion(p, s)
-        np.testing.assert_allclose((q.x, q.y, q.z),
-                                   (-0.5, 0.5, 0.7071067811865476), rtol=0, atol=1e-15)
+        q = diffusion((1.0, 0.0, 0.0), (0.5, 0.5, math.sqrt(0.5)))
+        np.testing.assert_allclose(q, (-0.5, 0.5, 0.7071067811865476), rtol=0, atol=1e-15)
 
     def test_diffusion_hand_case_n16(self):
         # axis state reflected through the n=16, |X|=4, |Y|=1 uniform direction:
         # 2*s_x*s - e_x, worked out by hand
         s = ig.initial_point(make_counts(16, 4, 1))
-        q = ig.apply_diffusion(ig.ReducedState(1.0, 0.0, 0.0), s)
-        np.testing.assert_allclose((q.x, q.y, q.z),
-                                   (0.5, 0.75, 0.4330127018922193),
-                                   rtol=0, atol=1e-15)
+        q = diffusion((1.0, 0.0, 0.0), (s.x, s.y, s.z))
+        np.testing.assert_allclose(q, (0.5, 0.75, 0.4330127018922193), rtol=0, atol=1e-15)
 
     def test_diffusion_is_an_involution_and_fixes_s(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             w = rng.random(3) + 0.01
             w /= w.sum()
-            s = ig.ReducedState(*np.sqrt(w))
+            s = tuple(np.sqrt(w).tolist())
             v = rng.normal(size=3)
             v /= np.linalg.norm(v)
-            p = ig.ReducedState(*v)
-            q = ig.apply_diffusion(ig.apply_diffusion(p, s), s)
-            np.testing.assert_allclose((q.x, q.y, q.z), (p.x, p.y, p.z),
-                                       rtol=0, atol=1e-14)
-            fixed = ig.apply_diffusion(s, s)
-            np.testing.assert_allclose((fixed.x, fixed.y, fixed.z),
-                                       (s.x, s.y, s.z), rtol=0, atol=1e-14)
+            p = tuple(v.tolist())
+            np.testing.assert_allclose(diffusion(diffusion(p, s), s), p, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(diffusion(s, s), s, rtol=0, atol=1e-14)
+
+    def test_expensive_iteration_is_oracle_y_then_diffusion_bitwise(self):
+        rng = np.random.default_rng(5)
+        for cell in ((16, 4, 1), (1024, 8, 8), (999, 999, 5), (10 ** 12, 100, 1)):
+            form = reduced.ClosedForm(make_counts(*cell))
+            s = (form.s.x, form.s.y, form.s.z)
+            for _ in range(20):
+                v = rng.normal(size=3)
+                p = tuple((v / np.linalg.norm(v)).tolist())
+                want = diffusion(oracle_y(p), s)
+                assert list(map(bits, form.expensive(*p))) == list(map(bits, want))
 
     def test_success_probability(self):
         assert ig.success_probability(ig.ReducedState(0.0, 0.0, -0.5)) == 0.25
@@ -132,7 +129,7 @@ class TestRunSchedule:
         final, trace, stats = ig.run_schedule(counts, ig.Schedule(0))
         assert (stats.count_x, stats.count_y) == (0, 1)
         assert len(trace) == 3
-        assert final.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        assert final.x ** 2 + final.y ** 2 + final.z ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_engineered_certain_success(self):
         # n=4, X=Y={0}: the schedule is 7 plain iterations at theta=pi/6,
@@ -146,7 +143,7 @@ class TestRunSchedule:
         final, trace, stats = ig.run_schedule(counts, ig.Schedule(5000))
         assert stats.count_x == 15000
         assert len(trace) == 1 + 2 * 15001
-        assert abs(final.norm_sq() - 1.0) <= 1e-9
+        assert abs(final.x ** 2 + final.y ** 2 + final.z ** 2 - 1.0) <= 1e-9
         assert np.abs(np.square(trace.stops).sum(axis=1) - 1.0).max() <= 1e-15
 
     def test_label_and_gaps_reject_rows_of_another_run(self):
@@ -227,8 +224,18 @@ class TestClosedForm:
                             "-0x1.afc35cb4e5070p-3")),
     ])
     def test_bits_are_pinned(self, cell, L, xyz):
-        p = ig.final_point(make_counts(*cell), L)
+        counts = make_counts(*cell)
+        p = ig.final_point(counts, L)
         assert (p.x.hex(), p.y.hex(), p.z.hex()) == xyz
+        # a traced run takes stop L + 1 from the same expensive iteration
+        # (an empty class's column is then set to +0.0, as the engine does);
+        # at L = 0 that stop is the last one, which is final_point's
+        if not L:
+            return
+        stops = ig.run_schedule(counts, ig.Schedule(L))[1].stops
+        want = np.array(reduced.ClosedForm(counts).expensive(*stops[L].tolist()))
+        want[[counts.k00 == 0, counts.k10 == 0, False]] = 0.0
+        assert want.tobytes() == stops[L + 1].tobytes()
 
     def test_large_L_cell(self):
         # n = 1e9, |X| = |Y| = 1 at the paper L (24,836): 74.5k stepped iterations
@@ -255,7 +262,7 @@ class TestClosedFormTrace:
         # theta solves sqrt(k00/n) sin t = sqrt(|X|/n) cos t; 60-digit Newton
         # steps on that from hi, with sin and cos as decimal Taylor series
         counts = make_counts(*cell)
-        hi, lo = reduced._theta(counts)
+        hi, lo = reduced._theta(counts, reduced.ClosedForm(counts).theta)
         with decimal.localcontext(decimal.Context(prec=60)):
             a = (decimal.Decimal(counts.k00) / counts.n).sqrt()
             b = (decimal.Decimal(counts.k10 + counts.k11) / counts.n).sqrt()

@@ -214,7 +214,8 @@ class TestRepetitions:
         assert out.verified
         assert out.measured_index == 2
         assert out.repetitions == 1
-        assert (out.stats.count_x, out.stats.count_y) == (6, 1)
+        q = sched.queries(out.repetitions)
+        assert (q.count_x, q.count_y) == (6, 1)
         assert out.p_success == pytest.approx(121 / 256, rel=1e-12)
 
     def test_deterministic_per_seed(self):
@@ -235,7 +236,8 @@ class TestRepetitions:
         assert out.measured_index == 3
         assert not inst.in_y(out.measured_index)
         # counters still charge the failed repetition
-        assert (out.stats.count_x, out.stats.count_y, out.stats.repetitions) == (6, 1, 1)
+        q = sched.queries(out.repetitions)
+        assert (q.count_x, q.count_y, q.repetitions) == (6, 1, 1)
 
     def test_repetitions_counted_in_stats(self):
         inst = ig.build_instance(REF)
@@ -243,7 +245,8 @@ class TestRepetitions:
         rng = np.random.default_rng(101)
         for _ in range(50):
             out = ig.run_with_repetitions(inst, sched, 50, seed=int(rng.integers(2**32)))
-            assert out.stats.repetitions == out.repetitions
+            record = ig.result_record(inst, sched, out, ig.CostModel())
+            assert record["counts"]["repetitions"] == out.repetitions
             assert inst.in_y(out.measured_index)
 
     def test_certain_success_always_takes_one_repetition(self):

@@ -31,10 +31,9 @@ AngleParams ClassCounts CostModel DEFAULT_FULL_CAP DimensionMismatch EmptyX Empt
 ExhaustedRepetitions IGroverError IndexOutOfRange InstanceTooLarge Members Modular
 NormDrift NotClassUniform NotSubset POLICY_PAPER_FORMULA POLICY_ROUNDED_HALF
 POLICY_SWEPT ProblemInstance QueryStats Range ReducedState RunOutcome Schedule
-SpecFormatError Trace apply_diffusion apply_oracle_x apply_oracle_y
-build_instance choose_L compute_theta crossover_t_y errors final_point fullstate
-init_uniform initial_point instance instance_to_json kth_in_class load_instance
-naive_iterations partition_classes project_to_reduced query_cost reduced
+SpecFormatError Trace build_instance choose_L compute_theta crossover_t_y errors
+final_point fullstate init_uniform initial_point instance instance_to_json kth_in_class
+load_instance naive_iterations partition_classes project_to_reduced query_cost reduced
 result_record run_schedule run_schedule_full run_with_repetitions sample_from_reduced
 sample_measurement scheduling success_probability sweep_L verify_outcome
 write_trace_csv __version__
@@ -207,6 +206,15 @@ def test_query_stats_built_only_by_the_schedule():
     assert sites == ["reduced.py"]
     assert "QueryStats(" in inspect.getsource(igrover.Schedule.queries)
     assert igrover.Schedule(4).queries(3) == igrover.QueryStats(12, 1, 3)
+
+
+def test_expensive_iteration_written_only_by_the_closed_form():
+    # ClosedForm.expensive holds the diffusion; final and traced runs call it
+    package = Path(igrover.__file__).parent
+    sites = [path.name for path in sorted(package.glob("*.py"))
+             for _ in range(path.read_text().count("2.0 * d * s."))]
+    assert sites == ["reduced.py"] * 3
+    assert inspect.getsource(igrover.reduced.ClosedForm.expensive).count("2.0 * d * s.") == 3
 
 
 def test_derived_values_are_not_parameters():
