@@ -402,12 +402,11 @@ def _tables() -> tuple:
 
 @cache
 def _segment_words() -> tuple:
-    """Per phase, the words of 'phase,' and ',op', plus ',diffusion', and
-    whether the phase's oracle negates y; none of them depends on L."""
-    segments = Schedule(0).segments()
-    return (np.concatenate([_words(f"{phase},", 1) for phase, *_ in segments]),
-            np.stack([_words(f",{op}", 3) for _, op, _ in segments]),
-            _words(",diffusion", 3), np.array([op == "oracle_x" for _, op, _ in segments]))
+    """Per phase, the word of 'phase,', the words of ',op' and whether the
+    phase's oracle negates y, plus the words of ',diffusion'; none of them
+    depends on L."""
+    return (tuple((_words(f"{phase},", 1)[0], _words(f",{op}", 3), op == "oracle_x")
+                  for phase, op, _ in Schedule(0).segments()), _words(",diffusion", 3))
 
 
 def _float_words(v: np.ndarray) -> np.ndarray:
@@ -452,7 +451,9 @@ def write_trace_csv(path, trace: Trace) -> None:
     (four characters each), one row per CSV line, each value NUL-padded to
     `_FIELD` words; dropping the NUL bytes leaves the text.  An oracle row
     is the stop before it with z (and, for the cheap oracle, y) negated, so
-    it takes the stop's words with those sign bytes toggled.
+    it takes the stop's words with those sign bytes toggled.  Rows are
+    labelled one phase at a time, since phase, op and the y toggle are
+    constant within a phase and a chunk meets at most three phases.
 
     A value with 1e-4 <= |v| < 1, nearly every value of a trace, prints as
     '0.', P - 17 zeros and D = round_half_even(|v| * 10**P) without trailing
@@ -465,11 +466,11 @@ def write_trace_csv(path, trace: Trace) -> None:
     through one batched '%' per chunk.
     """
     stops, iterations = trace.stops, 3 * trace.L + 1
-    segments = Schedule(trace.L).segments()
-    starts = np.cumsum([0] + [steps for *_, steps in segments[:-1]])  # first iterations
-    phases, labels, diffusion, flip_y = _segment_words()
+    quads = _tables()[0]
+    segments, diffusion = _segment_words()
+    # the first iteration of each phase, and the end
+    starts = np.cumsum([0] + [steps for *_, steps in Schedule(trace.L).segments()]).tolist()
     count = (len(str(2 * trace.L)) + 3) // 4  # words of the largest step number
-    scale = 10 ** (4 * np.arange(count - 1, -1, -1))
     z = 4 + count + 2 * _FIELD  # word 0 of a row's z field
     with open(path, "wb") as fh:
         fh.write(b"phase,step,op,x,y,z,p_success\n")
@@ -481,20 +482,28 @@ def write_trace_csv(path, trace: Trace) -> None:
             fields[:, -1] |= _NEWLINE  # the last byte of a field is always NUL
             if not lo:
                 fh.write(b"0,0,init" + fields[0].tobytes().translate(None, b"\0"))
-            i = np.arange(lo, hi)
-            seg = np.searchsorted(starts, i, side="right") - 1
-            k = (i - starts[seg])[:, None]
             rows = np.empty((hi - lo, 2, z + 2 * _FIELD), np.uint32)
-            rows[:, :, 0] = phases[seg, None]
-            # the step in groups of four digits: the group holding its first
-            # digit drops leading zeros, groups before it print nothing (the
-            # NUL word at 10000), and step 0 prints '0'
-            rows[:, :, 1:1 + count] = _tables()[0][k // scale % 10000 + 20000 * (
-                k < 10000 * scale) - 10000 * (k < scale) * (scale > 1)][:, None]
-            rows[:, 0, 1 + count:4 + count] = labels[seg]
             rows[:, 1, 1 + count:4 + count] = diffusion
             rows[:, 0, 4 + count:] = fields[:-1]
             rows[:, 1, 4 + count:] = fields[1:]
             rows[:, 0, z] ^= _SIGN
-            rows[flip_y[seg], 0, z - _FIELD] ^= _SIGN
+            for (phase, label, flip_y), start, end in zip(segments, starts, starts[1:]):
+                first, last = max(lo, start), min(hi, end)  # its iterations in the chunk
+                if first >= last:
+                    continue
+                k = np.arange(first - start, last - start)  # their steps
+                part = rows[first - lo:last - lo]
+                part[:, :, 0] = phase
+                # the step in groups of four digits: the group holding its
+                # first digit drops leading zeros, groups before it print
+                # nothing (the NUL word at 10000), and step 0 prints '0'
+                for j in range(count):
+                    g = k // 10 ** (4 * (count - 1 - j))  # the digits from this group on
+                    w = g % 10000 + 20000 * (g < 10000)
+                    if j < count - 1:
+                        w -= 10000 * (g == 0)
+                    part[:, :, 1 + j] = quads[w][:, None]
+                part[:, 0, 1 + count:4 + count] = label
+                if flip_y:
+                    part[:, 0, z - _FIELD] ^= _SIGN
             fh.write(rows.tobytes().translate(None, b"\0"))

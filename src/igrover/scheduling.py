@@ -227,7 +227,9 @@ def run_with_repetitions(inst: ProblemInstance, sched: Schedule, max_reps: int,
         draw = lambda: sample_from_reduced(final, inst, rng)
     else:
         targets = state[inst.y_spec.selector()]
-        p = float(targets @ targets)
+        # not targets @ targets: BLAS's threaded ddot takes ms to wake idle
+        # worker threads, and its bits depend on the thread count
+        p = float(np.einsum("i,i->", targets, targets))
         draw = measurement_sampler(state, rng)
 
     for rep in range(1, max_reps + 1):

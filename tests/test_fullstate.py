@@ -403,6 +403,21 @@ class TestSampling:
         assert state.tobytes() == before
 
 
+    def test_p_success_over_many_targets_is_the_einsum_sum(self, tmp_path):
+        # past 10^4 targets BLAS would sum on threads; the record's p is
+        # np.einsum's sum of the final state's squared target amplitudes
+        inst = ig.build_instance({"n": 1 << 16, "x": {"kind": "range", "lo": 0, "hi": 39999},
+                                  "y": {"kind": "range", "lo": 0, "hi": 19999}})
+        path, out = tmp_path / "inst.json", tmp_path / "out.json"
+        path.write_text(json.dumps(ig.instance_to_json(inst)))
+        assert cli.main(["run", "--instance", str(path), "--engine", "full",
+                         "--out", str(out)]) in (0, 3)
+        record = json.loads(out.read_text())
+        state, _, _ = ig.run_schedule_full(inst, ig.Schedule(record["L"]), record_trace=False)
+        targets = state[inst.y_spec.selector()]
+        assert targets.size > 10 ** 4
+        assert record["p_success_exact"].hex() == float(np.einsum("i,i->", targets, targets)).hex()
+
 def bits(p: tuple) -> bytes:
     return struct.pack("<3d", *p)
 

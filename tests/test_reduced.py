@@ -426,6 +426,8 @@ def write_rows_one_at_a_time(path, trace) -> None:
 class TestTraceCsv:
     @pytest.mark.parametrize("cell", [
         (64, 16, 4, 0),                           # L = 0: init plus 2 rows
+        (64, 16, 4, 1),                           # one chunk holds all three phases
+        (64, 16, 4, 2),
         (4096, 64, 64, 25),                       # k10 = 0: y is +-0.0
         (1024, 1024, 3, 7),                       # k00 = 0: X is everything
         (10 ** 9, 100, 1, reduced._CSV_CHUNK + 1),  # phases span chunks
@@ -480,6 +482,17 @@ class TestTraceCsv:
         n, kx, ky, L = cell
         _, trace, _ = ig.run_schedule(make_counts(n, kx, ky), ig.Schedule(L))
         self.assert_matches_reference(tmp_path, trace)
+
+    @pytest.mark.parametrize("chunk", [reduced._CSV_CHUNK, 3])
+    def test_step_gains_a_digit_group_inside_a_chunk(self, tmp_path, monkeypatch, chunk):
+        # phase-3 steps 9,999 and 10,000 are iterations L + 10,000 and L + 10,001
+        L = 5003
+        assert (L + 10001) % chunk  # so both are in one chunk
+        monkeypatch.setattr(reduced, "_CSV_CHUNK", chunk)
+        _, trace, _ = ig.run_schedule(make_counts(10 ** 9, 100, 1), ig.Schedule(L))
+        self.assert_matches_reference(tmp_path, trace)
+        text = (tmp_path / "fast.csv").read_bytes()
+        assert b"\n3,9999,diffusion," in text and b"\n3,10000,oracle_x," in text
 
     def test_full_engine_y_equals_x_over_many_chunks(self, tmp_path):
         # the full engine projects the empty k10 class to +0.0 at every stop,

@@ -217,6 +217,22 @@ def test_expensive_iteration_written_only_by_the_closed_form():
     assert inspect.getsource(igrover.reduced.ClosedForm.expensive).count("2.0 * d * s.") == 3
 
 
+def test_no_blas_products_in_the_package():
+    # numpy's BLAS runs a dot product over 10^4 elements on worker threads
+    # that take ms to wake, and its bits depend on the thread count
+    package = Path(igrover.__file__).parent
+    sites = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                sites.append((path.name, node.lineno, "@"))
+            name = getattr(node, "attr", None) or getattr(node, "name", None)
+            if isinstance(node, (ast.Attribute, ast.alias)) and name in {
+                    "dot", "vdot", "inner", "linalg"}:
+                sites.append((path.name, node.lineno, name))
+    assert sites == []
+
+
 def test_derived_values_are_not_parameters():
     removed = {"kth_in_class": {"counts"}, "sample_from_reduced": {"counts"},
                "choose_L": {"window"}, "run_schedule_full": {"cap"},
