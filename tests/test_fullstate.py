@@ -402,7 +402,6 @@ class TestSampling:
         ig.sample_measurement(state, 3)
         assert state.tobytes() == before
 
-
     def test_p_success_over_many_targets_is_the_einsum_sum(self, tmp_path):
         # past 10^4 targets BLAS would sum on threads; the record's p is
         # np.einsum's sum of the final state's squared target amplitudes
@@ -417,6 +416,7 @@ class TestSampling:
         targets = state[inst.y_spec.selector()]
         assert targets.size > 10 ** 4
         assert record["p_success_exact"].hex() == float(np.einsum("i,i->", targets, targets)).hex()
+
 
 def bits(p: tuple) -> bytes:
     return struct.pack("<3d", *p)
