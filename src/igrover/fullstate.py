@@ -13,6 +13,11 @@ k00 + k10 on, so an oracle negates one contiguous slice, with no gather
 or scatter.  Every operation is elementwise with one shared scalar, so a
 class's amplitudes stay bitwise equal and a stop reads one per class.  At
 the end of the run the same buffer is refilled in index order.
+
+No oracle negates k00 and no mean re-reads it, so the diffusion shifts
+depend on the X tail alone.  The loop steps X and records each shift; k00
+then takes them one cache-sized block at a time, each amplitude getting
+the same IEEE operations in the same order as a whole-vector pass would.
 """
 
 from __future__ import annotations
@@ -28,6 +33,11 @@ from .reduced import QueryStats, ReducedState, Schedule, Trace, check_cap, check
 DEFAULT_FULL_CAP = 1 << 20
 _UNIFORM_TOL = 1e-9
 _CLASSES = ("k00", "k10", "k11")
+# k00 takes the pending diffusion shifts 2^16 amplitudes (512 KB) at a time,
+# so a block stays in a core's L2 through all of them; they are flushed to
+# k00 every _FLUSH iterations, which bounds their memory whatever L is
+_BLOCK = 1 << 16
+_FLUSH = 4096
 
 
 def init_uniform(n: int) -> np.ndarray:
@@ -57,6 +67,19 @@ def _project(st: np.ndarray, bounds: tuple[int, ...], tol: float | None = None
     return coords
 
 
+def _shift_k00(k00: np.ndarray, shifts: np.ndarray, xs: np.ndarray | None) -> None:
+    """Map every k00 amplitude a to shift - a for each shift in turn, one
+    block of _BLOCK amplitudes at a time.  Given xs, xs[i] gets k00's stop
+    coordinate after shift i, read from block 0 as `_project` reads it."""
+    root = math.sqrt(k00.size)
+    for lo in range(0, k00.size, _BLOCK):
+        block = k00[lo:lo + _BLOCK]
+        for i, shift in enumerate(shifts):
+            np.subtract(shift, block, out=block)
+            if xs is not None and lo == 0:
+                xs[i] = root * float(block[0])
+
+
 def project_to_reduced(state: np.ndarray, inst: ProblemInstance,
                        tol: float = _UNIFORM_TOL) -> ReducedState:
     """Collapse a class-uniform full state to its three coordinates.
@@ -84,16 +107,17 @@ def run_schedule_full(inst: ProblemInstance, sched: Schedule, record_trace: bool
                       ) -> tuple[np.ndarray, Trace, QueryStats]:
     """Execute the full schedule on n amplitudes; trace stops are projected.
 
-    The state is evolved in place in the class-contiguous layout, one pass
-    over it per iteration, traced or not (a stop reads one amplitude per
-    class and never feeds back), and returned in index order in the same
-    buffer.  Its `Trace.allocate` stops are the reduced engine's, so the two
-    runs can be compared pointwise; untraced, the trace has none.  The
-    counters are `sched.queries()`.  The run ends by checking the norm
-    (NormDrift) and that every class is still uniform (NotClassUniform).
-    Raises InstanceTooLarge, before allocating anything, when n exceeds the
-    full cap (2**20, or IGROVER_FULL_CAP) or a traced L the trace cap
-    (`Trace.allocate`).
+    The state is evolved in place in the class-contiguous layout, traced or
+    not (a stop reads one amplitude per class and never feeds back), and
+    returned in index order in the same buffer.  An iteration steps the X
+    tail and records its diffusion shift; k00 takes the shifts a block at a
+    time every _FLUSH iterations and at the end.  Its `Trace.allocate` stops
+    are the reduced engine's, so the two runs can be compared pointwise;
+    untraced, the trace has none.  The counters are `sched.queries()`.  The
+    run ends by checking the norm (NormDrift) and that every class is still
+    uniform (NotClassUniform).  Raises InstanceTooLarge, before allocating
+    anything, when n exceeds the full cap (2**20, or IGROVER_FULL_CAP) or a
+    traced L the trace cap (`Trace.allocate`).
     """
     check_cap("IGROVER_FULL_CAP", DEFAULT_FULL_CAP, inst.n, f"n={inst.n} exceeds full-state cap")
     trace = Trace.allocate(sched.L) if record_trace else Trace(sched.L, np.empty((0, 3)))
@@ -109,6 +133,14 @@ def run_schedule_full(inst: ProblemInstance, sched: Schedule, record_trace: bool
     stops, stop = trace.stops, 0
     if record_trace:
         stops[stop] = _project(st, bounds)
+    k00, x = st[:bounds[1]], st[bounds[1]:]
+    shifts, pending = np.empty(_FLUSH), 0
+
+    def flush():
+        # the last `pending` stops get their k00 coordinate as block 0 shifts
+        xs = stops[stop + 1 - pending:stop + 1, 0] if record_trace else None
+        _shift_k00(k00, shifts[:pending], xs)
+
     for _, op, steps in sched.segments():
         tail, flipped = flips[op]
         for _ in range(steps):
@@ -116,11 +148,17 @@ def run_schedule_full(inst: ProblemInstance, sched: Schedule, record_trace: bool
             for c in flipped:
                 sums[c] = float(st[bounds[c]:bounds[c + 1]].sum())
             mean = (sums[0] + sums[1] + sums[2]) / inst.n
-            np.subtract(2.0 * mean, st, out=st)
+            np.subtract(2.0 * mean, x, out=x)
             sums = [2.0 * mean * size - s for size, s in zip(sizes, sums)]
+            shifts[pending] = 2.0 * mean
+            pending += 1
             if record_trace:
                 stop += 1
-                stops[stop] = _project(st, bounds)
+                stops[stop] = _project(st, bounds)  # k00's coordinate is stale until flush
+            if pending == _FLUSH:
+                flush()
+                pending = 0
+    flush()
     # not st @ st: BLAS's threaded ddot takes ms to wake idle worker threads
     check_norm(float(np.einsum("i,i->", st, st)), "full")
     _project(st, bounds, _UNIFORM_TOL)  # raises NotClassUniform

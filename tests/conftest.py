@@ -45,6 +45,40 @@ def diffusion_full(state: np.ndarray) -> np.ndarray:
     return 2.0 * state.mean() - state
 
 
+def whole_vector_run(inst: ig.ProblemInstance, L: int, record_trace: bool
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Reference full-engine loop: the class-contiguous state and its stops
+    (none untraced), with one whole-vector diffusion per iteration.
+
+    Class sums are carried as the engine carries them, so this does the
+    same IEEE operations on every amplitude in iteration order; it differs
+    only in the order it visits them.  The state is left in layout order.
+    """
+    bounds = (0, inst.n - inst.x_size, inst.n - inst.y_size, inst.n)
+    sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    st = np.full(inst.n, 1.0 / math.sqrt(inst.n))
+    sums = [float(st[lo:hi].sum()) for lo, hi in zip(bounds, bounds[1:])]
+
+    def stop():
+        return [math.sqrt(size) * float(st[lo]) if size else 0.0
+                for lo, size in zip(bounds, sizes)]
+
+    stops = [stop()] if record_trace else []
+    for _, op, steps in ig.Schedule(L).segments():
+        first = 1 if op == "oracle_x" else 2
+        for _ in range(steps):
+            np.negative(st[bounds[first]:], out=st[bounds[first]:])
+            for c in range(first, 3):
+                if sizes[c]:
+                    sums[c] = float(st[bounds[c]:bounds[c + 1]].sum())
+            mean = (sums[0] + sums[1] + sums[2]) / inst.n
+            np.subtract(2.0 * mean, st, out=st)
+            sums = [2.0 * mean * size - s for size, s in zip(sizes, sums)]
+            if record_trace:
+                stops.append(stop())
+    return st, np.array(stops, dtype=float).reshape(-1, 3)
+
+
 def oracle_x(p: tuple) -> tuple:
     """Reference cheap oracle on a reduced (x, y, z): flips everything inside
     X, so x passes untouched."""

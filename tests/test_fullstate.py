@@ -15,7 +15,7 @@ import pytest
 import igrover as ig
 from igrover import cli, fullstate, reduced
 from conftest import (class_of, diffusion_full, exact_stops, oracle_full, oracle_x, oracle_y,
-                      random_instance, trace_labels, trace_rows)
+                      random_instance, trace_labels, trace_rows, whole_vector_run)
 
 
 def small_inst():
@@ -243,14 +243,18 @@ class CountingArray(np.ndarray):
 
     A call counts its largest operand, so `np.subtract(m, st, out=st)` and
     `st.sum()` each count len(st), and a call on a slice counts the slice.
+    A call with an output also logs that output's address and size.
     """
 
     touched = 0
+    writes: list[tuple[int, int]] = []
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kw):
         out = kw.get("out") or ()
         CountingArray.touched += max(a.size for a in (*inputs, *out)
                                      if isinstance(a, np.ndarray))
+        if out:
+            CountingArray.writes.append((out[0].ctypes.data, out[0].size))
 
         def plain(a):
             return a.view(np.ndarray) if isinstance(a, CountingArray) else a
@@ -355,9 +359,10 @@ class TestOnePassEvolution:
     @pytest.mark.parametrize("record_trace", [False, True])
     def test_one_pass_per_iteration(self, monkeypatch, record_trace):
         # amplitudes touched by 3 extra cheap iterations (L 1 -> 2), set-up
-        # and final checks cancelling: one pass over n per iteration, traced
-        # or not (a stop reads one amplitude per class), plus the negated X
-        # tail, read again for its class sums
+        # and final checks cancelling: each iteration shifts all n, the X
+        # tail at once and k00 later with its block, traced or not (a stop
+        # reads one amplitude per class), plus the negated X tail, read
+        # again for its class sums
         monkeypatch.setattr(fullstate, "np", CountingNumpy())
         n = 4096
         inst = ig.build_instance({"n": n, "x": mod(64, 5), "y": mod(1024, 5)})
@@ -368,6 +373,86 @@ class TestOnePassEvolution:
             touched.append(CountingArray.touched)
         per_iteration = (touched[1] - touched[0]) / 3
         assert per_iteration == n + 2 * inst.x_size
+
+
+def layout_order(state, inst):
+    """An index-order state's amplitudes in the class-contiguous layout."""
+    labels = np.zeros(inst.n, dtype=np.int8)
+    labels[inst.x_spec.selector()] = 1
+    labels[inst.y_spec.selector()] = 2
+    return np.concatenate([state[labels == c] for c in range(3)])
+
+
+def assert_matches_whole_vector_run(inst, L):
+    for record_trace in (True, False):
+        state, trace, _ = ig.run_schedule_full(inst, ig.Schedule(L), record_trace=record_trace)
+        want_state, want_stops = whole_vector_run(inst, L, record_trace)
+        assert layout_order(state, inst).tobytes() == want_state.tobytes()
+        assert trace.stops.tobytes() == want_stops.tobytes()
+
+
+class TestK00Blocks:
+    """k00 takes the X pass's recorded shifts one block at a time, bit for bit."""
+
+    @pytest.mark.parametrize("block", [1, 7, 64, None])
+    @pytest.mark.parametrize("case", sorted(SPEC_PAIRS))
+    def test_bitwise_equal_to_the_whole_vector_loop(self, monkeypatch, case, block):
+        # every spec kind, k00 empty (X the universe) and k10 empty (Y = X);
+        # with blocks of 1, 7 and 64 k00 ends in a partial block
+        if block is not None:
+            monkeypatch.setattr(fullstate, "_BLOCK", block)
+        n, x, y = SPEC_PAIRS[case]
+        inst = ig.build_instance({"n": n, "x": x, "y": y})
+        for L in (0, 1, ig.choose_L(ig.partition_classes(inst)).L):
+            assert_matches_whole_vector_run(inst, L)
+
+    def test_bitwise_equal_past_one_default_block(self):
+        inst = ig.build_instance({"n": 3 * 2 ** 16 + 5, "x": mod(64, 5),
+                                  "y": members(5, 65541)})
+        assert 2 * fullstate._BLOCK < inst.n - inst.x_size < 3 * fullstate._BLOCK
+        assert_matches_whole_vector_run(inst, ig.choose_L(ig.partition_classes(inst)).L)
+
+    @pytest.mark.parametrize("flush", [None, 4])
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_each_block_takes_its_shifts_in_turn(self, monkeypatch, record_trace, flush):
+        # k00 holds 3,937 amplitudes: 61 blocks of 64, then one of 33; each
+        # takes every pending shift in consecutive calls before the next
+        # block starts, and the 7 shifts of L = 2 come in flushes of `flush`
+        monkeypatch.setattr(fullstate, "np", CountingNumpy())
+        monkeypatch.setattr(fullstate, "_BLOCK", 64)
+        if flush is not None:
+            monkeypatch.setattr(fullstate, "_FLUSH", flush)
+        inst = ig.build_instance({"n": 4000, "x": mod(64, 5), "y": mod(1024, 5)})
+        k00, iterations = inst.n - inst.x_size, 7
+        CountingArray.writes = []
+        state, _, _ = ig.run_schedule_full(inst, ig.Schedule(2), record_trace=record_trace)
+        base = state.ctypes.data
+        got = [((address - base) // 8, size) for address, size in CountingArray.writes
+               if 0 <= address - base < 8 * k00]
+        window = flush or iterations
+        want = [(lo, min(64, k00 - lo))
+                for first in range(0, iterations, window)
+                for lo in range(0, k00, 64)
+                for _ in range(min(window, iterations - first))]
+        assert k00 == 3937 and got == want
+
+    def test_memory_stays_flat_past_the_flush_interval(self):
+        # 15,001 iterations, more than _FLUSH: the pending shifts are flushed
+        # to k00, so a run holds at most _FLUSH of them whatever L is
+        inst = ig.build_instance({"n": 64, "x": span(0, 7), "y": members(3)})
+        assert 3 * 5000 + 1 > fullstate._FLUSH
+        state, _, _ = ig.run_schedule_full(inst, ig.Schedule(5000), record_trace=False)
+        want_state, _ = whole_vector_run(inst, 5000, False)
+        assert layout_order(state, inst).tobytes() == want_state.tobytes()
+        peaks = {}
+        for L in (500, 5000):
+            tracemalloc.start()
+            try:
+                ig.run_schedule_full(inst, ig.Schedule(L), record_trace=False)
+                peaks[L] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[5000] <= peaks[500] + 64 * 1024
 
 
 class TestSampling:

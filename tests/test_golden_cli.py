@@ -1,4 +1,4 @@
-"""Golden CLI corpus: every output byte of about sixty `igrover` command lines.
+"""Golden CLI corpus: every output byte of about seventy `igrover` command lines.
 
 Each case is an argv, an instance file and environment variables.  It runs
 in-process through `cli.main`, and the exit code plus the sha256 of stdout,
@@ -76,6 +76,11 @@ INSTANCES = {
     "too-big": inst(2 ** 1030, mod(2 ** 1000, 0), members(0)),
     "not-subset": inst(8, span(0, 1), members(5)),
     "full-cap": inst(65, span(0, 3), members(2)),
+    # n = 3 * 2^16 + 5: the full engine's k00 spans several blocks, the last partial
+    "blocks-mod": inst(3 * 2 ** 16 + 5, mod(64, 5), members(5, 65541)),
+    "blocks-list": inst(3 * 2 ** 16 + 5,
+                        members(0, 9, 4000, 65535, 65536, 70001, 131072, 150000, 196612),
+                        members(65536, 196612)),
 }
 
 PAIRS = ["list-list", "list-range", "list-mod", "range-list", "range-range", "range-mod",
@@ -89,6 +94,10 @@ CASES = [
     *((f"run-{engine}-untraced-{pair}", pair,
        ["run", "--instance", "{inst}", "--engine", engine, "--seed", "2"], {})
       for pair, engine in zip(PAIRS[::3], ("reduced", "full", "both"))),
+    *((f"run-{engine}-{name}", name,
+       ["run", "--instance", "{inst}", "--engine", engine, "--seed", "3", *trace], {})
+      for name in ("blocks-mod", "blocks-list")
+      for engine, trace in (("full", []), ("both", ["--trace", "{tmp}/t.csv"]))),
     ("run-reduced", "ref", ["run", "--instance", "{inst}"], {}),
     ("run-reduced-trace-out", "ref",
      ["run", "--instance", "{inst}", "--seed", "42", "--out", "{tmp}/r.json",
