@@ -1,9 +1,9 @@
 """Shared helpers: quick instance constructors, a random-instance generator,
 the one-expensive-query success ceiling, phase-1 trace geometry, every row
 of a trace and its labels, the row-at-a-time full-state operators, the
-reduced operators on (x, y, z) tuples, scalar and 40-digit reduced stepping,
-membership classes and class ranks by bisection that the engines and the
-sampler are checked against."""
+whole-vector full-engine loop, the reduced operators on (x, y, z) tuples,
+scalar and 40-digit reduced stepping, membership classes and class ranks
+by bisection that the engines and the sampler are checked against."""
 
 from __future__ import annotations
 
@@ -50,9 +50,10 @@ def whole_vector_run(inst: ig.ProblemInstance, L: int, record_trace: bool
     """Reference full-engine loop: the class-contiguous state and its stops
     (none untraced), with one whole-vector diffusion per iteration.
 
-    Class sums are carried as the engine carries them, so this does the
-    same IEEE operations on every amplitude in iteration order; it differs
-    only in the order it visits them.  The state is left in layout order.
+    Class sums are carried as the engine carries them, so every amplitude
+    takes the same IEEE operations in the same order as in the engine,
+    which differs only in visiting k00 one block at a time after X.  The
+    state is left in layout order.
     """
     bounds = (0, inst.n - inst.x_size, inst.n - inst.y_size, inst.n)
     sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]

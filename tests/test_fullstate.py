@@ -434,7 +434,8 @@ class TestK00Blocks:
                 for first in range(0, iterations, window)
                 for lo in range(0, k00, 64)
                 for _ in range(min(window, iterations - first))]
-        assert k00 == 3937 and got == want
+        assert k00 == 3937
+        assert got == want
 
     def test_memory_stays_flat_past_the_flush_interval(self):
         # 15,001 iterations, more than _FLUSH: the pending shifts are flushed
