@@ -221,7 +221,9 @@ def _add_common(p: argparse.ArgumentParser, sweep: bool = False) -> None:
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
-@cache  # parse_args keeps no state on the parser, so main() reuses one
+# parsing keeps no state on a parser, so every main() call shares this one and
+# its `commands` map (each command's name to its parser)
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="igrover",
                      description="Two-oracle search simulator for nested-set instances")
@@ -251,11 +253,29 @@ def build_parser() -> argparse.ArgumentParser:
                              help="query cost versus the expensive-oracle-only baseline")
     _add_common(compare)
     compare.set_defaults(func=cmd_compare)
+    parser.commands = sub.choices
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), minus the top-level pass when it can.
+
+    A command's flags go straight to its own parser, in the call argparse's
+    subparsers action makes.  No command, or arguments left over, and the
+    whole argv takes the top-level parse, which prints every usage error
+    and help text.
+    """
+    parser = build_parser()
+    if argv and argv[0] in parser.commands:
+        args, extra = parser.commands[argv[0]].parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (IGroverError, OSError, ValueError) as exc:

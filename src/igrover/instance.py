@@ -318,7 +318,11 @@ def build_instance(obj) -> ProblemInstance:
 
 def load_instance(path) -> ProblemInstance:
     with open(path, "r", encoding="utf-8") as fh:
-        return build_instance(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise SpecFormatError("instance JSON nests too deeply to load") from None
+    return build_instance(obj)
 
 
 def instance_to_json(inst: ProblemInstance) -> dict:

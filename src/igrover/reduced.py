@@ -300,12 +300,15 @@ def _theta(counts: ClassCounts, hi: float) -> tuple[float, float]:
 
 
 def _cos_sin(m: np.ndarray, theta: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of m theta, for integers m below 2**53, to rounding.
+    """cos and sin of m theta, to rounding for integers m through about 2**34.
 
     m hi = p + e exactly, so the phase is p + t with t = e + m lo, and
-    |t| < 2**-50 p: `math`'s cos p and sin p give both to second order in
-    t.  No numpy transcendental runs, so the bits depend on libm alone, as
-    `final_point`'s do.
+    `math`'s cos p and sin p give both to second order in t.  |t| grows
+    like m theta 2**-53, and the third-order term left out as its cube:
+    on (1000, 999, 10), cos m theta is right to rounding through
+    m = 2**34 + 1 but 2.3e-15 off at 2**38 + 1.  The trace cap keeps traced
+    m below about 2**26.  No numpy transcendental runs, so the bits depend
+    on libm alone, as `final_point`'s do.
     """
     p, e = _two_product(m, theta[0])
     t = e + m * theta[1]
@@ -327,7 +330,9 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
     `ClosedForm.expensive` of stop L, and phase 3 turns the (e, u) part of
     that by 2j theta and keeps its w part.  Every phase is formed from
     theta as a double-double (`_theta`), so each stop is within about
-    1e-16 of the exact one for any 4L below 2**53, far past the trace cap.
+    1e-16 of the exact one while 4L + 1 stays within about 2**34
+    (`_cos_sin`); the trace cap keeps it below about 2**26, so no trace
+    byte is affected.
     The last stop is the final state, and an empty class's column is +0.0
     throughout, as the full engine projects it.  The stops are
     `Trace.allocate`'s, so past the trace cap it raises InstanceTooLarge

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import igrover as ig
 from igrover import cli
+from parse_corpus import CORPUS, differences
 
 REF = {"n": 16, "x": {"kind": "range", "lo": 0, "hi": 3},
        "y": {"kind": "list", "members": [2]}}
@@ -518,3 +519,39 @@ class TestEmit:
         assert emitted(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
         with pytest.raises(TypeError):
             emitted({"a": object()})
+
+
+# command lines drawn from: each command, an abbreviated or unknown one, `-h` or `--`
+# first; then flags with values each command takes, or any flag next to any value
+# (an abbreviation, an `=` form, a value that looks like a number, a flag or nothing)
+COMMANDS = ["run", "sweep", "compare", "ru", "bogus", "-h", "--"]
+FLAG_VALUES = {"--instance": ["i.json"], "--policy": ["paper", "sweep"], "--L": ["3", "-5"],
+               "--tx": ["0.5", "-1", "nan"], "--ty": ["10"], "--out": ["o.json"],
+               "--engine": ["full", "both"], "--seed": ["1"], "--reps": ["2"],
+               "--trace": ["t.csv"], "--tol": ["1e-9"], "--window": ["1"],
+               "--grid-n": ["16,1024"], "--grid-x": ["1,4"], "--grid-y": ["1"]}
+FLAGS = [*FLAG_VALUES, "--inst", "--t", "--grid", "-h", "--help", "-x"]
+VALUES = ["i.json", "1", "-1", "inf", "quantum", "-", ""]
+flag_items = st.one_of(
+    st.sampled_from([(flag, v) for flag, values in FLAG_VALUES.items() for v in values]),
+    st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)),
+    st.builds(lambda f, v: (f"{f}={v}",), st.sampled_from(FLAGS), st.sampled_from(VALUES)),
+    st.tuples(st.sampled_from(FLAGS + VALUES + ["--"])))
+command_lines = st.builds(
+    lambda head, items: head + [tok for item in items for tok in item],
+    st.one_of(st.sampled_from([["run", "--instance", "i.json"], ["sweep"], ["compare"],
+                               ["compare", "--instance", "i.json"]]),
+              st.lists(st.sampled_from(COMMANDS), max_size=1)),
+    st.lists(flag_items, max_size=5))
+
+
+class TestParse:
+    """cli.main parses as build_parser().parse_args does (see parse_corpus.py)."""
+
+    def test_the_corpus_parses_alike(self):
+        assert differences(CORPUS) == []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(command_lines)
+    def test_any_command_line_parses_alike(self, argv):
+        assert differences([argv]) == []

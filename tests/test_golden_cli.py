@@ -81,6 +81,9 @@ INSTANCES = {
     "blocks-list": inst(3 * 2 ** 16 + 5,
                         members(0, 9, 4000, 65535, 65536, 70001, 131072, 150000, 196612),
                         members(65536, 196612)),
+    # 2,024 bytes nested 1,000 deep: json's decoder runs out of recursion (Python 3.11 and
+    # older); json.dumps would too, so the file's text is given as it is
+    "deep-nesting": '{"n": 10, "x": ' + "[" * 1000 + "]" * 1000 + ', "y": 1}',
 }
 
 PAIRS = ["list-list", "list-range", "list-mod", "range-list", "range-range", "range-mod",
@@ -180,6 +183,7 @@ CASES = [
     ("compare-L-too-big", "ref", ["compare", "--instance", "{inst}", "--L", str(2 ** 1022)],
      {}),
     ("compare-cost-model-error", "ref", ["compare", "--instance", "{inst}", "--ty", "nan"], {}),
+    ("compare-deep-nesting", "deep-nesting", ["compare", "--instance", "{inst}"], {}),
     # finite prices whose costs still fit a float, then ones whose costs overflow:
     # exit 1 with one error line and no --out or --trace file
     ("compare-huge-finite", "ref", ["compare", "--instance", "{inst}", "--tx", "1e300",
@@ -210,7 +214,8 @@ def run_case(tmp: Path, name: str | None, argv: list[str], env: dict,
     as a new `python -m igrover.cli` process (same -O level) if fresh."""
     path = tmp / "inst.json"
     if name is not None:
-        path.write_text(json.dumps(INSTANCES[name]))
+        spec = INSTANCES[name]
+        path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
     argv = [a.format(inst=path, tmp=tmp) for a in argv]
     if fresh:
         child_env = {**os.environ, **env,

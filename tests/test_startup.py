@@ -1,5 +1,6 @@
 """Start-up and shape: `sweep` and `compare` never import numpy; `run` loads it
-on demand; one parser serves every `cli.main` call of a process; the package's
+on demand; one parser serves every `cli.main` call of a process, and a command
+line that names a command skips its top-level parse; the package's
 modules import one another in one layer order, and only a pinned set of the
 stdlib at module level; each derived value has one owner, and each memory
 cap is checked by what it bounds; the README's quick tour runs.
@@ -16,6 +17,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import igrover
 from igrover import cli
@@ -132,6 +135,31 @@ def test_one_parser_serves_every_call_of_a_process(tmp_path):
             for mode in ("shared", "alone")}
     assert len(outs["shared"]) == 5 and outs["shared"] == outs["alone"]
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_command_line_with_a_command_skips_the_top_level_parse(tmp_path, monkeypatch):
+    # a command's flags go straight to its own parser; the top-level parser sees only
+    # a command line with no command, or with arguments left over
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(INSTANCE))
+    inst, out = ["--instance", str(path)], ["--out", str(tmp_path / "out")]
+    top, seen = cli.build_parser(), []
+    parse_known_args = cli._Parser.parse_known_args
+
+    def spy(self, args=None, namespace=None):
+        if self is top:
+            seen.append(list(args))
+        return parse_known_args(self, args, namespace)
+
+    monkeypatch.setattr(cli._Parser, "parse_known_args", spy)
+    for argv in (["run", *inst, "--seed", "1", *out], ["sweep", *inst, "--window", "1", *out],
+                 ["compare", *inst, "--tx", "2", *out]):
+        assert cli.main(argv) in (0, 3)
+    assert seen == []
+    for argv in ([], ["-h"], ["compare", *inst, "extra"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+    assert seen == [[], ["-h"], ["compare", *inst, "extra"]]
 
 
 def test_every_exported_name_resolves_without_numpy():
