@@ -221,9 +221,7 @@ def _add_common(p: argparse.ArgumentParser, sweep: bool = False) -> None:
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
-# parsing keeps no state on a parser, so every main() call shares this one and
-# its `commands` map (each command's name to its parser)
-@cache
+@cache  # parsing keeps no state on a parser, so every main() call shares these
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="igrover",
                      description="Two-oracle search simulator for nested-set instances")
@@ -253,17 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
                              help="query cost versus the expensive-oracle-only baseline")
     _add_common(compare)
     compare.set_defaults(func=cmd_compare)
-    parser.commands = sub.choices
+    parser.commands = sub.choices  # each command's name to its parser
     return parser
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), minus the top-level pass when it can.
+    """build_parser().parse_args(argv), skipping its top-level pass where it can.
 
     A command's flags go straight to its own parser, in the call argparse's
-    subparsers action makes.  No command, or arguments left over, and the
-    whole argv takes the top-level parse, which prints every usage error
-    and help text.
+    subparsers action makes.  An argv with no command, or with arguments left
+    over, takes the top-level parse, which prints every usage error and help.
     """
     parser = build_parser()
     if argv and argv[0] in parser.commands:
