@@ -84,6 +84,12 @@ INSTANCES = {
     # 2,024 bytes nested 1,000 deep: json's decoder runs out of recursion (Python 3.11 and
     # older); json.dumps would too, so the file's text is given as it is
     "deep-nesting": '{"n": 10, "x": ' + "[" * 1000 + "]" * 1000 + ', "y": 1}',
+    # |X| = n and |Y| = n - 1: the baseline needs no iteration, so it costs nothing
+    "dense": inst(4, span(0, 3), members(0, 1, 2)),
+    # values an error line echoes, each far longer than a line: a list of 10^5 ints
+    # (689 KB) as n, and a 100 KB string as a list member
+    "n-long-list": inst(list(range(10 ** 5)), span(0, 3), members(2)),
+    "member-long-string": inst(16, members(0, "a" * 10 ** 5), members(0)),
 }
 
 PAIRS = ["list-list", "list-range", "list-mod", "range-list", "range-range", "range-mod",
@@ -129,6 +135,9 @@ CASES = [
     ("run-exit-3", "ref", ["run", "--instance", "{inst}", "--seed", "1", "--reps", "1"], {}),
     ("run-exit-2", "ref",
      ["run", "--instance", "{inst}", "--engine", "both", "--tol", "-1"], {}),
+    # the engines' first gap above 0 is past row 0: phase 1 step 1 op diffusion
+    ("run-exit-2-tol-0", "ref",
+     ["run", "--instance", "{inst}", "--engine", "both", "--tol", "0"], {}),
     ("run-trace-cap", "ref",
      ["run", "--instance", "{inst}", "--L", "7", "--trace", "{tmp}/t.csv"],
      {"IGROVER_TRACE_CAP": "20"}),
@@ -171,6 +180,11 @@ CASES = [
     ("sweep-partial-grid", None, ["sweep", "--grid-n", "16"], {}),
     ("sweep-empty-grid", None, ["sweep", "--grid-n", "16", "--grid-x", "32",
                                 "--grid-y", "64"], {}),
+    ("sweep-grid-not-int", None, ["sweep", "--grid-n", "5,x", "--grid-x", "2",
+                                  "--grid-y", "1"], {}),
+    ("sweep-grid-empty-list", None, ["sweep", "--grid-n", ",", "--grid-x", "2",
+                                     "--grid-y", "1"], {}),
+    ("sweep-no-input", None, ["sweep"], {}),
     ("compare", "ref", ["compare", "--instance", "{inst}"], {}),
     ("compare-tx-ty", "ref",
      ["compare", "--instance", "{inst}", "--tx", "0.5", "--ty", "10", "--policy", "sweep"], {}),
@@ -184,6 +198,11 @@ CASES = [
      {}),
     ("compare-cost-model-error", "ref", ["compare", "--instance", "{inst}", "--ty", "nan"], {}),
     ("compare-deep-nesting", "deep-nesting", ["compare", "--instance", "{inst}"], {}),
+    # naive_iterations 0: cost_ratio and crossover_t_y are both null
+    ("compare-dense", "dense", ["compare", "--instance", "{inst}"], {}),
+    ("compare-n-long-list", "n-long-list", ["compare", "--instance", "{inst}"], {}),
+    ("compare-member-long-string", "member-long-string", ["compare", "--instance", "{inst}"],
+     {}),
     # finite prices whose costs still fit a float, then ones whose costs overflow:
     # exit 1 with one error line and no --out or --trace file
     ("compare-huge-finite", "ref", ["compare", "--instance", "{inst}", "--tx", "1e300",
