@@ -39,7 +39,6 @@ from .reduced import (
     POLICY_ROUNDED_HALF,
     POLICY_SWEPT,
     QueryStats,
-    ReducedState,
     Schedule,
     Trace,
     final_point,
@@ -56,7 +55,6 @@ from .fullstate import (
     sample_measurement,
 )
 from .scheduling import (
-    AngleParams,
     CostModel,
     RunOutcome,
     choose_L,

@@ -28,7 +28,7 @@ from typing import Callable
 from ._numpy import np
 from .errors import DimensionMismatch, NotClassUniform
 from .instance import ProblemInstance
-from .reduced import QueryStats, ReducedState, Schedule, Trace, check_cap, check_norm
+from .reduced import QueryStats, Schedule, Trace, check_cap, check_norm
 
 DEFAULT_FULL_CAP = 1 << 20
 _UNIFORM_TOL = 1e-9
@@ -81,8 +81,8 @@ def _shift_k00(k00: np.ndarray, shifts: np.ndarray, xs: np.ndarray | None) -> No
 
 
 def project_to_reduced(state: np.ndarray, inst: ProblemInstance,
-                       tol: float = _UNIFORM_TOL) -> ReducedState:
-    """Collapse a class-uniform full state to its three coordinates.
+                       tol: float = _UNIFORM_TOL) -> tuple[float, float, float]:
+    """Collapse a class-uniform full state to its (x, y, z).
 
     Each coordinate is sqrt(class size) times the class's common amplitude.
     An empty class contributes exactly 0.0.  If amplitudes within a class
@@ -100,7 +100,7 @@ def project_to_reduced(state: np.ndarray, inst: ProblemInstance,
     labels[inst.y_spec.selector()] = 2
     st = np.concatenate([state[labels == c] for c in range(3)])
     bounds = (0, inst.n - inst.x_size, inst.n - inst.y_size, inst.n)
-    return ReducedState(*_project(st, bounds, tol))
+    return tuple(_project(st, bounds, tol))
 
 
 def run_schedule_full(inst: ProblemInstance, sched: Schedule, record_trace: bool = True

@@ -60,15 +60,6 @@ DEFAULT_TRACE_CAP = 1 << 25  # stops, 768 MiB
 
 
 @frozen
-class ReducedState:
-    """A point (x, y, z) on the unit sphere; one coordinate per index class."""
-
-    x: float
-    y: float
-    z: float
-
-
-@frozen
 class Schedule:
     """The single knob of a run: L cheap iterations, then 1, then 2L."""
 
@@ -170,19 +161,19 @@ class Trace:
         return (2 * int(bad[0]), float(gaps[bad[0]])) if bad.size else None
 
 
-def initial_point(counts: ClassCounts) -> ReducedState:
+def initial_point(counts: ClassCounts) -> tuple[float, float, float]:
     """The uniform superposition, which is also the diffusion axis s."""
     n = counts.n
-    return ReducedState(
+    return (
         math.sqrt(counts.k00 / n),
         math.sqrt(counts.k10 / n),
         math.sqrt(counts.k11 / n),
     )
 
 
-def success_probability(p: ReducedState) -> float:
-    """Probability that measuring now lands on a target index."""
-    return p.z * p.z
+def success_probability(p: tuple[float, float, float]) -> float:
+    """Probability that measuring (x, y, z) lands on a target index."""
+    return p[2] * p[2]
 
 
 def check_norm(squared_norm: float, engine: str) -> None:
@@ -231,9 +222,9 @@ class ClosedForm:
     def expensive(self, x: float, y: float, z: float) -> tuple[float, float, float]:
         """The expensive iteration: the oracle negates z, then diffusion
         reflects the state through s, p -> 2 (p . s) s - p."""
-        s, z = self.s, -z
-        d = x * s.x + y * s.y + z * s.z
-        return 2.0 * d * s.x - x, 2.0 * d * s.y - y, 2.0 * d * s.z - z
+        (sx, sy, sz), z = self.s, -z
+        d = x * sx + y * sy + z * sz
+        return 2.0 * d * sx - x, 2.0 * d * sy - y, 2.0 * d * sz - z
 
     def final(self, L: int) -> tuple[float, float, float]:
         """(x, y, z) after init, L cheap, 1 expensive and 2L cheap iterations;
@@ -251,8 +242,8 @@ class ClosedForm:
         return x, y, z
 
 
-def final_point(counts: ClassCounts, L: int) -> ReducedState:
-    """The state after init, L cheap, 1 expensive and 2L cheap iterations.
+def final_point(counts: ClassCounts, L: int) -> tuple[float, float, float]:
+    """(x, y, z) after init, L cheap, 1 expensive and 2L cheap iterations.
 
     O(1) closed form, `ClosedForm(counts).final(L)`: phase 1 and phase 3
     are rotations by 2*theta per iteration in the (e, u) plane, and phase 3
@@ -261,7 +252,7 @@ def final_point(counts: ClassCounts, L: int) -> ReducedState:
     1.6e-12 at L = 10^4).  Raises NormDrift if the result is off the unit
     sphere.
     """
-    return ReducedState(*ClosedForm(counts).final(L))
+    return ClosedForm(counts).final(L)
 
 
 def _split(v):
@@ -319,7 +310,7 @@ def _cos_sin(m: np.ndarray, theta: tuple[float, float]) -> tuple[np.ndarray, np.
 
 
 def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
-                 ) -> tuple[ReducedState, Trace, QueryStats]:
+                 ) -> tuple[tuple[float, float, float], Trace, QueryStats]:
     """Execute init, L cheap iterations, 1 expensive, 2L cheap.
 
     The final state is `final_point`'s, from a `ClosedForm` whose s, uy and
@@ -340,7 +331,7 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
     state off the unit sphere raises NormDrift.
     """
     form, L = ClosedForm(counts), sched.L
-    final = ReducedState(*form.final(L))
+    final = form.final(L)
     if not record_trace:
         return final, Trace(L, np.empty((0, 3))), sched.queries()
     trace = Trace.allocate(L)
@@ -366,8 +357,8 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
     arc(stops[:L + 1], c1, s1, 1.0, 0.0, 0.0)
     x, y, z = form.expensive(*stops[L].tolist())
     arc(stops[L + 1:], c3, s3, x, y * uy + z * uz, y * uz - z * uy)
-    stops[0], stops[L + 1] = (s.x, s.y, s.z), (x, y, z)
-    stops[-1] = final.x, final.y, final.z  # so the trace ends on the record's state
+    stops[0], stops[L + 1] = s, (x, y, z)
+    stops[-1] = final  # so the trace ends on the record's state
     for column, members in enumerate((counts.k00, counts.k10)):
         if not members:
             stops[:, column] = 0.0

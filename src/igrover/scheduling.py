@@ -7,11 +7,10 @@ iteration is an oracle application followed by the diffusion reflection, so
 a run costs exactly 3L cheap queries and one expensive query.
 
 During the cheap phases the state turns by 2 * asin(sqrt(|X| / n)) per
-iteration (as `final_point` computes).  L is chosen from the paper's
-approximations of half that turn,
+iteration (as `final_point` computes).  L is chosen from the paper's chord
+form of half that turn, which `compute_theta` returns,
 
-    theta_chord  = 2 * asin(0.5 * sqrt(|X| / n))   (the paper's chord form)
-    theta_approx = sqrt(|X| / n)                   (small-angle shortcut)
+    theta_chord = 2 * asin(0.5 * sqrt(|X| / n)),
 
 and the selection policies differ only in how they round pi/4 / theta_chord.
 """
@@ -34,27 +33,16 @@ from .instance import (
     verify_outcome,
 )
 from .fullstate import measurement_sampler
-from .reduced import (POLICIES, POLICY_PAPER_FORMULA, POLICY_ROUNDED_HALF, POLICY_SWEPT,
+from .reduced import (POLICY_PAPER_FORMULA, POLICY_ROUNDED_HALF, POLICY_SWEPT,
                       ClosedForm, QueryStats, Schedule, final_point, run_schedule,
                       success_probability)
 
 
-@frozen
-class AngleParams:
-    theta_chord: float
-    theta_approx: float
-
-
-def compute_theta(counts: ClassCounts) -> AngleParams:
-    """Rotation-angle parameters from the class sizes.
-
-    theta_approx = sqrt(|X|/n), and theta_chord = 2*asin(theta_approx/2)
-    subtends a chord of that length.  Both approximate asin(sqrt(|X|/n)),
-    half the exact turn per iteration (n = 100, |X| = 36: 0.6 and 0.6094
-    against 0.6435).
-    """
-    theta_approx = math.sqrt((counts.k11 + counts.k10) / counts.n)
-    return AngleParams(2.0 * math.asin(0.5 * theta_approx), theta_approx)
+def compute_theta(counts: ClassCounts) -> float:
+    """theta_chord = 2*asin(sqrt(|X|/n)/2), the angle that a chord of length
+    sqrt(|X|/n) subtends.  It approximates asin(sqrt(|X|/n)), half the exact
+    turn per iteration (n = 100, |X| = 36: 0.6094 against 0.6435)."""
+    return 2.0 * math.asin(0.5 * math.sqrt((counts.k11 + counts.k10) / counts.n))
 
 
 def _round_half_up(v: float) -> int:
@@ -73,7 +61,7 @@ def choose_L(counts: ClassCounts, policy: str = POLICY_PAPER_FORMULA) -> Schedul
     """
     if policy == POLICY_SWEPT:
         return sweep_L(counts)[0]
-    raw = (math.pi / 4.0) / compute_theta(counts).theta_chord
+    raw = (math.pi / 4.0) / compute_theta(counts)
     if policy == POLICY_ROUNDED_HALF:
         return Schedule(max(0, _round_half_up(raw - 0.5)), policy)
     return Schedule(_round_half_up(raw), policy)  # Schedule rejects unknown policies
@@ -172,10 +160,10 @@ def sample_from_reduced(point, inst: ProblemInstance, rng: np.random.Generator) 
     then a uniform member of that class by rank.  Matches sampling the full
     n-amplitude state exactly, because amplitudes are constant within a class.
     """
-    counts = inst.counts
-    live = [(cls, size, w) for cls, size, w in ((CLASS_K00, counts.k00, point.x * point.x),
-                                                (CLASS_K10, counts.k10, point.y * point.y),
-                                                (CLASS_K11, counts.k11, point.z * point.z))
+    (x, y, z), counts = point, inst.counts
+    live = [(cls, size, w) for cls, size, w in ((CLASS_K00, counts.k00, x * x),
+                                                (CLASS_K10, counts.k10, y * y),
+                                                (CLASS_K11, counts.k11, z * z))
             if size > 0]
     u = rng.random() * sum(w for _, _, w in live)
     acc = 0.0

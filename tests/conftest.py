@@ -20,6 +20,13 @@ def make_counts(n: int, kx: int, ky: int) -> ig.ClassCounts:
     return ig.ClassCounts(k11=ky, k10=kx - ky, k00=n - kx, n=n)
 
 
+def theta_approx(counts: ig.ClassCounts) -> float:
+    """sqrt(|X|/n), the small-angle value of theta: the chord length whose
+    angle `compute_theta` returns as theta_chord, and the sine of the exact
+    half turn per iteration."""
+    return math.sqrt((counts.k11 + counts.k10) / counts.n)
+
+
 def one_query_ceiling(kx: int, ky: int) -> float:
     """Best success probability any schedule reaches with one expensive query.
 
@@ -104,8 +111,7 @@ def diffusion(p: tuple, s: tuple) -> tuple:
 def stepped_stops(counts: ig.ClassCounts, L: int) -> np.ndarray:
     """Reference traced run: every stop of the schedule, stepped one
     (x, y, z) tuple at a time with `oracle_x` / `oracle_y` and `diffusion`."""
-    p = ig.initial_point(counts)
-    s = p = (p.x, p.y, p.z)
+    s = p = ig.initial_point(counts)
     stops = [p]
     for _, op, steps in ig.Schedule(L).segments():
         oracle = oracle_x if op == "oracle_x" else oracle_y

@@ -15,7 +15,8 @@ import numpy as np
 
 import igrover as ig
 from conftest import (make_counts, one_query_ceiling, phase1_coplanarity_residual,
-                      phase1_rotation_check, random_instance, stepped_stops, trace_labels)
+                      phase1_rotation_check, random_instance, stepped_stops, theta_approx,
+                      trace_labels)
 
 REF = {"n": 16, "x": {"kind": "range", "lo": 0, "hi": 3},
        "y": {"kind": "list", "members": [2]}}
@@ -133,7 +134,7 @@ def test_criterion_4_phase1_geometry():
                       ig.Trace(L, stepped_stops(counts, L))):
             angles = phase1_rotation_check(trace)
             resid = phase1_coplanarity_residual(trace)
-            theta = ig.compute_theta(counts).theta_chord
+            theta = ig.compute_theta(counts)
             spread = max(angles) - min(angles)
             rel = max(abs(a - 2.0 * theta) / (2.0 * theta) for a in angles)
             if spread > 1e-9 or rel > 0.05 or resid > 1e-9:
@@ -152,8 +153,9 @@ def test_criterion_5_small_angle_validity():
     worst = 0.0
     for n, kx in cells:
         assert kx / n <= 0.01
-        params = ig.compute_theta(make_counts(n, kx, 1))
-        gap = (params.theta_chord - params.theta_approx) / params.theta_chord
+        counts = make_counts(n, kx, 1)
+        theta_chord = ig.compute_theta(counts)
+        gap = (theta_chord - theta_approx(counts)) / theta_chord
         worst = max(worst, gap)
     ok = worst <= 1e-3
     line = report("criterion-5 small-angle-validity", ok,

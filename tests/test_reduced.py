@@ -19,7 +19,7 @@ import igrover as ig
 from igrover import cli, fullstate, reduced
 from conftest import (InsufficientTrace, diffusion, exact_stops, make_counts, oracle_x,
                       oracle_y, phase1_coplanarity_residual, phase1_rotation_check,
-                      range_instance, stepped_stops, trace_labels, trace_rows)
+                      range_instance, stepped_stops, theta_approx, trace_labels, trace_rows)
 
 
 def bits(v: float) -> bytes:
@@ -30,13 +30,13 @@ class TestOperators:
     def test_initial_point_values(self):
         # sqrt(12/16), sqrt(3/16), sqrt(1/16)
         p = ig.initial_point(make_counts(16, 4, 1))
-        assert (p.x, p.y, p.z) == (0.8660254037844386, 0.4330127018922193, 0.25)
+        assert p == (0.8660254037844386, 0.4330127018922193, 0.25)
         # no indices outside X: first coordinate is exactly zero
         p = ig.initial_point(make_counts(4, 4, 2))
-        assert (p.x, p.y, p.z) == (0.0, 0.7071067811865476, 0.7071067811865476)
+        assert p == (0.0, 0.7071067811865476, 0.7071067811865476)
         # degenerate instance where everything is a target
         p = ig.initial_point(make_counts(8, 8, 8))
-        assert (p.x, p.y, p.z) == (0.0, 0.0, 1.0)
+        assert p == (0.0, 0.0, 1.0)
 
     def test_oracles_flip_the_right_signs(self):
         p = (0.3, -0.5, 0.7)
@@ -62,7 +62,7 @@ class TestOperators:
         # axis state reflected through the n=16, |X|=4, |Y|=1 uniform direction:
         # 2*s_x*s - e_x, worked out by hand
         s = ig.initial_point(make_counts(16, 4, 1))
-        q = diffusion((1.0, 0.0, 0.0), (s.x, s.y, s.z))
+        q = diffusion((1.0, 0.0, 0.0), s)
         np.testing.assert_allclose(q, (0.5, 0.75, 0.4330127018922193), rtol=0, atol=1e-15)
 
     def test_diffusion_is_an_involution_and_fixes_s(self):
@@ -81,7 +81,7 @@ class TestOperators:
         rng = np.random.default_rng(5)
         for cell in ((16, 4, 1), (1024, 8, 8), (999, 999, 5), (10 ** 12, 100, 1)):
             form = reduced.ClosedForm(make_counts(*cell))
-            s = (form.s.x, form.s.y, form.s.z)
+            s = form.s
             for _ in range(20):
                 v = rng.normal(size=3)
                 p = tuple((v / np.linalg.norm(v)).tolist())
@@ -89,7 +89,7 @@ class TestOperators:
                 assert list(map(bits, form.expensive(*p))) == list(map(bits, want))
 
     def test_success_probability(self):
-        assert ig.success_probability(ig.ReducedState(0.0, 0.0, -0.5)) == 0.25
+        assert ig.success_probability((0.0, 0.0, -0.5)) == 0.25
 
 
 class TestRunSchedule:
@@ -101,7 +101,7 @@ class TestRunSchedule:
         assert len(trace) == 1 + 2 * (3 * sched.L + 1)
         assert (stats.count_x, stats.count_y, stats.repetitions) == (6, 1, 1)
         np.testing.assert_allclose(
-            (final.x, final.y, final.z),
+            final,
             (-0.6495190528383286, 0.32475952641916406, 0.6875),
             rtol=0, atol=1e-12)
         # exact value is 121/256
@@ -129,7 +129,8 @@ class TestRunSchedule:
         final, trace, stats = ig.run_schedule(counts, ig.Schedule(0))
         assert (stats.count_x, stats.count_y) == (0, 1)
         assert len(trace) == 3
-        assert final.x ** 2 + final.y ** 2 + final.z ** 2 == pytest.approx(1.0, abs=1e-12)
+        x, y, z = final
+        assert x ** 2 + y ** 2 + z ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_engineered_certain_success(self):
         # n=4, X=Y={0}: the schedule is 7 plain iterations at theta=pi/6,
@@ -143,7 +144,8 @@ class TestRunSchedule:
         final, trace, stats = ig.run_schedule(counts, ig.Schedule(5000))
         assert stats.count_x == 15000
         assert len(trace) == 1 + 2 * 15001
-        assert abs(final.x ** 2 + final.y ** 2 + final.z ** 2 - 1.0) <= 1e-9
+        x, y, z = final
+        assert abs(x ** 2 + y ** 2 + z ** 2 - 1.0) <= 1e-9
         assert np.abs(np.square(trace.stops).sum(axis=1) - 1.0).max() <= 1e-15
 
     def test_label_and_gaps_reject_rows_of_another_run(self):
@@ -166,8 +168,9 @@ class TestRunSchedule:
         assert trace.first_gap(other, 1e-2) is None
 
 
-def max_gap(a: ig.ReducedState, b: ig.ReducedState) -> float:
-    return max(abs(a.x - b.x), abs(a.y - b.y), abs(a.z - b.z))
+def max_gap(a: tuple, b: tuple) -> float:
+    """The largest coordinate gap between two (x, y, z) points."""
+    return max(abs(u - v) for u, v in zip(a, b, strict=True))
 
 
 @st.composite
@@ -192,7 +195,7 @@ class TestClosedForm:
     def test_matches_stepwise(self, cell):
         n, kx, ky, L = cell
         counts = make_counts(n, kx, ky)
-        stepped = ig.ReducedState(*stepped_stops(counts, L)[-1])
+        stepped = stepped_stops(counts, L)[-1]
         assert max_gap(ig.final_point(counts, L), stepped) <= 1e-9
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -226,7 +229,7 @@ class TestClosedForm:
     def test_bits_are_pinned(self, cell, L, xyz):
         counts = make_counts(*cell)
         p = ig.final_point(counts, L)
-        assert (p.x.hex(), p.y.hex(), p.z.hex()) == xyz
+        assert tuple(v.hex() for v in p) == xyz
         # a traced run takes stop L + 1 from the same expensive iteration
         # (an empty class's column is then set to +0.0, as the engine does);
         # at L = 0 that stop is the last one, which is final_point's
@@ -242,7 +245,7 @@ class TestClosedForm:
         counts = make_counts(10 ** 9, 1, 1)
         sched = ig.choose_L(counts)
         assert sched.L > 20000
-        stepped = ig.ReducedState(*stepped_stops(counts, sched.L)[-1])
+        stepped = stepped_stops(counts, sched.L)[-1]
         closed, trace, stats = ig.run_schedule(counts, sched, record_trace=False)
         assert max_gap(closed, stepped) <= 1e-9
         assert len(trace) == 0 and (stats.count_x, stats.count_y) == (3 * sched.L, 1)
@@ -345,8 +348,7 @@ class TestNormDrift:
         real = reduced.initial_point
 
         def scaled(counts):
-            s = real(counts)
-            return ig.ReducedState(1.001 * s.x, 1.001 * s.y, 1.001 * s.z)
+            return tuple(1.001 * v for v in real(counts))
 
         monkeypatch.setattr(reduced, "initial_point", scaled)
 
@@ -393,15 +395,15 @@ class TestPhase1Geometry:
     def test_angles_match_chord_formula(self, trace_for):
         counts, trace = trace_for(4096, 64, 4)
         angles = phase1_rotation_check(trace)
-        params = ig.compute_theta(counts)
+        theta_chord = ig.compute_theta(counts)
         assert len(angles) == ig.choose_L(counts).L
         # all steps turn by the same angle ...
         assert max(angles) - min(angles) <= 1e-12
         # ... which is exactly 2*asin(theta_approx) (two reflections compose to one
         # rotation), and 2*theta_chord approximates that to O(ds^2)
-        np.testing.assert_allclose(angles, 2.0 * math.asin(params.theta_approx),
+        np.testing.assert_allclose(angles, 2.0 * math.asin(theta_approx(counts)),
                                    rtol=1e-12)
-        np.testing.assert_allclose(angles, 2.0 * params.theta_chord, rtol=0.05)
+        np.testing.assert_allclose(angles, 2.0 * theta_chord, rtol=0.05)
 
     def test_coplanarity(self, trace_for):
         _, trace = trace_for(1024, 16, 1)

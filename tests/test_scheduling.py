@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import igrover as ig
 from igrover import cli, reduced, scheduling
-from conftest import class_of, make_counts, one_query_ceiling, random_instance
+from conftest import class_of, make_counts, one_query_ceiling, random_instance, theta_approx
 
 REF = {"n": 16, "x": {"kind": "range", "lo": 0, "hi": 3},
        "y": {"kind": "list", "members": [2]}}
@@ -27,25 +27,26 @@ def counts_up_to(draw, n_max: int) -> ig.ClassCounts:
 
 class TestAngles:
     def test_reference_values(self):
-        params = ig.compute_theta(make_counts(1024, 16, 1))
-        assert params.theta_approx == 0.125
-        assert params.theta_chord == pytest.approx(2.0 * math.asin(0.0625), abs=0)
+        counts = make_counts(1024, 16, 1)
+        assert theta_approx(counts) == 0.125
+        assert ig.compute_theta(counts) == pytest.approx(2.0 * math.asin(0.0625), abs=0)
 
     def test_chord_vs_small_angle_series(self):
         # 2*asin(s/2) = s + s^3/24 + 3 s^5/640 + ..., so the ratio to the
         # small-angle value sits in [1, 1 + (s^2/24) * (1 + eps)]
         for scale in (10 ** 4, 10 ** 6):
             counts = make_counts(scale * 64, 64, 1)
-            params = ig.compute_theta(counts)
-            ratio = params.theta_chord / params.theta_approx
-            s2 = params.theta_approx * params.theta_approx
+            ds = theta_approx(counts)
+            ratio = ig.compute_theta(counts) / ds
+            s2 = ds * ds
             assert 1.0 <= ratio <= 1.0 + (s2 / 24.0) * 1.001
 
     def test_relative_gap_shrinks_with_ratio(self):
         gaps = []
         for n in (256, 1024, 4096, 65536):
-            params = ig.compute_theta(make_counts(n, 16, 1))
-            gaps.append((params.theta_chord - params.theta_approx) / params.theta_chord)
+            counts = make_counts(n, 16, 1)
+            chord = ig.compute_theta(counts)
+            gaps.append((chord - theta_approx(counts)) / chord)
         assert all(g > 0 for g in gaps)
         assert gaps == sorted(gaps, reverse=True)
 
@@ -53,12 +54,13 @@ class TestAngles:
         # chord - ds <= ds^3/12 holds all the way out to |X| = n, where the
         # small-angle picture is at its worst (ds = 1, chord = pi/3)
         for n, kx in [(16, 16), (16, 8), (100, 99), (4096, 1), (10 ** 9, 12345)]:
-            params = ig.compute_theta(make_counts(n, kx, 1))
-            gap = params.theta_chord - params.theta_approx
-            assert 0.0 <= gap <= params.theta_approx ** 3 / 12.0
-        dense = ig.compute_theta(make_counts(16, 16, 1))
-        assert dense.theta_approx == 1.0
-        assert dense.theta_chord == pytest.approx(math.pi / 3.0, abs=1e-15)
+            counts = make_counts(n, kx, 1)
+            ds = theta_approx(counts)
+            gap = ig.compute_theta(counts) - ds
+            assert 0.0 <= gap <= ds ** 3 / 12.0
+        dense = make_counts(16, 16, 1)
+        assert theta_approx(dense) == 1.0
+        assert ig.compute_theta(dense) == pytest.approx(math.pi / 3.0, abs=1e-15)
 
     def test_series_bound_on_random_ratios(self):
         # chord - ds = ds^3/24 + ..., under ds^3/12 for every |X|/n in (0, 1]
@@ -66,9 +68,10 @@ class TestAngles:
         for _ in range(2000):
             n = int(10 ** rng.uniform(0.31, 12.0))
             kx = int(rng.integers(1, n + 1))
-            params = ig.compute_theta(make_counts(n, kx, 1))
-            gap = params.theta_chord - params.theta_approx
-            assert 0.0 <= gap <= params.theta_approx ** 3 / 12.0, (n, kx)
+            counts = make_counts(n, kx, 1)
+            ds = theta_approx(counts)
+            gap = ig.compute_theta(counts) - ds
+            assert 0.0 <= gap <= ds ** 3 / 12.0, (n, kx)
 
 
 class TestChooseL:
@@ -287,7 +290,7 @@ class TestRepetitions:
         sched = ig.Schedule(1)
         state, _, _ = ig.run_schedule_full(inst, sched, record_trace=False)
         targets = [3, 17, 30]
-        z = ig.project_to_reduced(state, inst).z
+        z = ig.project_to_reduced(state, inst)[2]
         seen = set()
         for seed in range(250):
             try:
@@ -318,9 +321,10 @@ class TestRepetitions:
         for _ in range(m):
             hits[ig.sample_from_reduced(final, inst, rng)] += 1
         exact = np.empty(16)
-        exact[:] = final.x ** 2 / 12  # 12 indices outside X
-        exact[0:4] = final.y ** 2 / 3
-        exact[2] = final.z ** 2
+        x, y, z = final
+        exact[:] = x ** 2 / 12  # 12 indices outside X
+        exact[0:4] = y ** 2 / 3
+        exact[2] = z ** 2
         np.testing.assert_allclose(hits / m, exact, rtol=0, atol=0.02)
 
     def test_sparse_target_asymptote(self):
@@ -414,7 +418,7 @@ class TestHugeClassDraw:
         for point, cls in (((1.0, 0.0, 0.0), "k00"), ((0.0, 1.0, 0.0), "k10"),
                            ((0.0, 0.0, 1.0), "k11")):
             for _ in range(200):
-                index = ig.sample_from_reduced(ig.ReducedState(*point), inst, rng)
+                index = ig.sample_from_reduced(point, inst, rng)
                 assert 0 <= index < n and class_of(inst, index) == cls
                 if cls == "k00":
                     ranks.append((index - 100) / (n - 100))
@@ -436,7 +440,7 @@ class TestHugeClassDraw:
             assert err.value.outcome.measured_index == index
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             ref.random()
-            assert (ig.sample_from_reduced(ig.ReducedState(1.0, 0.0, 0.0), inst, rng)
+            assert (ig.sample_from_reduced((1.0, 0.0, 0.0), inst, rng)
                     == 100 + int(ref.integers(n - 100)))
 
 

@@ -30,10 +30,10 @@ INSTANCE = {"n": 4096, "x": {"kind": "mod", "m": 16, "r": 3},
 # the package's public names, listed here so that dropping one from
 # `igrover/__init__.py`, or bringing a retired one back, fails this test
 EXPORTS = """
-AngleParams ClassCounts CostModel DEFAULT_FULL_CAP DimensionMismatch EmptyX EmptyY
+ClassCounts CostModel DEFAULT_FULL_CAP DimensionMismatch EmptyX EmptyY
 ExhaustedRepetitions IGroverError IndexOutOfRange InstanceTooLarge Members Modular
 NormDrift NotClassUniform NotSubset POLICY_PAPER_FORMULA POLICY_ROUNDED_HALF
-POLICY_SWEPT ProblemInstance QueryStats Range ReducedState RunOutcome Schedule
+POLICY_SWEPT ProblemInstance QueryStats Range RunOutcome Schedule
 SpecFormatError Trace build_instance choose_L compute_theta crossover_t_y errors
 final_point fullstate init_uniform initial_point instance instance_to_json kth_in_class
 load_instance naive_iterations partition_classes project_to_reduced query_cost reduced
@@ -240,9 +240,9 @@ def test_expensive_iteration_written_only_by_the_closed_form():
     # ClosedForm.expensive holds the diffusion; final and traced runs call it
     package = Path(igrover.__file__).parent
     sites = [path.name for path in sorted(package.glob("*.py"))
-             for _ in range(path.read_text().count("2.0 * d * s."))]
+             for _ in range(path.read_text().count("2.0 * d * s"))]
     assert sites == ["reduced.py"] * 3
-    assert inspect.getsource(igrover.reduced.ClosedForm.expensive).count("2.0 * d * s.") == 3
+    assert inspect.getsource(igrover.reduced.ClosedForm.expensive).count("2.0 * d * s") == 3
 
 
 def test_no_blas_products_in_the_package():
