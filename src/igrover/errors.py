@@ -1,6 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages show
+a value read from an instance file."""
 
 from __future__ import annotations
+
+
+def shown(value) -> str:
+    """value's repr as `reprlib` clips it, one container level deep: at most
+    six list items, four dict entries, 30 characters of a string and 40 of
+    an int, so an error line stays a few hundred characters whatever the
+    file holds."""
+    import reprlib  # error paths only
+
+    clip = reprlib.Repr()
+    clip.maxlevel = 1
+    return clip.repr(value)
 
 
 class IGroverError(Exception):
@@ -27,7 +40,7 @@ class NotSubset(IGroverError):
     """Y is not contained in X; carries one concrete violating index."""
 
     def __init__(self, index: int):
-        super().__init__(f"index {index} is in Y but not in X")
+        super().__init__(f"index {shown(index)} is in Y but not in X")
         self.index = index
 
 

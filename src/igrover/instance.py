@@ -31,6 +31,7 @@ from .errors import (
     IndexOutOfRange,
     NotSubset,
     SpecFormatError,
+    shown,
 )
 
 CLASS_K11 = "k11"
@@ -76,7 +77,7 @@ def frozen(cls):
 def _check_int(value, what: str) -> int:
     # bool is an int subclass; JSON true/false must not sneak in as 1/0
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SpecFormatError(f"{what} must be an integer, got {value!r}")
+        raise SpecFormatError(f"{what} must be an integer, got {shown(value)}")
     return value
 
 
@@ -174,7 +175,7 @@ SetSpec = Members | Range | Modular
 def spec_from_json(obj) -> SetSpec:
     """Parse one membership spec from its JSON form; shape errors only."""
     if not isinstance(obj, Mapping):
-        raise SpecFormatError(f"membership spec must be an object, got {obj!r}")
+        raise SpecFormatError(f"membership spec must be an object, got {shown(obj)}")
     kind = obj.get("kind")
     if kind == "list":
         raw = obj.get("members")
@@ -188,36 +189,37 @@ def spec_from_json(obj) -> SetSpec:
         if not all(map(operator.lt, members, members[1:])):
             for a, b in zip(members, members[1:]):
                 if a >= b:
-                    raise SpecFormatError(
-                        f"list members must be strictly increasing, saw {a} then {b}"
-                    )
+                    raise SpecFormatError("list members must be strictly increasing,"
+                                          f" saw {shown(a)} then {shown(b)}")
         return Members(members)
     if kind == "range":
         lo = _check_int(obj.get("lo"), "range lo")
         hi = _check_int(obj.get("hi"), "range hi")
         if lo > hi:
-            raise SpecFormatError(f"empty range: lo={lo} > hi={hi}")
+            raise SpecFormatError(f"empty range: lo={shown(lo)} > hi={shown(hi)}")
         return Range(lo, hi)
     if kind == "mod":
         m = _check_int(obj.get("m"), "mod m")
         r = _check_int(obj.get("r"), "mod r")
         if m < 1:
-            raise SpecFormatError(f"mod m must be >= 1, got {m}")
+            raise SpecFormatError(f"mod m must be >= 1, got {shown(m)}")
         if not 0 <= r < m:
-            raise SpecFormatError(f"mod r must satisfy 0 <= r < m, got r={r} m={m}")
+            raise SpecFormatError(
+                f"mod r must satisfy 0 <= r < m, got r={shown(r)} m={shown(m)}")
         return Modular(m, r)
-    raise SpecFormatError(f"unknown membership kind {kind!r}")
+    raise SpecFormatError(f"unknown membership kind {shown(kind)}")
 
 
 def _validate_members(spec: SetSpec, n: int, which: str) -> None:
     """Range-check a spec against the universe and reject empty sets."""
     if spec.size(n) == 0:
-        raise (EmptyX if which == "X" else EmptyY)(f"{which} has no members for n={n}")
+        raise (EmptyX if which == "X" else EmptyY)(
+            f"{which} has no members for n={shown(n)}")
     lo = spec.kth(0)
     hi = spec.kth(spec.size(n) - 1)
     if lo < 0 or hi > n - 1:
         bad = lo if lo < 0 else hi
-        raise IndexOutOfRange(f"{which} member {bad} outside [0, {n - 1}]")
+        raise IndexOutOfRange(f"{which} member {shown(bad)} outside [0, {shown(n - 1)}]")
 
 
 def _subset_violation(n: int, x: SetSpec, y: SetSpec) -> int | None:
@@ -294,16 +296,16 @@ class ClassCounts:
         if self.k11 + self.k10 + self.k00 != self.n:
             raise ValueError(f"class counts do not sum to n: {self}")
         if self.n > _MAX_N:
-            raise ValueError(f"n must be <= 2**1023, got {self.n}")
+            raise ValueError(f"n must be <= 2**1023, got {shown(self.n)}")
 
 
 def build_instance(obj) -> ProblemInstance:
     """Build and fully validate an instance from its parsed-JSON description."""
     if not isinstance(obj, Mapping):
-        raise SpecFormatError(f"instance must be an object, got {obj!r}")
+        raise SpecFormatError(f"instance must be an object, got {shown(obj)}")
     n = _check_int(obj.get("n"), "n")
     if n < 2:
-        raise SpecFormatError(f"n must be >= 2, got {n}")
+        raise SpecFormatError(f"n must be >= 2, got {shown(n)}")
     if "x" not in obj or "y" not in obj:
         raise SpecFormatError("instance needs both 'x' and 'y' membership specs")
     x_spec = spec_from_json(obj["x"])

@@ -126,6 +126,10 @@ class TestSpecKinds:
                 assert spec.count_leq(t, n) == sum(1 for v in members if v <= t)
 
 
+BIG = 10 ** 4000  # 4,001 digits
+RANGE = {"kind": "range", "lo": 0, "hi": 3}
+
+
 class TestBuildInstance:
     def test_mod_partition_counts(self):
         inst = ig.build_instance({
@@ -175,6 +179,39 @@ class TestBuildInstance:
     def test_malformed_instances(self, bad):
         with pytest.raises(ig.SpecFormatError):
             ig.build_instance(bad)
+
+    @pytest.mark.parametrize("obj, error, start", [
+        (list(range(10 ** 4)), ig.SpecFormatError, "instance must be an object, got [0, 1,"),
+        ({"n": list(range(10 ** 4))}, ig.SpecFormatError, "n must be an integer, got [0, 1,"),
+        ({"n": -BIG, "x": RANGE, "y": RANGE}, ig.SpecFormatError, "n must be >= 2, got -100"),
+        ({"n": 8, "x": "a" * 10 ** 4, "y": RANGE}, ig.SpecFormatError,
+         "membership spec must be an object, got 'aaa"),
+        ({"n": 8, "x": {"kind": "b" * 10 ** 4}, "y": RANGE}, ig.SpecFormatError,
+         "unknown membership kind 'bbb"),
+        ({"n": 8, "x": {"kind": "list", "members": [0, "c" * 10 ** 4]}, "y": RANGE},
+         ig.SpecFormatError, "list member must be an integer, got 'ccc"),
+        ({"n": 8, "x": {"kind": "list", "members": [BIG, BIG]}, "y": RANGE},
+         ig.SpecFormatError, "list members must be strictly increasing, saw 100"),
+        ({"n": 8, "x": {"kind": "range", "lo": BIG, "hi": 0}, "y": RANGE},
+         ig.SpecFormatError, "empty range: lo=100"),
+        ({"n": 8, "x": {"kind": "mod", "m": -BIG, "r": 0}, "y": RANGE},
+         ig.SpecFormatError, "mod m must be >= 1, got -100"),
+        ({"n": 8, "x": {"kind": "mod", "m": 3, "r": BIG}, "y": RANGE},
+         ig.SpecFormatError, "mod r must satisfy 0 <= r < m, got r=100"),
+        ({"n": BIG, "x": {"kind": "list", "members": []}, "y": RANGE}, ig.EmptyX,
+         "X has no members for n=100"),
+        ({"n": BIG, "x": {"kind": "range", "lo": -1, "hi": 3}, "y": RANGE},
+         ig.IndexOutOfRange, "X member -1 outside [0, 999"),
+        ({"n": BIG, "x": RANGE, "y": {"kind": "list", "members": [BIG - 1]}}, ig.NotSubset,
+         "index 999"),
+        ({"n": BIG, "x": RANGE, "y": RANGE}, ValueError, "n must be <= 2**1023, got 100"),
+    ])
+    def test_error_lines_clip_the_values_they_echo(self, obj, error, start):
+        # every value from the file is shown as reprlib clips it, whatever its size
+        with pytest.raises(error) as err:
+            ig.build_instance(obj).counts
+        assert str(err.value).startswith(start) and len(str(err.value)) <= 200
+        assert "..." in str(err.value)
 
     def test_not_subset_reports_a_real_violator(self):
         cases = [
