@@ -555,3 +555,82 @@ class TestParse:
     @given(command_lines)
     def test_any_command_line_parses_alike(self, argv):
         assert differences([argv]) == []
+
+
+# valid instances, most with every bound at its limit, so that one step off breaks them
+TIGHT = [
+    {"n": 8, "x": {"kind": "range", "lo": 0, "hi": 7}, "y": {"kind": "mod", "m": 8, "r": 7}},
+    {"n": 8, "x": {"kind": "list", "members": [0, 7]}, "y": {"kind": "list", "members": [0, 7]}},
+    {"n": 9, "x": {"kind": "mod", "m": 3, "r": 2}, "y": {"kind": "range", "lo": 5, "hi": 5}},
+    {"n": 8, "x": {"kind": "mod", "m": 1, "r": 0}, "y": {"kind": "list", "members": [0, 7]}},
+    REF,
+]
+EDGE_N = [1, 2, 3, 2 ** 1023 - 1, 2 ** 1023, 2 ** 1023 + 1]
+
+
+@st.composite
+def mutated_instances(draw) -> dict:
+    """A tight instance as it is, or with one field dropped, swapped for another
+    JSON value or moved one step, or with n set near 2 or near 2**1023."""
+    obj = json.loads(json.dumps(draw(st.sampled_from(TIGHT))))
+    paths = [(obj, key) for key in obj] + [(obj[s], key) for s in "xy" for key in obj[s]]
+    parent, key = draw(st.sampled_from(paths))
+    how = draw(st.sampled_from(["keep", "drop", "swap", "step", "edge-n"]))
+    value = parent[key]
+    if how == "keep":
+        pass
+    elif how == "drop":
+        del parent[key]
+    elif how == "swap":
+        parent[key] = draw(json_records)
+    elif how == "step" and isinstance(value, list):
+        j = draw(st.integers(0, len(value) - 1))
+        value[j] += draw(st.sampled_from([-1, 1]))
+    elif how == "step" and isinstance(value, int):
+        parent[key] = value + draw(st.sampled_from([-1, 1]))
+    else:
+        obj["n"] = draw(st.sampled_from(EDGE_N))
+    return obj
+
+
+def nested_text(depth: int, where: str) -> str:
+    """An instance file nested depth deep: all of it, or its x, as arrays or objects."""
+    inner = "[" * depth + "]" * depth if where != "dict" else '{"a": ' * depth + "1" + "}" * depth
+    return inner if where == "top" else '{"n": 10, "x": ' + inner + ', "y": 1}'
+
+
+instance_texts = st.one_of(
+    json_records.map(json.dumps),
+    mutated_instances().map(json.dumps),
+    st.builds(nested_text, st.sampled_from([1, 2, 999, 1000, 1001, 10 ** 4, 10 ** 5]),
+              st.sampled_from(["top", "x", "dict"])))
+EXTRA_FLAGS = [[], ["--policy", "half"], ["--policy", "sweep"], ["--L", "0"], ["--L", "5"],
+               ["--L", str(2 ** 1021)], ["--L", str(2 ** 1021 + 1)], ["--L", "-1"],
+               ["--tx", "1e308", "--ty", "1e308"]]
+
+
+class TestExitCodes:
+    """Every instance file gets an answer (0), all repetitions unverified (3),
+    or one short `error:` line and nothing else (1), never a traceback."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(instance_texts, st.sampled_from([["compare"], ["run", "--engine", "reduced"]]),
+           st.sampled_from(EXTRA_FLAGS))
+    @example('{"n": 10, "x": ' + "[" * 1000 + "]" * 1000 + ', "y": 1}', ["compare"], [])
+    @example(json.dumps({**REF, "n": list(range(10 ** 5))}), ["compare"], [])
+    @example(json.dumps({**REF, "x": "a" * 10 ** 5}), ["run", "--engine", "reduced"], [])
+    @example(json.dumps({**TIGHT[3], "n": 2 ** 1023}), ["run", "--engine", "reduced"], [])
+    def test_exit_code_and_error_line(self, tmp_path_factory, text, command, flags):
+        path = tmp_path_factory.mktemp("fuzz") / "inst.json"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([*command, "--instance", str(path), *flags])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 3), (code, err)
+        assert "Traceback" not in err
+        if code == 1:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+            assert err.endswith("\n") and len(err) <= 1001, len(err)
+        else:
+            assert err == "" and json.loads(out)
