@@ -82,8 +82,7 @@ def sweep_L(counts: ClassCounts, window: int = 3) -> tuple[Schedule, list[tuple[
     table = []
     best_L, best_p = None, -1.0
     for L in range(max(0, center - window), center + window + 1):
-        z = final(L)[2]
-        p = z * z  # success_probability of final_point(counts, L)
+        p = success_probability(final(L))
         table.append((L, p))
         if p > best_p:
             best_L, best_p = L, p

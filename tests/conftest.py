@@ -2,13 +2,15 @@
 the one-expensive-query success ceiling, phase-1 trace geometry, every row
 of a trace and its labels, the row-at-a-time full-state operators, the
 whole-vector full-engine loop, the reduced operators on (x, y, z) tuples,
-scalar and 40-digit reduced stepping, membership classes and class ranks
+scalar and 40-digit reduced stepping, the exact success probability in
+integers, membership classes and class ranks
 by bisection that the engines and the sampler are checked against."""
 
 from __future__ import annotations
 
 import decimal
 import math
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -143,6 +145,29 @@ def exact_stops(counts: ig.ClassCounts, L: int) -> np.ndarray:
     stops = np.array([[float(v) for v in stop] for stop in stops])
     stops.flags.writeable = False  # one array serves every caller
     return stops
+
+
+def exact_p(counts: ig.ClassCounts, L: int) -> Fraction:
+    """The success probability after the schedule, exactly, in integers.
+
+    a_c = amplitude * sqrt(n) * n^t of class c is 1 at t = 0 and stays an
+    integer: an oracle negates it, and diffusion (2J/n - I, Grover,
+    arXiv:quant-ph/9605043) maps it to 2(k00 a0 + k10 a1 + k11 a2) - n a_c.
+    After T = 3L + 1 steps p = k11 a2^2 / n^(2T+1), and the norm identity
+    k00 a0^2 + k10 a1^2 + k11 a2^2 = n^(2T+1) is asserted exactly.  The
+    integers grow by about 2 log2 n bits per step, so the cost is quadratic
+    in L: about 30 ms at n = 1000, L = 1,000.
+    """
+    n, k, a = counts.n, (counts.k00, counts.k10, counts.k11), [1, 1, 1]
+    for _, op, steps in ig.Schedule(L).segments():
+        first = 1 if op == "oracle_x" else 2  # X is classes 1 and 2, Y class 2
+        for _ in range(steps):
+            a[first:] = [-v for v in a[first:]]
+            twice_sum = 2 * (k[0] * a[0] + k[1] * a[1] + k[2] * a[2])
+            a = [twice_sum - n * v for v in a]
+    scale = n ** (2 * (3 * L + 1) + 1)
+    assert k[0] * a[0] ** 2 + k[1] * a[1] ** 2 + k[2] * a[2] ** 2 == scale
+    return Fraction(k[2] * a[2] ** 2, scale)
 
 
 class InsufficientTrace(ig.IGroverError):

@@ -560,7 +560,8 @@ class TestParse:
 # valid instances, most with every bound at its limit, so that one step off breaks them
 TIGHT = [
     {"n": 8, "x": {"kind": "range", "lo": 0, "hi": 7}, "y": {"kind": "mod", "m": 8, "r": 7}},
-    {"n": 8, "x": {"kind": "list", "members": [0, 7]}, "y": {"kind": "list", "members": [0, 7]}},
+    {"n": 8, "x": {"kind": "list", "members": [0, 7]},
+     "y": {"kind": "list", "members": [0, 7]}},
     {"n": 9, "x": {"kind": "mod", "m": 3, "r": 2}, "y": {"kind": "range", "lo": 5, "hi": 5}},
     {"n": 8, "x": {"kind": "mod", "m": 1, "r": 0}, "y": {"kind": "list", "members": [0, 7]}},
     REF,
@@ -595,7 +596,10 @@ def mutated_instances(draw) -> dict:
 
 def nested_text(depth: int, where: str) -> str:
     """An instance file nested depth deep: all of it, or its x, as arrays or objects."""
-    inner = "[" * depth + "]" * depth if where != "dict" else '{"a": ' * depth + "1" + "}" * depth
+    if where == "dict":
+        inner = '{"a": ' * depth + "1" + "}" * depth
+    else:
+        inner = "[" * depth + "]" * depth
     return inner if where == "top" else '{"n": 10, "x": ' + inner + ', "y": 1}'
 
 

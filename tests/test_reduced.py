@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 import igrover as ig
 from igrover import cli, fullstate, reduced
-from conftest import (InsufficientTrace, diffusion, exact_stops, make_counts, oracle_x,
-                      oracle_y, phase1_coplanarity_residual, phase1_rotation_check,
+from conftest import (InsufficientTrace, diffusion, exact_p, exact_stops, make_counts,
+                      oracle_x, oracle_y, phase1_coplanarity_residual, phase1_rotation_check,
                       range_instance, stepped_stops, theta_approx, trace_labels, trace_rows)
 
 
@@ -336,6 +336,47 @@ class TestClosedFormTrace:
         L = 3 * reduced._ARC_CHUNK + 5
         _, trace, _ = ig.run_schedule(counts, ig.Schedule(L))
         assert np.abs(trace.stops - stepped_stops(counts, L)).max() <= 1e-11
+
+
+def ulps_off(p: float, exact: Fraction) -> float:
+    """|p - exact| in units in the last place of the float nearest exact."""
+    return float(abs(Fraction(p) - exact) / Fraction(math.ulp(float(exact))))
+
+
+class TestExactP:
+    """Printed p against `exact_p`, in ulps of the exact p.  The bounds are
+    the measured errors with headroom: the float phase (2L+1) theta of
+    `final_point` grows its error with L (789 ulps at L = 1,000), which the
+    full engine, stepping, does not."""
+
+    @pytest.mark.parametrize("cell, L, reduced_ulps, full_ulps", [
+        ((1024, 16, 1), None, 4, 4),            # measured 1.6 and 1.6 at the policy L, 6
+        ((2 ** 20, 1024, 1), None, 2, 4),       # 0.75 and 2.2 at the policy L, 25
+        ((1000, 999, 10), 100, 40, 40),         # 25.9 and 22.9
+        ((1000, 999, 10), 1000, 1200, 40),      # 788.9 and 25.1
+    ])
+    def test_both_engines_within_a_bound(self, cell, L, reduced_ulps, full_ulps):
+        counts, inst = make_counts(*cell), range_instance(*cell)
+        sched = ig.choose_L(counts) if L is None else ig.Schedule(L)
+        exact = exact_p(counts, sched.L)
+        assert ulps_off(ig.success_probability(ig.final_point(counts, sched.L)),
+                        exact) <= reduced_ulps
+        # the full engine's printed p: the squared norm of its target amplitudes
+        state, _, _ = ig.run_schedule_full(inst, sched, record_trace=False)
+        try:
+            outcome = ig.run_with_repetitions(inst, sched, 1, 0, state=state)
+        except ig.ExhaustedRepetitions as exc:
+            outcome = exc.outcome
+        assert ulps_off(outcome.p_success, exact) <= full_ulps
+
+    @pytest.mark.parametrize("cell, L", [((16, 4, 1), 2), ((999, 999, 5), 3),
+                                         ((1024, 8, 8), 25), ((1000, 999, 10), 100)])
+    def test_matches_the_40_digit_reference(self, cell, L):
+        counts = make_counts(*cell)
+        z = exact_stops(counts, L)[-1][2]
+        assert float(exact_p(counts, L)) == pytest.approx(z * z, rel=1e-14)
+        if cell == (16, 4, 1):
+            assert exact_p(counts, L) == Fraction(121, 256)
 
 
 class TestNormDrift:
