@@ -617,6 +617,10 @@ class TestExitCodes:
     """Every instance file gets an answer (0), all repetitions unverified (3),
     or one short `error:` line and nothing else (1), never a traceback."""
 
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "inst.json"
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(instance_texts, st.sampled_from([["compare"], ["run", "--engine", "reduced"]]),
            st.sampled_from(EXTRA_FLAGS))
@@ -624,8 +628,7 @@ class TestExitCodes:
     @example(json.dumps({**REF, "n": list(range(10 ** 5))}), ["compare"], [])
     @example(json.dumps({**REF, "x": "a" * 10 ** 5}), ["run", "--engine", "reduced"], [])
     @example(json.dumps({**TIGHT[3], "n": 2 ** 1023}), ["run", "--engine", "reduced"], [])
-    def test_exit_code_and_error_line(self, tmp_path_factory, text, command, flags):
-        path = tmp_path_factory.mktemp("fuzz") / "inst.json"
+    def test_exit_code_and_error_line(self, path, text, command, flags):
         path.write_text(text, encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
