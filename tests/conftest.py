@@ -3,8 +3,8 @@ the one-expensive-query success ceiling, phase-1 trace geometry, every row
 of a trace and its labels, the row-at-a-time full-state operators, the
 whole-vector full-engine loop, the reduced operators on (x, y, z) tuples,
 scalar and 40-digit reduced stepping, the exact success probability in
-integers, membership classes and class ranks
-by bisection that the engines and the sampler are checked against."""
+integers, membership classes and class ranks by bisection that the engines
+and the sampler are checked against."""
 
 from __future__ import annotations
 
