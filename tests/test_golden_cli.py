@@ -72,6 +72,9 @@ INSTANCES = {
     "wide": inst(10 ** 9, span(0, 99), members(3)),
     "n1e12": inst(10 ** 12, span(0, 99), members(7)),
     "n2^70": inst(2 ** 70, span(0, 99), members(7)),     # k00 past 2**63
+    # y and z start near 1e-5 and p near 1e-10: a trace printing values in
+    # scientific notation, both above and below 10**-6
+    "sci": inst(10 ** 10, span(0, 15), members(3)),
     "n2^1000": inst(2 ** 1000, mod(2 ** 990, 0), members(0, 2 ** 990)),
     "too-big": inst(2 ** 1030, mod(2 ** 1000, 0), members(0)),
     "not-subset": inst(8, span(0, 1), members(5)),
@@ -127,6 +130,8 @@ CASES = [
      ["run", "--instance", "{inst}", "--policy", "sweep", "--trace", "{tmp}/t.csv"], {}),
     ("run-reduced-trace-chunks", "wide",
      ["run", "--instance", "{inst}", "--L", "400", "--trace", "{tmp}/t.csv"], {}),
+    ("run-reduced-trace-sci", "sci",
+     ["run", "--instance", "{inst}", "--L", "30", "--trace", "{tmp}/t.csv"], {}),
     ("run-n1e12", "n1e12", ["run", "--instance", "{inst}", "--seed", "9"], {}),
     ("run-n2^1000", "n2^1000", ["run", "--instance", "{inst}", "--reps", "3"], {}),
     # every draw lands in k00, a class above 2**63, so each takes rng.bytes
