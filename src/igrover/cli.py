@@ -13,7 +13,7 @@ import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
 
-from .errors import ExhaustedRepetitions, IGroverError
+from .errors import ExhaustedRepetitions, IGroverError, shown
 from .fullstate import run_schedule_full
 from .instance import load_instance, ClassCounts
 from .reduced import run_schedule, write_trace_csv
@@ -160,7 +160,7 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
     try:
         values = sorted({int(tok) for tok in raw.split(",") if tok.strip()})
     except ValueError:
-        raise IGroverError(f"{flag} wants a comma-separated integer list, got {raw!r}")
+        raise IGroverError(f"{flag} wants a comma-separated integer list, got {shown(raw)}")
     if not values:
         raise IGroverError(f"{flag} is empty")
     return values

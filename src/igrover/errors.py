@@ -1,5 +1,5 @@
 """Exception types shared across the package, and how their messages show
-a value read from an instance file."""
+a value read from an instance file or a flag."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ def shown(value) -> str:
     """value's repr as `reprlib` clips it, one container level deep: at most
     six list items, four dict entries, 30 characters of a string and 40 of
     an int, so an error line stays a few hundred characters whatever the
-    file holds."""
+    file or the command line holds."""
     import reprlib  # error paths only
 
     clip = reprlib.Repr()

@@ -45,7 +45,7 @@ import sys
 from functools import cache
 
 from ._numpy import np
-from .errors import InstanceTooLarge, NormDrift, SpecFormatError
+from .errors import InstanceTooLarge, NormDrift, SpecFormatError, shown
 from .instance import ClassCounts, frozen
 
 POLICY_PAPER_FORMULA = "paper_formula"
@@ -68,9 +68,9 @@ class Schedule:
 
     def __post_init__(self):
         if self.L < 0:
-            raise ValueError(f"L must be >= 0, got {self.L}")
+            raise ValueError(f"L must be >= 0, got {shown(self.L)}")
         if self.L > _MAX_L:
-            raise ValueError(f"L must be <= 2**1021, got {self.L}")
+            raise ValueError(f"L must be <= 2**1021, got {shown(self.L)}")
         if self.selection_policy not in POLICIES:
             raise ValueError(f"unknown selection policy {self.selection_policy!r}")
 
@@ -365,10 +365,19 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
     return final, trace, sched.queries()
 
 
-# Iterations (two rows each) formatted per write.  Writing a 58,907-stop trace
-# five times in one process, 384 was as fast as 512 and peaked 0.4 MB lower,
-# and 256 was about 10 % slower.
-_CSV_CHUNK = 384
+# Iterations (two rows each) formatted per write.  Writing eight traces of
+# the trace-large-L workload's shape (L from 2,703 to 21,791), 31 times each
+# size, interleaved in one process, and running `igrover run --trace` on the
+# L = 78,540 cell in a fresh process, three times each size (2-core Xeon):
+#
+#   chunk                               384    512    1024   1536   2048
+#   median write time, ratio to before  0.86   0.82   0.73   0.87   0.79
+#   fresh-process peak, MB              41.3   41.3   41.95  42.45  43.0
+#
+# "before" is the writer that printed every |v| < 1e-4 with '%', at 384
+# (41.4-41.6 MB).  The shared machine spreads a ratio by about 0.1.
+_CSV_CHUNK = 1024
+_LOW = 1.0000000000000002e-06  # the least float >= 10**-6; the float 1e-6 is below it
 _FIELD = 7  # uint32 words of a printed float: ',', a sign byte, up to 23 characters
 _SIGN, _NEWLINE = (int.from_bytes(b, sys.byteorder) for b in (b"\0-\0\0", b"\0\0\0\n"))
 
@@ -381,8 +390,10 @@ def _words(text: str, count: int) -> np.ndarray:
 def _tables() -> tuple:
     """Words rows are built from: `quads` holds four-digit g at g, at 10000 + g
     without trailing zeros, at 20000 + g without leading zeros but the last;
-    `heads[10 * P + d]` is P - 17 zeros and digit d; `leads[2 * (v == 0) +
-    sign bit]` is ',', sign, '0' and '.' but for 0.  Then 10**P, split."""
+    `heads[10 * P + d]` is P - 17 zeros and digit d (NUL past P = 20);
+    `leads[2 * (v == 0) + sign bit]` is ',', sign, '0' and '.' but for 0;
+    `marks[10 * sign bit + d]` is ',', sign, digit d and '.'; `exps[P - 21]`
+    is 'e-05' or 'e-06'.  Then 10**P, split."""
     quads = np.empty((3, 10000, 4), np.uint8)
     for j, scale in enumerate((1000, 100, 10, 1)):
         quads[:, :, j] = np.arange(10000, dtype=np.uint16) // scale % 10 + 48
@@ -391,9 +402,11 @@ def _tables() -> tuple:
     zero[:, 3] = False
     quads[2][np.logical_and.accumulate(zero, axis=1)] = 0
     heads = "".join(("0" * k).ljust(3, "\0") + str(d) for k in range(4) for d in range(10))
-    ten = np.array([float(10 ** p) for p in range(21)])  # exact: 5**20 < 2**53
-    return (quads.view(np.uint32).reshape(-1), _words("\0" * 680 + heads, 211),
-            _words(",\x000.,-0.,\x000\0,-0\0", 4), ten, *_split(ten))
+    marks = "".join(f",{sign}{d}." for sign in "\0-" for d in range(10))
+    ten = np.array([float(10 ** p) for p in range(23)])  # exact: 5**22 < 2**53
+    return (quads.view(np.uint32).reshape(-1), _words("\0" * 680 + heads, 230),
+            _words(",\x000.,-0.,\x000\0,-0\0", 4), _words(marks, 20), _words("e-05e-06", 2),
+            ten, *_split(ten))
 
 
 @cache
@@ -406,13 +419,20 @@ def _segment_words() -> tuple:
 
 
 def _float_words(v: np.ndarray) -> np.ndarray:
-    """Each float as `_FIELD` words of ',' + '%.17g' % v (see write_trace_csv)."""
-    quads, heads, leads, ten, ten_hi, ten_lo = _tables()
+    """Each float as `_FIELD` words of ',' + '%.17g' % v (see write_trace_csv).
+
+    A value in [_LOW, 1) takes the 17 digits of D = |v| * 10**P, rounded
+    half to even, where 17 <= P <= 22 puts D in [10**16, 10**17).  Above
+    1e-4 its words are ',', sign, '0.', P - 17 zeros with D's first digit,
+    four four-digit groups and a NUL word; below, ',', sign, D's first
+    digit, '.', the four groups and 'e-05' or 'e-06'.
+    """
+    quads, heads, leads, marks, exps, ten, ten_hi, ten_lo = _tables()
     a = np.abs(v)
-    fast = (a >= 1e-4) & (a < 1.0)
+    fast = (a >= _LOW) & (a < 1.0)
     zeros = a == 0.0
     a = np.where(fast, a, 0.5)
-    p = 21 - np.searchsorted((1e-4, 1e-3, 1e-2, 1e-1), a, side="right")
+    p = 23 - np.searchsorted((_LOW, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1), a, side="right")
     hi, lo = _two_product(a, ten[p], (ten_hi[p], ten_lo[p]))  # hi + lo = a * 10**P
     # hi >= 10**16 > 2**53 is an even integer: rint(lo) rounds hi + lo half to even
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
@@ -431,6 +451,11 @@ def _float_words(v: np.ndarray) -> np.ndarray:
     out[:, 4] = quads[g2 + 10000 * (g3 == 0)]
     out[:, 5] = quads[g3 + 10000]
     out[:, 6] = 0
+    sci = np.flatnonzero(p > 20)  # printed as d.dddddddddddddddde-0(P - 16)
+    if sci.size:
+        out[sci, 0] = marks[10 * np.signbit(v[sci]) + first[sci]]
+        out[sci, 1:5] = out[sci, 2:6]
+        out[sci, 5] = exps[p[sci] - 21]
     rare = np.flatnonzero(~(fast | zeros))
     if rare.size:
         text = (",\0%.17g\n" * rare.size) % tuple(np.abs(v[rare]).tolist())
@@ -451,15 +476,24 @@ def write_trace_csv(path, trace: Trace) -> None:
     labelled one phase at a time, since phase, op and the y toggle are
     constant within a phase and a chunk meets at most three phases.
 
-    A value with 1e-4 <= |v| < 1, nearly every value of a trace, prints as
-    '0.', P - 17 zeros and D = round_half_even(|v| * 10**P) without trailing
-    zeros, where 17 <= P <= 20 puts D in [10**16, 10**17).  P is exact: each
-    of 1e-4, ..., 1e-1 is the least float >= its power of ten, and no float
-    in the range rounds up to the next power.  10**P is an exact float, so
+    A value with LOW <= |v| < 1, where LOW = 1.0000000000000002e-06 is the
+    least float >= 10**-6, is nearly every value of a trace.  It prints the
+    17 digits of D = round_half_even(|v| * 10**P), where 17 <= P <= 22 puts
+    D in [10**16, 10**17), without trailing zeros: from 1e-4 up as '0.',
+    P - 17 zeros and D, below as D's first digit, '.', the other 16 and
+    'e-05' (P = 21) or 'e-06' (P = 22).  Those 16 are never all zero, as no
+    float in the range is within half a unit of D's last digit of
+    d * 10**-5 or d * 10**-6.  P is exact: each of LOW, 1e-5, ..., 1e-1 is
+    the least float >= its power of ten, and no float in the range rounds
+    up to the next power (the float below each prints 17 nines).  The float
+    1e-6 is below 10**-6 and prints as e-07, so the range starts at LOW.
+    10**P is an exact float for every P up to 22, since 5**22 < 2**53, so
     Dekker's TwoProduct gives |v| * 10**P exactly as hi + lo, and hi is an
-    even integer, so D is hi + rint(lo).  Zeros print
-    as '0' and '-0', and the rest (|v| >= 1, tiny values, inf and nan)
-    through one batched '%' per chunk.
+    even integer, so D is hi + rint(lo).
+    Zeros print as '0' and '-0', and the rest (|v| >= 1, |v| < LOW, inf and
+    nan) through one batched '%' per chunk.  A chunk's words, labels and
+    text are dropped before the next chunk's are built, so the writer's
+    working memory depends on `_CSV_CHUNK`, not on the trace's length.
     """
     stops, iterations = trace.stops, 3 * trace.L + 1
     quads = _tables()[0]
@@ -478,7 +512,8 @@ def write_trace_csv(path, trace: Trace) -> None:
             fields[:, -1] |= _NEWLINE  # the last byte of a field is always NUL
             if not lo:
                 fh.write(b"0,0,init" + fields[0].tobytes().translate(None, b"\0"))
-            rows = np.empty((hi - lo, 2, z + 2 * _FIELD), np.uint32)
+            text = bytearray(8 * (hi - lo) * (z + 2 * _FIELD))  # rows' buffer: no copy to print
+            rows = np.frombuffer(text, np.uint32).reshape(hi - lo, 2, -1)
             rows[:, 1, 1 + count:4 + count] = diffusion
             rows[:, 0, 4 + count:] = fields[:-1]
             rows[:, 1, 4 + count:] = fields[1:]
@@ -502,4 +537,5 @@ def write_trace_csv(path, trace: Trace) -> None:
                 part[:, 0, 1 + count:4 + count] = label
                 if flip_y:
                     part[:, 0, z - _FIELD] ^= _SIGN
-            fh.write(rows.tobytes().translate(None, b"\0"))
+            fh.write(text.translate(None, b"\0"))
+            del fields, rows, part, text  # so the next chunk's words are not built beside them

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 from ._numpy import np
-from .errors import ExhaustedRepetitions
+from .errors import ExhaustedRepetitions, shown
 from .instance import (
     CLASS_K00,
     CLASS_K10,
@@ -76,7 +76,7 @@ def sweep_L(counts: ClassCounts, window: int = 3) -> tuple[Schedule, list[tuple[
     set-up per call; every L is still checked for NormDrift.
     """
     if window < 0:
-        raise ValueError(f"window must be >= 0, got {window}")
+        raise ValueError(f"window must be >= 0, got {shown(window)}")
     center = choose_L(counts, POLICY_PAPER_FORMULA).L
     final = ClosedForm(counts).final
     table = []
@@ -206,7 +206,7 @@ def run_with_repetitions(inst: ProblemInstance, sched: Schedule, max_reps: int,
     (carrying the final outcome) if no repetition verifies.
     """
     if max_reps < 1:
-        raise ValueError(f"max_reps must be >= 1, got {max_reps}")
+        raise ValueError(f"max_reps must be >= 1, got {shown(max_reps)}")
     rng = np.random.default_rng(seed)
     if state is None:
         final, _, _ = run_schedule(inst.counts, sched, record_trace=False)

@@ -641,3 +641,21 @@ class TestExitCodes:
             assert err.endswith("\n") and len(err) <= 1001, len(err)
         else:
             assert err == "" and json.loads(out)
+
+    LONG = "-" + "9" * 300  # a flag value longer than any error line should be
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--instance", "{path}", "--L", str(10 ** 4000)],
+        ["compare", "--instance", "{path}", "--L", LONG],
+        ["run", "--instance", "{path}", "--reps", LONG],
+        ["sweep", "--instance", "{path}", "--window", LONG],
+        ["sweep", "--grid-n", "5," + "x" * 50000, "--grid-x", "2", "--grid-y", "1"],
+    ], ids=["L-huge", "L-negative", "reps", "window", "grid-n"])
+    def test_flag_values_are_clipped(self, path, argv):
+        path.write_text(json.dumps(REF), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([a.format(path=path) for a in argv])
+        err = err.getvalue()
+        assert code == 1 and out.getvalue() == "" and err.count("\n") == 1, err
+        assert err.startswith("error: ") and "..." in err and len(err) <= 100, err

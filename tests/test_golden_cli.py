@@ -201,6 +201,10 @@ CASES = [
     ("compare-n2^1000", "n2^1000", ["compare", "--instance", "{inst}", "--policy", "half"], {}),
     ("compare-L-too-big", "ref", ["compare", "--instance", "{inst}", "--L", str(2 ** 1022)],
      {}),
+    # flag values far longer than a line, echoed clipped
+    ("compare-L-long", "ref", ["compare", "--instance", "{inst}", "--L", str(10 ** 4000)], {}),
+    ("sweep-grid-n-long", None, ["sweep", "--grid-n", "5," + "x" * 50000, "--grid-x", "2",
+                                 "--grid-y", "1"], {}),
     ("compare-cost-model-error", "ref", ["compare", "--instance", "{inst}", "--ty", "nan"], {}),
     ("compare-deep-nesting", "deep-nesting", ["compare", "--instance", "{inst}"], {}),
     # naive_iterations 0: cost_ratio and crossover_t_y are both null

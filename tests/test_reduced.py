@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -548,17 +549,36 @@ class TestTraceCsv:
         cheap = [row[4] for row in rows if row[2] == "oracle_x"]
         assert len(cheap) == 3 * L and set(cheap) == {"-0"}
 
-    @pytest.mark.parametrize("cell, marker", [
-        ((10 ** 8, 4, 4, None), b",-0,"),   # trace-large-L shape: y is +-0.0
-        ((10 ** 10, 16, 1, 600), b"e-05"),  # z starts at 1e-5, p below 1e-4: by '%'
+    @pytest.mark.parametrize("cell, markers", [
+        ((10 ** 8, 4, 4, None), [b",-0,"]),            # trace-large-L shape: y is +-0.0
+        # z starts at 1e-5, printed by the scientific path, and p at 1e-10, by '%'
+        ((10 ** 10, 16, 1, 1500), [b"e-05", b"e-06", b"e-10"]),
     ])
-    def test_large_cells_match_row_at_a_time_writer(self, tmp_path, cell, marker):
+    def test_large_cells_match_row_at_a_time_writer(self, tmp_path, cell, markers):
         n, kx, ky, L = cell
         counts = make_counts(n, kx, ky)
         _, trace, _ = ig.run_schedule(counts, ig.choose_L(counts) if L is None else ig.Schedule(L))
         assert 3 * trace.L + 1 > 3 * reduced._CSV_CHUNK
         self.assert_matches_reference(tmp_path, trace)
-        assert marker in (tmp_path / "fast.csv").read_bytes()
+        text = (tmp_path / "fast.csv").read_bytes()
+        assert all(marker in text for marker in markers)
+
+    def test_memory_does_not_grow_with_L(self, tmp_path):
+        # the writer holds one chunk's words and step labels at a time, so a
+        # ten times longer trace peaks no higher
+        counts = make_counts(10 ** 10, 16, 1)
+        traces = {L: ig.run_schedule(counts, ig.Schedule(L))[1] for L in (5000, 50000)}
+        ig.write_trace_csv(tmp_path / "t.csv", traces[5000])  # builds the cached tables
+        peaks = {}
+        for L, trace in traces.items():
+            tracemalloc.start()
+            try:
+                ig.write_trace_csv(tmp_path / "t.csv", trace)
+                peaks[L] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert 3 * 5000 + 1 > 3 * reduced._CSV_CHUNK
+        assert peaks[50000] <= peaks[5000] + 64 * 1024
 
     @pytest.mark.parametrize("cell, stepped, closed", [
         # paper L = 19,635, y = +-0.0 throughout
@@ -613,7 +633,7 @@ def percent_g(values) -> list[str]:
 # 10**-k and the floats around it, the float below each power of ten (it
 # prints 17 nines), and dyadic values j / 2**(P + 1), j odd, whose 18th digit
 # is an exact tie, at both ends of each decade
-TIES = [j / 2 ** (P + 1) for P in (17, 18, 19, 20)
+TIES = [j / 2 ** (P + 1) for P in range(17, 23)
         for end in (10 ** (16 - P), 10 ** (17 - P))
         for j in range(int(end * 2 ** (P + 1)) - 41, int(end * 2 ** (P + 1)) + 41)
         if j % 2 and 10 ** (16 - P) <= j / 2 ** (P + 1) < 10 ** (17 - P)]
@@ -622,6 +642,7 @@ EDGES = sorted({
       for toward in (0.0, 1.0, b)),
     0.099999999999999992, 0.0099999999999999985, 0.00099999999999999980,
     9.9999999999999991e-05, 0.99999999999999989, 1.0000000000000002, 2.0, *TIES,
+    *(2.0 ** -k for k in range(14, 20)),  # in [LOW, 1e-4), with trailing zeros
     0.0, 5e-324, 2.2250738585072014e-308, 2.2250738585072009e-308, 1e-300, 1.7976931348623157e308,
 })
 
@@ -632,11 +653,28 @@ class TestFloatFormat:
     def test_exponent_bounds_and_no_carry(self):
         # each bound is the least float >= its power of ten, and the float
         # just below each power rounds to 17 nines, not up to the power
-        for k in range(5):
+        for k in range(6):
             bound = float(f"1e-{k}")
             assert Fraction(bound) >= Fraction(1, 10 ** k) > Fraction(math.nextafter(bound, 0))
             below = Fraction(math.nextafter(bound, 0)) * 10 ** (16 + k + 1)
             assert below < 10 ** 17 - Fraction(1, 2)
+        # the float 1e-6 is below 10**-6 (it prints as e-07), so the
+        # scientific path starts at the float after it
+        assert Fraction(1e-6) < Fraction(1, 10 ** 6) <= Fraction(reduced._LOW)
+        assert reduced._LOW == math.nextafter(1e-6, 1.0)
+        values = [math.nextafter(1e-4, 0), math.nextafter(1e-5, 0), 1e-6, reduced._LOW]
+        assert printed(values) == percent_g(values) == [
+            "9.9999999999999991e-05", "9.9999999999999991e-06", "9.9999999999999995e-07",
+            "1.0000000000000002e-06"]
+
+    def test_scientific_values_always_print_a_fraction(self):
+        # no float in [LOW, 1e-4) is within half a unit of the 17th digit of
+        # d * 10**-k, so '%.17g' never prints one as 'de-05' or 'de-06'; the
+        # nearest to 10**-6 is LOW, since the float 1e-6 is below the range
+        for k in (5, 6):
+            for d in range(1, 10):
+                nearest = Fraction(max(float(Fraction(d, 10 ** k)), reduced._LOW))
+                assert abs(nearest * 10 ** (16 + k) - d * 10 ** 16) > Fraction(1, 2)
 
     def test_edge_values(self):
         assert len(TIES) > 150
