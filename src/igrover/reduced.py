@@ -365,17 +365,17 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
     return final, trace, sched.queries()
 
 
-# Iterations (two rows each) formatted per write.  Writing eight traces of
-# the trace-large-L workload's shape (L from 2,703 to 21,791), 31 times each
-# size, interleaved in one process, and running `igrover run --trace` on the
-# L = 78,540 cell in a fresh process, three times each size (2-core Xeon):
+# Iterations (two rows each) formatted per write.  CPU time of writing eight
+# traces of the trace-large-L workload's shape (L from 2,703 to 21,791),
+# medians of 21 interleaved rounds in one process, and the peak of a fresh
+# `igrover run --trace` on the L = 78,540 cell, three runs (2-core Xeon):
 #
-#   chunk                               384    512    1024   1536   2048
-#   median write time, ratio to before  0.86   0.82   0.73   0.87   0.79
-#   fresh-process peak, MB              41.3   41.3   41.95  42.45  43.0
+#   chunk                          384    512    1024   1536   2048
+#   write time, ratio to before    0.91   0.82   0.69   0.63   0.61
+#   fresh-process peak, MB         41.4   41.3   42.2   42.9   43.0
 #
 # "before" is the writer that printed every |v| < 1e-4 with '%', at 384
-# (41.4-41.6 MB).  The shared machine spreads a ratio by about 0.1.
+# (41.55 MB).  1,024 keeps most of the gain for 0.6 MB of peak.
 _CSV_CHUNK = 1024
 _LOW = 1.0000000000000002e-06  # the least float >= 10**-6; the float 1e-6 is below it
 _FIELD = 7  # uint32 words of a printed float: ',', a sign byte, up to 23 characters
@@ -491,9 +491,8 @@ def write_trace_csv(path, trace: Trace) -> None:
     Dekker's TwoProduct gives |v| * 10**P exactly as hi + lo, and hi is an
     even integer, so D is hi + rint(lo).
     Zeros print as '0' and '-0', and the rest (|v| >= 1, |v| < LOW, inf and
-    nan) through one batched '%' per chunk.  A chunk's words, labels and
-    text are dropped before the next chunk's are built, so the writer's
-    working memory depends on `_CSV_CHUNK`, not on the trace's length.
+    nan) through one batched '%' per chunk.  The writer's working memory
+    is one chunk's words, labels and text, whatever the trace's length.
     """
     stops, iterations = trace.stops, 3 * trace.L + 1
     quads = _tables()[0]
@@ -538,4 +537,3 @@ def write_trace_csv(path, trace: Trace) -> None:
                 if flip_y:
                     part[:, 0, z - _FIELD] ^= _SIGN
             fh.write(text.translate(None, b"\0"))
-            del fields, rows, part, text  # so the next chunk's words are not built beside them
