@@ -75,6 +75,9 @@ INSTANCES = {
     # y and z start near 1e-5 and p near 1e-10: a trace printing values in
     # scientific notation, both above and below 10**-6
     "sci": inst(10 ** 10, span(0, 15), members(3)),
+    # p starts at 1e-106 and prints with a three-digit exponent through row
+    # 3,217 of the policy L = 7,854's trace, and with two digits after it
+    "tiny-p": inst(10 ** 106, span(0, 10 ** 98 - 1), members(3)),
     "n2^1000": inst(2 ** 1000, mod(2 ** 990, 0), members(0, 2 ** 990)),
     "too-big": inst(2 ** 1030, mod(2 ** 1000, 0), members(0)),
     "not-subset": inst(8, span(0, 1), members(5)),
@@ -132,6 +135,11 @@ CASES = [
      ["run", "--instance", "{inst}", "--L", "400", "--trace", "{tmp}/t.csv"], {}),
     ("run-reduced-trace-sci", "sci",
      ["run", "--instance", "{inst}", "--L", "30", "--trace", "{tmp}/t.csv"], {}),
+    # 3,301 iterations: past a chunk boundary at 1,024, 1,536, 2,048 and 3,072 each
+    ("run-reduced-trace-chunks-3301", "wide",
+     ["run", "--instance", "{inst}", "--L", "1100", "--trace", "{tmp}/t.csv"], {}),
+    ("run-reduced-trace-tiny-p", "tiny-p",
+     ["run", "--instance", "{inst}", "--trace", "{tmp}/t.csv"], {}),
     ("run-n1e12", "n1e12", ["run", "--instance", "{inst}", "--seed", "9"], {}),
     ("run-n2^1000", "n2^1000", ["run", "--instance", "{inst}", "--reps", "3"], {}),
     # every draw lands in k00, a class above 2**63, so each takes rng.bytes
@@ -203,6 +211,10 @@ CASES = [
      {}),
     # flag values far longer than a line, echoed clipped
     ("compare-L-long", "ref", ["compare", "--instance", "{inst}", "--L", str(10 ** 4000)], {}),
+    # tokens int() or float() refuses: a short one is echoed whole, a long one clipped
+    ("compare-L-not-int", "ref", ["compare", "--instance", "{inst}", "--L", "1e3"], {}),
+    ("compare-tx-not-float", "ref", ["compare", "--instance", "{inst}", "--tx", "cheap"], {}),
+    ("compare-L-5000-nines", "ref", ["compare", "--instance", "{inst}", "--L", "9" * 5000], {}),
     ("sweep-grid-n-long", None, ["sweep", "--grid-n", "5," + "x" * 50000, "--grid-x", "2",
                                  "--grid-y", "1"], {}),
     ("compare-cost-model-error", "ref", ["compare", "--instance", "{inst}", "--ty", "nan"], {}),
