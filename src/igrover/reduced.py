@@ -366,20 +366,22 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
 
 
 # Iterations (two rows each) formatted per write.  CPU time of writing eight
-# traces of the trace-large-L workload's shape (L from 2,703 to 21,791),
-# medians of 21 interleaved rounds in one process, and the peak of a fresh
-# `igrover run --trace` on the L = 78,540 cell, three runs (2-core Xeon):
+# traces of the trace-large-L workload's shape (four draws, L from 2,316 to
+# 58,208), as a ratio to the writer before, medians of 41 interleaved
+# rounds in one process, the median of the four draws; and the peak of a
+# fresh `igrover run --trace` on the L = 78,540 cell, five runs (2-core Xeon):
 #
-#   chunk                          384    512    1024   1536   2048
-#   write time, ratio to before    0.91   0.82   0.69   0.63   0.61
-#   fresh-process peak, MB         41.4   41.3   42.2   42.9   43.0
+#   chunk                          1024   1536   2048   3072
+#   write time, ratio to before    0.91   0.86   0.86   0.85
+#   fresh-process peak, MB         42.05  42.53  43.09  44.10
 #
-# "before" is the writer that printed every |v| < 1e-4 with '%', at 384
-# (41.55 MB).  1,024 keeps most of the gain for 0.6 MB of peak.
-_CSV_CHUNK = 1024
+# "before" is the writer of seven-word fields, the newline in the last, at
+# 1,024 (42.11 MB).  1,536 keeps nearly all of the gain for 0.4 MB of peak.
+_CSV_CHUNK = 1536
 _LOW = 1.0000000000000002e-06  # the least float >= 10**-6; the float 1e-6 is below it
-_FIELD = 7  # uint32 words of a printed float: ',', a sign byte, up to 23 characters
-_SIGN, _NEWLINE = (int.from_bytes(b, sys.byteorder) for b in (b"\0-\0\0", b"\0\0\0\n"))
+_EDGES = (_LOW, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)  # the least float >= each power of ten
+_FIELD = 6  # uint32 words of a printed float: ',', a sign byte, up to 22 characters
+_SIGN = int.from_bytes(b"\0-\0\0", sys.byteorder)
 
 
 def _words(text: str, count: int) -> np.ndarray:
@@ -393,7 +395,10 @@ def _tables() -> tuple:
     `heads[10 * P + d]` is P - 17 zeros and digit d (NUL past P = 20);
     `leads[2 * (v == 0) + sign bit]` is ',', sign, '0' and '.' but for 0;
     `marks[10 * sign bit + d]` is ',', sign, digit d and '.'; `exps[P - 21]`
-    is 'e-05' or 'e-06'.  Then 10**P, split."""
+    is 'e-05' or 'e-06'.  Then 10**P, split, and per binary exponent e (the
+    float's top 12 bits, sign clear) of [_LOW, 1), P at 2**(e - 1023) and
+    the edge inside that octave, or 2.0 if it holds none; the edges are 10
+    times apart, so an octave holds at most one."""
     quads = np.empty((3, 10000, 4), np.uint8)
     for j, scale in enumerate((1000, 100, 10, 1)):
         quads[:, :, j] = np.arange(10000, dtype=np.uint16) // scale % 10 + 48
@@ -404,35 +409,46 @@ def _tables() -> tuple:
     heads = "".join(("0" * k).ljust(3, "\0") + str(d) for k in range(4) for d in range(10))
     marks = "".join(f",{sign}{d}." for sign in "\0-" for d in range(10))
     ten = np.array([float(10 ** p) for p in range(23)])  # exact: 5**22 < 2**53
+    octave = (np.arange(1023, dtype=np.int64) << 52).view(np.float64)  # 2**(e - 1023), e > 0
+    edge = np.full(1023, 2.0)
+    edge[np.array(_EDGES).view(np.int64) >> 52] = _EDGES
     return (quads.view(np.uint32).reshape(-1), _words("\0" * 680 + heads, 230),
             _words(",\x000.,-0.,\x000\0,-0\0", 4), _words(marks, 20), _words("e-05e-06", 2),
-            ten, *_split(ten))
+            ten, *_split(ten), 23 - np.searchsorted(_EDGES, octave, side="right"), edge)
+
+
+def _exponents(a: np.ndarray) -> np.ndarray:
+    """P per value of a, all in [_LOW, 1): 10**16 <= a * 10**P < 10**17."""
+    octave_p, edge = _tables()[-2:]
+    e = a.view(np.int64) >> 52  # the biased binary exponent, as a >= 0
+    return octave_p[e] - (a >= edge[e])
 
 
 @cache
 def _segment_words() -> tuple:
-    """Per phase, the word of 'phase,', the words of ',op' and whether the
+    """Per phase, the word of '\nphase,', the words of ',op' and whether the
     phase's oracle negates y, plus the words of ',diffusion'; none of them
     depends on L."""
-    return (tuple((_words(f"{phase},", 1)[0], _words(f",{op}", 3), op == "oracle_x")
+    return (tuple((_words(f"\n{phase},", 1)[0], _words(f",{op}", 3), op == "oracle_x")
                   for phase, op, _ in Schedule(0).segments()), _words(",diffusion", 3))
 
 
 def _float_words(v: np.ndarray) -> np.ndarray:
-    """Each float as `_FIELD` words of ',' + '%.17g' % v (see write_trace_csv).
+    """Each float as `_FIELD` words of ',' + '%.17g' % v (see write_trace_csv),
+    or as `_FIELD` + 1 words for all if one of them needs 23 characters.
 
     A value in [_LOW, 1) takes the 17 digits of D = |v| * 10**P, rounded
     half to even, where 17 <= P <= 22 puts D in [10**16, 10**17).  Above
-    1e-4 its words are ',', sign, '0.', P - 17 zeros with D's first digit,
-    four four-digit groups and a NUL word; below, ',', sign, D's first
-    digit, '.', the four groups and 'e-05' or 'e-06'.
+    1e-4 its words are ',', sign, '0.', P - 17 zeros with D's first digit
+    and four four-digit groups; below, ',', sign, D's first digit, '.', the
+    four groups and 'e-05' or 'e-06'.
     """
-    quads, heads, leads, marks, exps, ten, ten_hi, ten_lo = _tables()
+    quads, heads, leads, marks, exps, ten, ten_hi, ten_lo = _tables()[:8]
     a = np.abs(v)
     fast = (a >= _LOW) & (a < 1.0)
     zeros = a == 0.0
     a = np.where(fast, a, 0.5)
-    p = 23 - np.searchsorted((_LOW, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1), a, side="right")
+    p = _exponents(a)
     hi, lo = _two_product(a, ten[p], (ten_hi[p], ten_lo[p]))  # hi + lo = a * 10**P
     # hi >= 10**16 > 2**53 is an even integer: rint(lo) rounds hi + lo half to even
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
@@ -442,7 +458,12 @@ def _float_words(v: np.ndarray) -> np.ndarray:
     high -= first * 10 ** 8
     g0, g2 = high // 10000, low // 10000
     g1, g3 = high - g0 * 10000, low - g2 * 10000
-    out = np.empty((len(v), _FIELD), np.uint32)
+    rare = np.flatnonzero(~(fast | zeros))
+    if rare.size:  # the '%' texts, each ',', a NUL sign byte and up to 23 characters
+        text = (",\0%.17g\n" * rare.size) % tuple(np.abs(v[rare]).tolist())
+        texts = np.array(text.split("\n")[:-1], "S")
+    width = _FIELD + (rare.size > 0 and texts.itemsize > 4 * _FIELD)
+    out = np.empty((len(v), width), np.uint32)
     out[:, 0] = leads[2 * zeros + np.signbit(v)]
     out[:, 1] = heads[10 * p + first + 35 * zeros]  # a zero: P = 17, digit 5 + 35
     # a group of four digits drops its trailing zeros if all groups after it are 0
@@ -450,17 +471,14 @@ def _float_words(v: np.ndarray) -> np.ndarray:
     out[:, 3] = quads[g1 + 10000 * (low == 0)]
     out[:, 4] = quads[g2 + 10000 * (g3 == 0)]
     out[:, 5] = quads[g3 + 10000]
-    out[:, 6] = 0
+    out[:, _FIELD:] = 0
     sci = np.flatnonzero(p > 20)  # printed as d.dddddddddddddddde-0(P - 16)
     if sci.size:
         out[sci, 0] = marks[10 * np.signbit(v[sci]) + first[sci]]
         out[sci, 1:5] = out[sci, 2:6]
         out[sci, 5] = exps[p[sci] - 21]
-    rare = np.flatnonzero(~(fast | zeros))
     if rare.size:
-        text = (",\0%.17g\n" * rare.size) % tuple(np.abs(v[rare]).tolist())
-        out[rare] = np.array(text.split("\n")[:-1], f"S{4 * _FIELD}").view(np.uint32
-                                                                        ).reshape(-1, _FIELD)
+        out[rare] = texts.astype(f"S{4 * width}").view(np.uint32).reshape(-1, width)
         out[rare, 0] |= (np.signbit(v[rare]) & (v[rare] == v[rare])).astype(np.uint32) * _SIGN
     return out
 
@@ -470,11 +488,15 @@ def write_trace_csv(path, trace: Trace) -> None:
 
     The stops are formatted a chunk at a time into a matrix of uint32 words
     (four characters each), one row per CSV line, each value NUL-padded to
-    `_FIELD` words; dropping the NUL bytes leaves the text.  An oracle row
-    is the stop before it with z (and, for the cheap oracle, y) negated, so
-    it takes the stop's words with those sign bytes toggled.  Rows are
-    labelled one phase at a time, since phase, op and the y toggle are
-    constant within a phase and a chunk meets at most three phases.
+    `_FIELD` words, or to `_FIELD` + 1 in a chunk where some value prints
+    23 characters (a three-digit exponent); dropping the NUL bytes leaves
+    the text.  Each row starts with its newline, in the phase word
+    '\nphase,', after the header, which is written without one, so the file
+    ends with a lone '\n'.  An oracle row is the stop before it with z
+    (and, for the cheap oracle, y) negated, so it takes the stop's words
+    with those sign bytes toggled.  Rows are labelled one phase at a time,
+    since phase, op and the y toggle are constant within a phase and a
+    chunk meets at most three phases.
 
     A value with LOW <= |v| < 1, where LOW = 1.0000000000000002e-06 is the
     least float >= 10**-6, is nearly every value of a trace.  It prints the
@@ -487,6 +509,7 @@ def write_trace_csv(path, trace: Trace) -> None:
     the least float >= its power of ten, and no float in the range rounds
     up to the next power (the float below each prints 17 nines).  The float
     1e-6 is below 10**-6 and prints as e-07, so the range starts at LOW.
+    P is read from tables indexed by the binary exponent (`_exponents`).
     10**P is an exact float for every P up to 22, since 5**22 < 2**53, so
     Dekker's TwoProduct gives |v| * 10**P exactly as hi + lo, and hi is an
     even integer, so D is hi + rint(lo).
@@ -500,18 +523,19 @@ def write_trace_csv(path, trace: Trace) -> None:
     # the first iteration of each phase, and the end
     starts = np.cumsum([0] + [steps for *_, steps in Schedule(trace.L).segments()]).tolist()
     count = (len(str(2 * trace.L)) + 3) // 4  # words of the largest step number
-    z = 4 + count + 2 * _FIELD  # word 0 of a row's z field
     with open(path, "wb") as fh:
-        fh.write(b"phase,step,op,x,y,z,p_success\n")
+        fh.write(b"phase,step,op,x,y,z,p_success")
         for lo in range(0, iterations if len(stops) else 0, _CSV_CHUNK):
             hi = min(iterations, lo + _CSV_CHUNK)
             chunk = stops[lo:hi + 1]  # iteration i: stops i and i + 1
             values = np.column_stack([chunk, np.square(chunk[:, 2])])
-            fields = _float_words(values.reshape(-1)).reshape(-1, 4 * _FIELD)
-            fields[:, -1] |= _NEWLINE  # the last byte of a field is always NUL
+            words = _float_words(values.reshape(-1))
+            width = words.shape[1]
+            fields = words.reshape(-1, 4 * width)
             if not lo:
-                fh.write(b"0,0,init" + fields[0].tobytes().translate(None, b"\0"))
-            text = bytearray(8 * (hi - lo) * (z + 2 * _FIELD))  # rows' buffer: no copy to print
+                fh.write(b"\n0,0,init" + fields[0].tobytes().translate(None, b"\0"))
+            z = 4 + count + 2 * width  # word 0 of a row's z field
+            text = bytearray(8 * (hi - lo) * (z + 2 * width))  # rows' buffer: no copy to print
             rows = np.frombuffer(text, np.uint32).reshape(hi - lo, 2, -1)
             rows[:, 1, 1 + count:4 + count] = diffusion
             rows[:, 0, 4 + count:] = fields[:-1]
@@ -535,5 +559,6 @@ def write_trace_csv(path, trace: Trace) -> None:
                     part[:, :, 1 + j] = quads[w][:, None]
                 part[:, 0, 1 + count:4 + count] = label
                 if flip_y:
-                    part[:, 0, z - _FIELD] ^= _SIGN
+                    part[:, 0, z - width] ^= _SIGN
             fh.write(text.translate(None, b"\0"))
+        fh.write(b"\n")

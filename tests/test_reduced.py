@@ -552,7 +552,10 @@ class TestTraceCsv:
     @pytest.mark.parametrize("cell, markers", [
         ((10 ** 8, 4, 4, None), [b",-0,"]),            # trace-large-L shape: y is +-0.0
         # z starts at 1e-5, printed by the scientific path, and p at 1e-10, by '%'
-        ((10 ** 10, 16, 1, 1500), [b"e-05", b"e-06", b"e-10"]),
+        ((10 ** 10, 16, 1, 2500), [b"e-05", b"e-06", b"e-10"]),
+        # p prints a three-digit exponent through row 3,217 of 47,127 (L = 7,854),
+        # so only the first chunk pads its values to seven words
+        ((10 ** 106, 10 ** 98, 1, None), [b"e-106\n", b"e-100\n", b"e-99\n"]),
     ])
     def test_large_cells_match_row_at_a_time_writer(self, tmp_path, cell, markers):
         n, kx, ky, L = cell
@@ -598,9 +601,16 @@ class TestTraceCsv:
             ig.write_trace_csv(tmp_path / "t.csv", trace)
             assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == digest
 
-    def test_untraced_run_writes_the_header_only(self, tmp_path):
-        _, trace, _ = ig.run_schedule(make_counts(64, 16, 4), ig.Schedule(3),
-                                      record_trace=False)
+    @pytest.mark.parametrize("engine, L", [("reduced", 3), ("reduced", 0), ("full", 3)])
+    def test_untraced_run_writes_the_header_only(self, tmp_path, engine, L):
+        # rows start with their newline, so a trace with no stops still ends in one
+        if engine == "reduced":
+            _, trace, _ = ig.run_schedule(make_counts(64, 16, 4), ig.Schedule(L),
+                                          record_trace=False)
+        else:
+            _, trace, _ = ig.run_schedule_full(range_instance(64, 16, 4), ig.Schedule(L),
+                                               record_trace=False)
+        assert len(trace.stops) == 0
         path = tmp_path / "trace.csv"
         ig.write_trace_csv(path, trace)
         assert path.read_text() == "phase,step,op,x,y,z,p_success\n"
@@ -666,6 +676,30 @@ class TestFloatFormat:
         assert printed(values) == percent_g(values) == [
             "9.9999999999999991e-05", "9.9999999999999991e-06", "9.9999999999999995e-07",
             "1.0000000000000002e-06"]
+
+    def test_exponent_tables_match_a_search_of_the_edges(self):
+        # P from the binary exponent, at both ends of every octave in [LOW, 1),
+        # at each edge and at the float just below it (below LOW both give 23)
+        ends = [e for k in range(-20, 0)
+                for e in (math.ldexp(1.0, k), math.nextafter(math.ldexp(1.0, k + 1), 0.0))]
+        edges = reduced._EDGES
+        values = [*(v for v in ends if reduced._LOW <= v), *edges,
+                  *(math.nextafter(b, 0.0) for b in edges)]
+        a = np.array(values)
+        p = reduced._exponents(a)
+        assert len(values) == 51 and ends[0] < reduced._LOW
+        assert p.tolist() == (23 - np.searchsorted(edges, a, side="right")).tolist()
+        for v, P in zip(values, p.tolist()):
+            assert v < reduced._LOW or 10 ** 16 <= Fraction(v) * 10 ** P < 10 ** 17
+
+    def test_field_width_follows_the_longest_text(self):
+        # six words hold ',', a sign byte and 22 characters, so only a text
+        # of 23 (17 digits and a three-digit exponent) widens every field
+        for values, width in (([0.5, -1e99, 3e-5, 5e-324], 7), ([0.5, -1e99, 3e-5, 1e-99], 6),
+                              ([-1.1e-100], 7), ([1e-100, -1e100, 2.5e-100], 6),
+                              ([math.nan, -math.inf], 6)):
+            assert reduced._float_words(np.array(values)).shape == (len(values), width)
+            assert printed(values) == percent_g(values)
 
     def test_scientific_values_always_print_a_fraction(self):
         # no float in [LOW, 1e-4) is within half a unit of the 17th digit of
