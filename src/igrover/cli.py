@@ -47,6 +47,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _number(kind):
+    """A `type=` converter: kind(raw), or argparse's "invalid int value"
+    (or float) error with the token clipped by `shown`, since a refused
+    token can be thousands of characters long."""
+    def convert(raw: str):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {shown(raw)}") from None
+    return convert
+
+
+_INT, _FLOAT = _number(int), _number(float)
+
 _FLOAT_NAMES = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
 # list members formatted per call: the stdlib's pure-Python encoder (which
 # json.dumps runs whenever indent is set) takes twice as long, and one piece
@@ -215,9 +230,9 @@ def _add_common(p: argparse.ArgumentParser, sweep: bool = False) -> None:
     if not sweep:  # sweep reads neither --policy nor --L, so it rejects them
         p.add_argument("--policy", choices=sorted(_POLICY_FLAG), default="paper",
                        help="how to pick L when --L is not given")
-        p.add_argument("--L", type=int, default=None, help="override the step count")
-    p.add_argument("--tx", type=float, default=1.0, help="cost of one cheap query")
-    p.add_argument("--ty", type=float, default=1.0, help="cost of one expensive query")
+        p.add_argument("--L", type=_INT, default=None, help="override the step count")
+    p.add_argument("--tx", type=_FLOAT, default=1.0, help="cost of one cheap query")
+    p.add_argument("--ty", type=_FLOAT, default=1.0, help="cost of one expensive query")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
@@ -230,17 +245,17 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute the schedule and report the outcome")
     _add_common(run)
     run.add_argument("--engine", choices=["reduced", "full", "both"], default="reduced")
-    run.add_argument("--seed", type=int, default=0, help="measurement RNG seed")
-    run.add_argument("--reps", type=int, default=20,
+    run.add_argument("--seed", type=_INT, default=0, help="measurement RNG seed")
+    run.add_argument("--reps", type=_INT, default=20,
                      help="max repetitions before giving up")
     run.add_argument("--trace", default=None, help="write the step trace CSV here")
-    run.add_argument("--tol", type=float, default=1e-9,
+    run.add_argument("--tol", type=_FLOAT, default=1e-9,
                      help="engine agreement tolerance for --engine both")
     run.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser("sweep", help="success probability across step counts")
     _add_common(sweep, sweep=True)
-    sweep.add_argument("--window", type=int, default=3,
+    sweep.add_argument("--window", type=_INT, default=3,
                        help="half-width of the L window around the formula value")
     sweep.add_argument("--grid-n", default=None, help="comma list of universe sizes")
     sweep.add_argument("--grid-x", default=None, help="comma list of |X| values")

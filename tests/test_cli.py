@@ -659,3 +659,21 @@ class TestExitCodes:
         err = err.getvalue()
         assert code == 1 and out.getvalue() == "" and err.count("\n") == 1, err
         assert err.startswith("error: ") and "..." in err and len(err) <= 100, err
+
+    @pytest.mark.parametrize("command, flag, kind", [
+        ("compare", "--L", "int"), ("run", "--reps", "int"), ("run", "--seed", "int"),
+        ("sweep", "--window", "int"), ("compare", "--tx", "float"), ("compare", "--ty", "float"),
+        ("run", "--tol", "float")])
+    def test_refused_flag_tokens_keep_argparse_wording_clipped(self, path, command, flag, kind):
+        # int() refuses more than 4,300 digits and float() a trailing letter;
+        # a token of up to 30 characters is echoed whole, as argparse does
+        path.write_text(json.dumps(REF), encoding="utf-8")
+        long = "9" * 4999 + ("9" if kind == "int" else "x")
+        for token, echo in (("1e3x", "'1e3x'"), (long, f"'{long[:12]}...{long[-13:]}'")):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    pytest.raises(SystemExit) as exc:
+                cli.main([command, "--instance", str(path), flag, token])
+            assert exc.value.code == 1 and out.getvalue() == ""
+            assert err.getvalue().splitlines()[-1] == (
+                f"igrover {command}: error: argument {flag}: invalid {kind} value: {echo}")
