@@ -458,11 +458,11 @@ def _float_words(v: np.ndarray) -> np.ndarray:
     high -= first * 10 ** 8
     g0, g2 = high // 10000, low // 10000
     g1, g3 = high - g0 * 10000, low - g2 * 10000
-    rare = np.flatnonzero(~(fast | zeros))
+    width, rare = _FIELD, np.flatnonzero(~(fast | zeros))
     if rare.size:  # the '%' texts, each ',', a NUL sign byte and up to 23 characters
         text = (",\0%.17g\n" * rare.size) % tuple(np.abs(v[rare]).tolist())
         texts = np.array(text.split("\n")[:-1], "S")
-    width = _FIELD + (rare.size > 0 and texts.itemsize > 4 * _FIELD)
+        width += texts.itemsize > 4 * _FIELD
     out = np.empty((len(v), width), np.uint32)
     out[:, 0] = leads[2 * zeros + np.signbit(v)]
     out[:, 1] = heads[10 * p + first + 35 * zeros]  # a zero: P = 17, digit 5 + 35
@@ -529,9 +529,9 @@ def write_trace_csv(path, trace: Trace) -> None:
             hi = min(iterations, lo + _CSV_CHUNK)
             chunk = stops[lo:hi + 1]  # iteration i: stops i and i + 1
             values = np.column_stack([chunk, np.square(chunk[:, 2])])
-            words = _float_words(values.reshape(-1))
-            width = words.shape[1]
-            fields = words.reshape(-1, 4 * width)
+            fields = _float_words(values.reshape(-1))
+            width = fields.shape[1]
+            fields = fields.reshape(-1, 4 * width)
             if not lo:
                 fh.write(b"\n0,0,init" + fields[0].tobytes().translate(None, b"\0"))
             z = 4 + count + 2 * width  # word 0 of a row's z field
