@@ -545,19 +545,24 @@ def write_trace_csv(path, trace: Trace) -> None:
                 first, last = max(lo, start), min(hi, end)  # its iterations in the chunk
                 if first >= last:
                     continue
-                k = np.arange(first - start, last - start)  # their steps
+                k0, k1 = first - start, last - start  # their steps
                 part = rows[first - lo:last - lo]
                 part[:, :, 0] = phase
+                part[:, 0, 1 + count:4 + count] = label
                 # the step in groups of four digits: the group holding its
                 # first digit drops leading zeros, groups before it print
-                # nothing (the NUL word at 10000), and step 0 prints '0'
-                for j in range(count):
-                    g = k // 10 ** (4 * (count - 1 - j))  # the digits from this group on
-                    w = g % 10000 + 20000 * (g < 10000)
-                    if j < count - 1:
-                        w -= 10000 * (g == 0)
-                    part[:, :, 1 + j] = quads[w][:, None]
-                part[:, 0, 1 + count:4 + count] = label
+                # nothing (the NUL word at 10000), and step 0 prints '0'.
+                # Within a block of 10,000 steps every group but the last is
+                # fixed, and the last runs along a slice of quads
+                for b in range(k0 - k0 % 10000, k1, 10000):
+                    s, e = max(k0, b), min(k1, b + 10000)
+                    block = part[s - k0:e - k0]
+                    for j in range(count - 1):
+                        g = b // 10 ** (4 * (count - 1 - j))  # the digits from this group on
+                        block[:, :, 1 + j] = quads[g % 10000 + 20000 * (g < 10000)
+                                                   - 10000 * (g == 0)]
+                    at = 20000 if b == 0 else -b  # step k's last group is quads[k + at]
+                    block[:, :, count] = quads[s + at:e + at, None]
                 if flip_y:
                     part[:, 0, z - width] ^= _SIGN
             fh.write(text.translate(None, b"\0"))
