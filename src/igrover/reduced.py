@@ -372,11 +372,11 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
 # fresh `igrover run --trace` on the L = 78,540 cell, five runs (2-core Xeon):
 #
 #   chunk                          1024   1536   2048   3072
-#   write time, ratio to before    0.91   0.86   0.86   0.85
-#   fresh-process peak, MB         42.05  42.53  43.09  44.10
+#   write time, ratio to before    0.85   0.80   0.79   0.78
+#   fresh-process peak, MB         41.87  42.33  42.87  44.01
 #
 # "before" is the writer of seven-word fields, the newline in the last, at
-# 1,024 (42.11 MB).  1,536 keeps nearly all of the gain for 0.4 MB of peak.
+# 1,024 (42.14 MB).  1,536 keeps most of the gain for 0.2 MB of peak.
 _CSV_CHUNK = 1536
 _LOW = 1.0000000000000002e-06  # the least float >= 10**-6; the float 1e-6 is below it
 _EDGES = (_LOW, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)  # the least float >= each power of ten
