@@ -267,23 +267,41 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(compare)
     compare.set_defaults(func=cmd_compare)
     parser.commands = sub.choices  # each command's name to its parser
+    # each command's name to its value-taking actions by full option string
+    parser.flags = {name: {s: a for a in p._actions if a.nargs is None for s in a.option_strings}
+                    for name, p in sub.choices.items()}
     return parser
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), skipping its top-level pass where it can.
+    """build_parser().parse_args(argv), with argparse's parse skipped where it is plain.
 
-    A command's flags go straight to its own parser, in the call argparse's
-    subparsers action makes.  An argv with no command, or with arguments left
-    over, takes the top-level parse, which prints every usage error and help.
+    A command followed by `--flag value` pairs gets its namespace built here:
+    each flag one of the command's own option strings, in full and given once,
+    each value not starting with '-' and taken by the flag's type and choices,
+    and every required flag given.  Any other argv (no command, a help,
+    abbreviated, `=`-form or unknown flag, `--`, a leftover or refused token)
+    takes argparse's parse, which prints every usage error and help.
     """
     parser = build_parser()
-    if argv and argv[0] in parser.commands:
-        args, extra = parser.commands[argv[0]].parse_known_args(argv[1:])
-        if not extra:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    flags = parser.flags.get(argv[0]) if argv else None
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if (flags is None or len(given) * 2 + 1 != len(argv) or not given.keys() <= flags.keys()
+            or any(a.required and given.keys().isdisjoint(a.option_strings)
+                   for a in flags.values())):
+        return parser.parse_args(argv)
+    values = {a.dest: a.default for a in flags.values()}
+    for flag, raw in given.items():
+        action = flags[flag]
+        try:
+            value = raw if action.type is None else action.type(raw)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return parser.parse_args(argv)
+        if raw[:1] == "-" or action.choices is not None and value not in action.choices:
+            return parser.parse_args(argv)
+        values[action.dest] = value
+    return argparse.Namespace(**values, command=argv[0],
+                              func=parser.commands[argv[0]].get_default("func"))
 
 
 def main(argv=None) -> int:

@@ -54,6 +54,15 @@ CORPUS = [
     ["compare", "--instance", INST, "--tx", "-1"],
     ["compare", "--instance", INST, "--tx", "nan"],
     ["run", "--instance", INST, "--L", "-5"],
+    # `--flag value` pairs that argparse must parse: an odd token count, a missing
+    # required flag, a refused int, an empty value (which argparse takes), a value
+    # that is a flag, a refused choice
+    ["compare", "--instance"],
+    ["run", "--seed", "1"],
+    ["compare", "--instance", INST, "--L", "x"],
+    ["compare", "--instance", ""],
+    ["compare", "--instance", INST, "--out", "--tx"],
+    ["run", "--instance", INST, "--policy", "best"],
     # well-formed command lines of each command
     ["run", "--instance", INST, "--engine", "both", "--seed", "3", "--trace", "t.csv"],
     ["sweep", "--grid-n", "16,1024", "--grid-x", "1,4", "--grid-y", "1", "--out", "g.csv"],

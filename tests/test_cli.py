@@ -537,12 +537,36 @@ flag_items = st.one_of(
     st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)),
     st.builds(lambda f, v: (f"{f}={v}",), st.sampled_from(FLAGS), st.sampled_from(VALUES)),
     st.tuples(st.sampled_from(FLAGS + VALUES + ["--"])))
-command_lines = st.builds(
-    lambda head, items: head + [tok for item in items for tok in item],
-    st.one_of(st.sampled_from([["run", "--instance", "i.json"], ["sweep"], ["compare"],
-                               ["compare", "--instance", "i.json"]]),
-              st.lists(st.sampled_from(COMMANDS), max_size=1)),
-    st.lists(flag_items, max_size=5))
+# each command's required flags, then its other flags
+COMMON = ["--tx", "--ty", "--out"]
+COMMAND_FLAGS = {
+    "run": (["--instance"], ["--policy", "--L", *COMMON, "--engine", "--seed", "--reps",
+                             "--trace", "--tol"]),
+    "sweep": ([], ["--instance", *COMMON, "--window", "--grid-n", "--grid-x", "--grid-y"]),
+    "compare": (["--instance"], ["--policy", "--L", *COMMON]),
+}
+
+
+@st.composite
+def own_flag_lines(draw) -> list[str]:
+    """A command, then its required flags and some of its others, in any order, each
+    once with a value from FLAG_VALUES: mostly the `--flag value` lines that
+    cli._parse builds without argparse."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    required, others = COMMAND_FLAGS[command]
+    flags = draw(st.permutations(required + draw(st.lists(st.sampled_from(others), unique=True))))
+    values = [draw(st.sampled_from(FLAG_VALUES[flag])) for flag in flags]
+    return [command, *(tok for pair in zip(flags, values) for tok in pair)]
+
+
+command_lines = st.one_of(
+    st.builds(
+        lambda head, items: head + [tok for item in items for tok in item],
+        st.one_of(st.sampled_from([["run", "--instance", "i.json"], ["sweep"], ["compare"],
+                                   ["compare", "--instance", "i.json"]]),
+                  st.lists(st.sampled_from(COMMANDS), max_size=1)),
+        st.lists(flag_items, max_size=5)),
+    own_flag_lines())
 
 
 class TestParse:
