@@ -295,7 +295,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
         action = flags[flag]
         try:
             value = raw if action.type is None else action.type(raw)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+        except (argparse.ArgumentTypeError, TypeError, ValueError):  # as argparse catches
             return parser.parse_args(argv)
         if raw[:1] == "-" or action.choices is not None and value not in action.choices:
             return parser.parse_args(argv)
