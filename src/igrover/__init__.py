@@ -12,7 +12,6 @@ from .errors import (
     DimensionMismatch,
     EmptyX,
     EmptyY,
-    ExhaustedRepetitions,
     IGroverError,
     IndexOutOfRange,
     InstanceTooLarge,

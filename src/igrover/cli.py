@@ -13,7 +13,7 @@ import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
 
-from .errors import ExhaustedRepetitions, IGroverError, shown
+from .errors import IGroverError, shown
 from .fullstate import run_schedule_full
 from .instance import load_instance, ClassCounts
 from .reduced import run_schedule, write_trace_csv
@@ -157,18 +157,13 @@ def cmd_run(args) -> int:
                   f"max delta {gap[1]:.3g} > tol {args.tol:.3g}", file=sys.stderr)
             return 2
 
-    code = 0
-    try:
-        outcome = run_with_repetitions(inst, sched, args.reps, args.seed,
-                                       state if args.engine == "full" else None)
-    except ExhaustedRepetitions as exc:
-        outcome = exc.outcome
-        code = 3
+    outcome = run_with_repetitions(inst, sched, args.reps, args.seed,
+                                   state if args.engine == "full" else None)
     record = result_record(inst, sched, outcome, model)  # all repetitions' costs, before any write
     if args.trace:
         write_trace_csv(args.trace, trace)
     _emit(record, args.out)
-    return code
+    return 0 if outcome.verified else 3
 
 
 def _parse_int_list(raw: str, flag: str) -> list[int]:

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and how their messages show
-a value read from an instance file or a flag."""
+"""Exception types for refused inputs and broken invariants (CLI exit 1), and
+how their messages show a value read from an instance file or a flag."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ def shown(value) -> str:
 
 
 class IGroverError(Exception):
-    """Base class for every error this package raises on purpose."""
+    """Base class for every error this package raises on purpose; each exits 1."""
 
 
 class SpecFormatError(IGroverError):
@@ -58,17 +58,3 @@ class NotClassUniform(IGroverError):
 
 class NormDrift(IGroverError):
     """A simulated state ended a run off the unit sphere."""
-
-
-class ExhaustedRepetitions(IGroverError):
-    """Every allowed repetition measured an unverified index.
-
-    The final (failed) run outcome rides along on ``.outcome`` so callers
-    can still report counters, cost, and the last measured index.
-    """
-
-    def __init__(self, outcome):
-        super().__init__(
-            f"no verified outcome after {outcome.repetitions} repetitions"
-        )
-        self.outcome = outcome

@@ -208,16 +208,17 @@ def check_cap(var: str, default: int, size: int, what: str, limit: int = sys.max
 class ClosedForm:
     """The closed form of one class-count triple (see the module docstring):
     the diffusion axis s, u's components uy and uz, with w = (0, uz, -uy),
-    and theta as a float.  None of it depends on L, so `sweep_L` builds it
-    once and evaluates every L of its window from it."""
+    theta as a float, and whether k00 and k10 are empty.  None of it depends
+    on L, so `sweep_L` builds it once and evaluates every L of its window."""
 
-    __slots__ = ("s", "uy", "uz", "theta")
+    __slots__ = ("s", "uy", "uz", "theta", "empty")
 
     def __init__(self, counts: ClassCounts):
         self.s = initial_point(counts)
         kx = counts.k10 + counts.k11
         self.uy, self.uz = math.sqrt(counts.k10 / kx), math.sqrt(counts.k11 / kx)
         self.theta = math.atan2(math.sqrt(kx), math.sqrt(counts.k00))
+        self.empty = counts.k00 == 0, counts.k10 == 0
 
     def expensive(self, x: float, y: float, z: float) -> tuple[float, float, float]:
         """The expensive iteration: the oracle negates z, then diffusion
@@ -227,8 +228,9 @@ class ClosedForm:
         return 2.0 * d * sx - x, 2.0 * d * sy - y, 2.0 * d * sz - z
 
     def final(self, L: int) -> tuple[float, float, float]:
-        """(x, y, z) after init, L cheap, 1 expensive and 2L cheap iterations;
-        raises NormDrift if it is off the unit sphere."""
+        """(x, y, z) after init, L cheap, 1 expensive and 2L cheap iterations,
+        +0.0 in an empty class, as the full engine projects it; raises
+        NormDrift if it is off the unit sphere."""
         uy, uz, theta = self.uy, self.uz, self.theta
         phi = (2 * L + 1) * theta
         sp = math.sin(phi)
@@ -239,7 +241,7 @@ class ClosedForm:
         a, b = a * c - b * sn, a * sn + b * c
         x, y, z = a, b * uy + g * uz, b * uz - g * uy
         check_norm(x * x + y * y + z * z, "reduced")
-        return x, y, z
+        return 0.0 if self.empty[0] else x, 0.0 if self.empty[1] else y, z
 
 
 def final_point(counts: ClassCounts, L: int) -> tuple[float, float, float]:
@@ -359,8 +361,8 @@ def run_schedule(counts: ClassCounts, sched: Schedule, record_trace: bool = True
     arc(stops[L + 1:], c3, s3, x, y * uy + z * uz, y * uz - z * uy)
     stops[0], stops[L + 1] = s, (x, y, z)
     stops[-1] = final  # so the trace ends on the record's state
-    for column, members in enumerate((counts.k00, counts.k10)):
-        if not members:
+    for column, empty in enumerate(form.empty):
+        if empty:
             stops[:, column] = 0.0
     return final, trace, sched.queries()
 

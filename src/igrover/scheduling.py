@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 from ._numpy import np
-from .errors import ExhaustedRepetitions, shown
+from .errors import shown
 from .instance import (
     CLASS_K00,
     CLASS_K10,
@@ -202,8 +202,8 @@ def run_with_repetitions(inst: ProblemInstance, sched: Schedule, max_reps: int,
     With `state`, the index-order final state of a `run_schedule_full` run
     of this schedule, p is the squared norm of its target amplitudes and the
     draws all read one cumulative table of its squared amplitudes, built in
-    its buffer (the state is consumed).  Raises ExhaustedRepetitions
-    (carrying the final outcome) if no repetition verifies.
+    its buffer (the state is consumed).  If no repetition verifies, the
+    outcome is the last draw's, with verified False and max_reps repetitions.
     """
     if max_reps < 1:
         raise ValueError(f"max_reps must be >= 1, got {shown(max_reps)}")
@@ -223,7 +223,7 @@ def run_with_repetitions(inst: ProblemInstance, sched: Schedule, max_reps: int,
         index = draw()
         if verify_outcome(inst, index):
             return RunOutcome(index, True, rep, p, seed)
-    raise ExhaustedRepetitions(RunOutcome(index, False, max_reps, p, seed))
+    return RunOutcome(index, False, max_reps, p, seed)
 
 
 def compare_record(inst: ProblemInstance, sched: Schedule, model: CostModel) -> dict:

@@ -652,6 +652,9 @@ class TestExitCodes:
     @example(json.dumps({**REF, "n": list(range(10 ** 5))}), ["compare"], [])
     @example(json.dumps({**REF, "x": "a" * 10 ** 5}), ["run", "--engine", "reduced"], [])
     @example(json.dumps({**TIGHT[3], "n": 2 ** 1023}), ["run", "--engine", "reduced"], [])
+    @example(json.dumps(REF), ["run", "--engine", "reduced"], [])  # verified: exit 0
+    @example(json.dumps({**REF, "n": 10 ** 12}), ["run", "--engine", "reduced"],
+             ["--L", "0"])  # p is 9e-12: exit 3
     def test_exit_code_and_error_line(self, path, text, command, flags):
         path.write_text(text, encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
@@ -664,7 +667,10 @@ class TestExitCodes:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
             assert err.endswith("\n") and len(err) <= 1001, len(err)
         else:
-            assert err == "" and json.loads(out)
+            record = json.loads(out)
+            assert err == "" and record
+            # the exit code is the record's verdict: compare has none and exits 0
+            assert record.get("verified", True) is (code == 0), (command, code)
 
     LONG = "-" + "9" * 300  # a flag value longer than any error line should be
 

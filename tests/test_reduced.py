@@ -224,7 +224,7 @@ class TestClosedForm:
         ((2 ** 70, 100, 1), 0, ("0x1.0000000000000p+0", "0x1.3e655eefe1368p-32",
                                 "0x1.8000000000001p-34")),
         ((1024, 8, 8), 25, ("0x1.1f7013947e28cp-1", "0x0.0p+0", "0x1.a7b3c018ba177p-1")),
-        ((999, 999, 5), 3, ("-0x1.58801a11a2ee6p-52", "-0x1.f47e1768b3036p-1",
+        ((999, 999, 5), 3, ("0x0.0p+0", "-0x1.f47e1768b3036p-1",
                             "-0x1.afc35cb4e5070p-3")),
     ])
     def test_bits_are_pinned(self, cell, L, xyz):
@@ -331,6 +331,22 @@ class TestClosedFormTrace:
         for column in empty:
             assert trace.stops[:, column].tobytes() == bytes(8 * len(trace.stops))
 
+    @pytest.mark.parametrize("cell", [
+        (999, 999, 5, 3),       # k00 = 0; the closed form's x is -1.5e-16
+        (256, 8, 8, 4),         # k10 = 0; the closed form's y is -0.0
+        (64, 64, 64, 3),        # both empty
+    ])
+    def test_final_state_is_the_last_stop_bitwise(self, cell):
+        # ClosedForm.final zeroes an empty class as the traced stops do
+        n, kx, ky, L = cell
+        counts, sched = make_counts(n, kx, ky), ig.Schedule(L)
+        final, trace, _ = ig.run_schedule(counts, sched)
+        untraced, _, _ = ig.run_schedule(counts, sched, record_trace=False)
+        assert np.array(final).tobytes() == trace.stops[-1].tobytes()
+        assert np.array(untraced).tobytes() == trace.stops[-1].tobytes()
+        for column, size in enumerate((counts.k00, counts.k10)):
+            assert size or bits(final[column]) == bits(0.0)
+
     def test_every_stop_is_on_the_orbit_of_the_operators(self):
         # many chunks of both arcs, against the float stepping itself
         counts = make_counts(10 ** 9, 100, 1)
@@ -364,10 +380,7 @@ class TestExactP:
                         exact) <= reduced_ulps
         # the full engine's printed p: the squared norm of its target amplitudes
         state, _, _ = ig.run_schedule_full(inst, sched, record_trace=False)
-        try:
-            outcome = ig.run_with_repetitions(inst, sched, 1, 0, state=state)
-        except ig.ExhaustedRepetitions as exc:
-            outcome = exc.outcome
+        outcome = ig.run_with_repetitions(inst, sched, 1, 0, state=state)
         assert ulps_off(outcome.p_success, exact) <= full_ulps
 
     @pytest.mark.parametrize("cell, L", [((16, 4, 1), 2), ((999, 999, 5), 3),

@@ -3,7 +3,8 @@ on demand; one parser serves every `cli.main` call of a process, and a
 well-formed command line runs no argparse parse at all; the package's
 modules import one another in one layer order, and only a pinned set of the
 stdlib at module level; each derived value has one owner, and each memory
-cap is checked by what it bounds; the README's quick tour runs.
+cap is checked by what it bounds; only `cli.main` catches the package's own
+errors; the README's quick tour runs.
 
 Each start-up test starts a fresh interpreter, since numpy, once imported,
 stays in `sys.modules` for the rest of a process.
@@ -31,7 +32,7 @@ INSTANCE = {"n": 4096, "x": {"kind": "mod", "m": 16, "r": 3},
 # `igrover/__init__.py`, or bringing a retired one back, fails this test
 EXPORTS = """
 ClassCounts CostModel DEFAULT_FULL_CAP DimensionMismatch EmptyX EmptyY
-ExhaustedRepetitions IGroverError IndexOutOfRange InstanceTooLarge Members Modular
+IGroverError IndexOutOfRange InstanceTooLarge Members Modular
 NormDrift NotClassUniform NotSubset POLICY_PAPER_FORMULA POLICY_ROUNDED_HALF
 POLICY_SWEPT ProblemInstance QueryStats Range RunOutcome Schedule
 SpecFormatError Trace build_instance choose_L compute_theta crossover_t_y errors
@@ -276,6 +277,30 @@ def test_each_cap_is_checked_by_what_it_bounds():
     assert calls == {"fullstate.py": 1, "reduced.py": 2}  # reduced.py also defines it
     for owner in (igrover.Trace.allocate, igrover.run_schedule_full):
         assert "check_cap(" in inspect.getsource(owner)
+
+
+def test_only_cli_main_catches_the_package_errors():
+    # an error of igrover.errors is a refused input or a broken invariant, and
+    # main turns each into exit 1; anything else a caller must act on (a run
+    # that verified no draw, exit 3) is a returned value, not a raise
+    package = Path(igrover.__file__).parent
+    errors = {node.name for node in ast.walk(ast.parse((package / "errors.py").read_text()))
+              if isinstance(node, ast.ClassDef)}
+    sites = []
+    for path in sorted(package.glob("*.py")):
+        tree, owner = ast.parse(path.read_text(), str(path)), {}
+        for fn in ast.walk(tree):  # outer functions first, so the innermost one wins
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update({id(h): fn.name for h in ast.walk(fn)
+                              if isinstance(h, ast.ExceptHandler)})
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                named = {getattr(n, "id", None) or getattr(n, "attr", None)
+                         for n in ast.walk(node.type)} & errors
+                if named:
+                    sites.append((path.name, owner.get(id(node)), sorted(named)))
+    assert "IGroverError" in errors
+    assert sites == [("cli.py", "main", ["IGroverError"])]
 
 
 def test_readme_quick_tour_runs():
