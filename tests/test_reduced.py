@@ -320,32 +320,21 @@ class TestClosedFormTrace:
         (4096, 64, 64, None),   # k10 = 0
         (256, 8, 8, 4),         # k10 = 0, p . s < 0 at some diffusions
         (1024, 1024, 3, 7),     # k00 = 0
+        (999, 999, 5, 3),       # k00 = 0; the unzeroed closed-form x is -3.0e-16
         (64, 64, 64, 3),        # both empty
     ])
     def test_an_empty_class_is_positive_zero_at_every_stop(self, cell):
+        # the final state too, traced or not: ClosedForm.final zeroes it
         n, kx, ky, L = cell
         counts = make_counts(n, kx, ky)
-        _, trace, _ = ig.run_schedule(counts, ig.choose_L(counts) if L is None else ig.Schedule(L))
+        sched = ig.choose_L(counts) if L is None else ig.Schedule(L)
+        final, trace, _ = ig.run_schedule(counts, sched)
         empty = [c for c, size in enumerate((counts.k00, counts.k10)) if not size]
         assert empty
         for column in empty:
             assert trace.stops[:, column].tobytes() == bytes(8 * len(trace.stops))
-
-    @pytest.mark.parametrize("cell", [
-        (999, 999, 5, 3),       # k00 = 0; the closed form's x is -1.5e-16
-        (256, 8, 8, 4),         # k10 = 0; the closed form's y is -0.0
-        (64, 64, 64, 3),        # both empty
-    ])
-    def test_final_state_is_the_last_stop_bitwise(self, cell):
-        # ClosedForm.final zeroes an empty class as the traced stops do
-        n, kx, ky, L = cell
-        counts, sched = make_counts(n, kx, ky), ig.Schedule(L)
-        final, trace, _ = ig.run_schedule(counts, sched)
-        untraced, _, _ = ig.run_schedule(counts, sched, record_trace=False)
-        assert np.array(final).tobytes() == trace.stops[-1].tobytes()
-        assert np.array(untraced).tobytes() == trace.stops[-1].tobytes()
-        for column, size in enumerate((counts.k00, counts.k10)):
-            assert size or bits(final[column]) == bits(0.0)
+        for state in (final, ig.run_schedule(counts, sched, record_trace=False)[0]):
+            assert np.array(state).tobytes() == trace.stops[-1].tobytes()
 
     def test_every_stop_is_on_the_orbit_of_the_operators(self):
         # many chunks of both arcs, against the float stepping itself
