@@ -237,6 +237,12 @@ CASES = [
     ("sweep-grid-overflow", None, ["sweep", "--grid-n", "1000000", "--grid-x", "1",
                                    "--grid-y", "1", "--tx", "1e306", "--out", "{tmp}/g.csv"],
      {}),
+    # an --out path no file can be made at: exit 1 with one error line naming it, no file
+    ("sweep-out-missing-dir", None, ["sweep", "--grid-n", "16,1024", "--grid-x", "1,4",
+                                     "--grid-y", "1", "--out", "{tmp}/nodir/g.csv"], {}),
+    ("compare-out-is-dir", "ref", ["compare", "--instance", "{inst}", "--out", "{tmp}"], {}),
+    ("run-out-missing-dir", "ref",
+     ["run", "--instance", "{inst}", "--out", "{tmp}/nodir/r.json"], {}),
     ("argparse-no-command", None, [], {}),
     ("argparse-run-needs-instance", None, ["run"], {}),
     ("argparse-bad-engine", "ref", ["run", "--instance", "{inst}", "--engine", "quantum"], {}),
