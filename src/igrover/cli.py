@@ -70,27 +70,27 @@ _INT_CHUNK = 4096
 
 
 def _json_parts(obj, indent: str, out: list) -> None:
-    """Append the text of json.dumps(obj, indent=2, sort_keys=True) to out.
-
-    An all-int list (an instance's members) goes in as a few pieces of
-    `_INT_CHUNK` members each, which the caller writes as they are.
-    """
+    """Add the text of json.dumps(obj, indent=2, sort_keys=True) to out, a
+    non-empty list of pieces.  A list's close, each of its members and each
+    `_INT_CHUNK` members of an all-int list (an instance's) start a new
+    piece; the rest goes onto the last piece, so a record with a long list
+    takes a few pieces, each written as it is, and one without takes one."""
     if isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
+        out[-1] += encode_basestring_ascii(obj)
     elif obj is None or obj is True or obj is False:
-        out.append("null" if obj is None else "true" if obj else "false")
+        out[-1] += "null" if obj is None else "true" if obj else "false"
     elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
+        out[-1] += int.__repr__(obj)
     elif isinstance(obj, float):
-        out.append("NaN" if obj != obj else _FLOAT_NAMES.get(obj) or float.__repr__(obj))
+        out[-1] += "NaN" if obj != obj else _FLOAT_NAMES.get(obj) or float.__repr__(obj)
     elif isinstance(obj, dict):
         inner = indent + "  "
         sep = "{" + inner
         for k, v in sorted(obj.items()):
-            out.append(sep + encode_basestring_ascii(k) + ": ")
+            out[-1] += sep + encode_basestring_ascii(k) + ": "
             _json_parts(v, inner, out)
             sep = "," + inner
-        out.append(indent + "}" if obj else "{}")
+        out[-1] += indent + "}" if obj else "{}"
     elif isinstance(obj, (list, tuple)):
         inner = indent + "  "
         sep = "[" + inner
@@ -111,17 +111,22 @@ def _json_parts(obj, indent: str, out: list) -> None:
 
 
 def _write(parts, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(parts)
-    else:
-        sys.stdout.writelines(parts)
+    """Write the text parts to stdout, or to out_path through one unbuffered
+    binary file: each part is encoded and written in full, a short write
+    retried, so every byte lands or an OSError is raised."""
+    if not out_path:
+        return sys.stdout.writelines(parts)
+    with open(out_path, "wb", buffering=0) as fh:
+        for part in parts:
+            data = memoryview(part.encode())
+            while data:
+                data = data[fh.write(data):]
 
 
 def _emit(obj, out_path) -> None:
-    parts = []
+    parts = [""]
     _json_parts(obj, "\n", parts)
-    parts.append("\n")
+    parts[-1] += "\n"
     _write(parts, out_path)
 
 
@@ -206,8 +211,8 @@ def cmd_sweep(args) -> int:
     lines = ["n,x_size,y_size,L,p_success,cost\n"]
     for n, kx, ky in cells:
         best, table = sweep_L(ClassCounts(k11=ky, k10=kx - ky, k00=n - kx, n=n), args.window)
-        for L, p in [(best.L, dict(table)[best.L])] if grid else table:
-            cost = query_cost(Schedule(L).queries(), model)
+        for L, p in [table[best.L - table[0][0]]] if grid else table:
+            cost = query_cost((best if grid else Schedule(L)).queries(), model)
             lines.append(f"{n},{kx},{ky},{L},{p:.17g},{cost:.17g}\n")
     _write(lines, args.out)
     return 0

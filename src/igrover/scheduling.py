@@ -71,9 +71,10 @@ def sweep_L(counts: ClassCounts, window: int = 3) -> tuple[Schedule, list[tuple[
     """Exact success probability for every L within +-window of the formula L.
 
     Returns the best schedule (ties break toward smaller L) and the full
-    (L, p_success) table in ascending L order.  Each p is the bits of
-    `success_probability(final_point(counts, L))`, from one `ClosedForm`
-    set-up per call; every L is still checked for NormDrift.
+    (L, p_success) table in ascending L order, so L's row is at index
+    L - table[0][0].  Each p is z * z of one `ClosedForm`'s final(L), the
+    bits of `success_probability(final_point(counts, L))`, and every L is
+    still checked for NormDrift.
     """
     if window < 0:
         raise ValueError(f"window must be >= 0, got {shown(window)}")
@@ -82,7 +83,7 @@ def sweep_L(counts: ClassCounts, window: int = 3) -> tuple[Schedule, list[tuple[
     table = []
     best_L, best_p = None, -1.0
     for L in range(max(0, center - window), center + window + 1):
-        p = success_probability(final(L))
+        p = (z := final(L)[2]) * z
         table.append((L, p))
         if p > best_p:
             best_L, best_p = L, p

@@ -521,6 +521,62 @@ class TestEmit:
             emitted({"a": object()})
 
 
+# a reduced run whose Y list takes three formatting calls, the full engine, a grid
+# sweep, an instance sweep and compare; {ref} is REF's path, {long} LONG's
+OUT_ARGVS = {
+    "run-long-y": ["run", "--instance", "{long}", "--seed", "4"],
+    "run-full": ["run", "--instance", "{ref}", "--engine", "full", "--seed", "4"],
+    "sweep-grid": ["sweep", "--grid-n", "16,1024,1000000", "--grid-x", "1,4,64",
+                   "--grid-y", "1,2"],
+    "sweep-instance": ["sweep", "--instance", "{ref}", "--window", "5", "--tx", "2"],
+    "compare": ["compare", "--instance", "{ref}", "--ty", "10"],
+}
+LONG = {"n": 10 ** 12, "x": {"kind": "range", "lo": 0, "hi": 10 ** 6},
+        "y": {"kind": "list", "members": list(range(5, 10 ** 6, 97))}}
+
+
+class TestOutFile:
+    """`--out FILE` holds the bytes the same command line prints to stdout."""
+
+    @pytest.fixture
+    def out_argv(self, tmp_path, inst_path, request):
+        long_path = tmp_path / "long.json"
+        long_path.write_text(json.dumps(LONG))
+        assert len(LONG["y"]["members"]) > 2 * cli._INT_CHUNK
+        return [a.format(ref=inst_path, long=long_path) for a in request.param]
+
+    def stdout_and_out_file(self, argv, out, capsys):
+        code = run_cli(*argv)
+        printed = capsys.readouterr().out
+        assert run_cli(*argv, "--out", str(out)) == code in (0, 3)
+        assert capsys.readouterr() == ("", "")
+        return printed.encode(), out.read_bytes()
+
+    @pytest.mark.parametrize("out_argv", OUT_ARGVS.values(), indirect=True, ids=OUT_ARGVS)
+    def test_out_file_bytes_equal_stdout(self, out_argv, tmp_path, capsys):
+        printed, written = self.stdout_and_out_file(out_argv, tmp_path / "out", capsys)
+        assert written == printed and len(written) > 100
+
+    @pytest.mark.parametrize("out_argv", OUT_ARGVS.values(), indirect=True, ids=OUT_ARGVS)
+    def test_short_writes_still_land_in_full(self, out_argv, tmp_path, capsys, monkeypatch):
+        # a raw file that takes at most 7 bytes a call: every part needs its retries
+        calls = []
+
+        class SevenBytes(io.FileIO):
+            def write(self, data):
+                calls.append(len(data))
+                return super().write(data[:7])
+
+        def seven_byte_open(path, mode, buffering):
+            assert (mode, buffering) == ("wb", 0)
+            return SevenBytes(path, mode)
+
+        monkeypatch.setattr(cli, "open", seven_byte_open, raising=False)
+        printed, written = self.stdout_and_out_file(out_argv, tmp_path / "out", capsys)
+        assert written == printed
+        assert len(calls) >= len(printed) / 7 and max(calls) > 7
+
+
 # command lines drawn from: each command, an abbreviated or unknown one, `-h` or `--`
 # first; then flags with values each command takes, or any flag next to any value
 # (an abbreviation, an `=` form, a value that looks like a number, a flag or nothing)
