@@ -14,7 +14,7 @@ committed one before that one is replaced.  With `--changed` it prints
 only the fields that differ, the committed value next to the current one,
 and exits 1 if any does; neither form writes the table.  The script needs
 only the standard library: without numpy, `--changed` skips the cases that
-import it (every `run`) and prints how many it skipped.
+import it (most `run` cases) and prints how many it skipped.
 
 `run` draws from numpy's `default_rng`, and NEP 19 lets numpy change a
 Generator's stream between feature releases; such a change fails the `run`
