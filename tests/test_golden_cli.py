@@ -250,6 +250,10 @@ CASES = [
     ("compare-out-is-dir", "ref", ["compare", "--instance", "{inst}", "--out", "{tmp}"], {}),
     ("run-out-missing-dir", "ref",
      ["run", "--instance", "{inst}", "--out", "{tmp}/nodir/r.json"], {}),
+    # the trace is written before --out fails, and is removed again
+    ("run-trace-out-missing-dir", "ref",
+     ["run", "--instance", "{inst}", "--trace", "{tmp}/t.csv", "--out", "{tmp}/nodir/r.json"],
+     {}),
     ("argparse-no-command", None, [], {}),
     ("argparse-run-needs-instance", None, ["run"], {}),
     ("argparse-bad-engine", "ref", ["run", "--instance", "{inst}", "--engine", "quantum"], {}),
