@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
@@ -145,15 +146,14 @@ def cmd_run(args) -> int:
     sched = _schedule_for(args, inst.counts)
     model = CostModel(args.tx, args.ty)
 
-    state = full_trace = None
     traced = bool(args.trace) or args.engine == "both"
     cost_record(inst.counts, sched.queries(), model)  # if one run's costs overflow, fail at once
     if args.engine != "reduced":
         # checks both caps before it allocates, so before any O(L) reduced trace
-        state, full_trace, _ = run_schedule_full(inst, sched, record_trace=traced)
-    trace = full_trace
-    if traced and args.engine != "full":
-        _, trace, _ = run_schedule(inst.counts, sched)
+        _, full_trace, final = run_schedule_full(inst, sched, record_trace=traced)
+        trace = full_trace
+    if args.engine != "full":
+        final, trace, _ = run_schedule(inst.counts, sched, record_trace=traced)
     if args.engine == "both":
         gap = trace.first_gap(full_trace, args.tol)
         if gap is not None:
@@ -162,12 +162,18 @@ def cmd_run(args) -> int:
                   f"max delta {gap[1]:.3g} > tol {args.tol:.3g}", file=sys.stderr)
             return 2
 
-    outcome = run_with_repetitions(inst, sched, args.reps, args.seed,
-                                   state if args.engine == "full" else None)
+    outcome = run_with_repetitions(inst, final, args.reps, args.seed)
     record = result_record(inst, sched, outcome, model)  # all repetitions' costs, before any write
-    if args.trace:
-        write_trace_csv(args.trace, trace)
-    _emit(record, args.out)
+    out = None  # set once the trace, if any, is written in full
+    try:
+        if args.trace:
+            write_trace_csv(args.trace, trace)
+        out = args.out
+        _emit(record, out)
+    except OSError as exc:  # remove the files this run wrote: no device, no path open refused
+        for path in filter(os.path.isfile, {args.trace, out} - {None, exc.filename}):
+            os.remove(path)
+        raise
     return 0 if outcome.verified else 3
 
 

@@ -3,8 +3,8 @@
 The state is a real vector of n amplitudes.  Oracles are sign flips on the
 member indices; diffusion is inversion about the mean, which works for any
 n, power of two or not.  This engine exists to cross-check the reduced one
-and to expose real measurement sampling; it is capped (by memory) to
-moderate n, overridable through the IGROVER_FULL_CAP environment variable.
+from raw amplitudes; it is capped (by memory) to moderate n, overridable
+through the IGROVER_FULL_CAP environment variable.
 
 `run_schedule_full` evolves the amplitudes in a class-contiguous layout:
 the k00 members, then the k10 members, then the k11 members, each class in
@@ -23,12 +23,11 @@ the same IEEE operations in the same order as a whole-vector pass would.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from ._numpy import np
 from .errors import DimensionMismatch, NotClassUniform
 from .instance import ProblemInstance
-from .reduced import QueryStats, Schedule, Trace, check_cap, check_norm
+from .reduced import Schedule, Trace, check_cap, check_norm
 
 DEFAULT_FULL_CAP = 1 << 20
 _UNIFORM_TOL = 1e-9
@@ -104,7 +103,7 @@ def project_to_reduced(state: np.ndarray, inst: ProblemInstance,
 
 
 def run_schedule_full(inst: ProblemInstance, sched: Schedule, record_trace: bool = True
-                      ) -> tuple[np.ndarray, Trace, QueryStats]:
+                      ) -> tuple[np.ndarray, Trace, tuple[float, float, float]]:
     """Execute the full schedule on n amplitudes; trace stops are projected.
 
     The state is evolved in place in the class-contiguous layout, traced or
@@ -113,11 +112,11 @@ def run_schedule_full(inst: ProblemInstance, sched: Schedule, record_trace: bool
     tail and records its diffusion shift; k00 takes the shifts a block at a
     time every _FLUSH iterations and at the end.  Its `Trace.allocate` stops
     are the reduced engine's, so the two runs can be compared pointwise;
-    untraced, the trace has none.  The counters are `sched.queries()`.  The
-    run ends by checking the norm (NormDrift) and that every class is still
-    uniform (NotClassUniform).  Raises InstanceTooLarge, before allocating
-    anything, when n exceeds the full cap (2**20, or IGROVER_FULL_CAP) or a
-    traced L the trace cap (`Trace.allocate`).
+    untraced, the trace has none.  The run ends by checking the norm
+    (NormDrift) and that every class is still uniform (NotClassUniform),
+    which projects the final (x, y, z), returned third.  Raises
+    InstanceTooLarge, before allocating anything, when n exceeds the full
+    cap (2**20, or IGROVER_FULL_CAP) or a traced L the trace cap.
     """
     check_cap("IGROVER_FULL_CAP", DEFAULT_FULL_CAP, inst.n, f"n={inst.n} exceeds full-state cap")
     trace = Trace.allocate(sched.L) if record_trace else Trace(sched.L, np.empty((0, 3)))
@@ -161,29 +160,19 @@ def run_schedule_full(inst: ProblemInstance, sched: Schedule, record_trace: bool
     flush()
     # not st @ st: BLAS's threaded ddot takes ms to wake idle worker threads
     check_norm(float(np.einsum("i,i->", st, st)), "full")
-    _project(st, bounds, _UNIFORM_TOL)  # raises NotClassUniform
+    final = tuple(_project(st, bounds, _UNIFORM_TOL))  # raises NotClassUniform
     # each class is one value, so index order is k00's overwritten on X,
     # then on Y (X and Y are never empty; an empty k10 reads k11's value)
     a10, a11 = st[bounds[1]], st[bounds[2]]
     st.fill(st[0])
     st[inst.x_spec.selector()] = a10
     st[inst.y_spec.selector()] = a11
-    return st, trace, sched.queries()
-
-
-def measurement_sampler(state: np.ndarray, rng: np.random.Generator) -> Callable[[], int]:
-    """Draw indices with probability amplitude**2 from one cumulative table.
-
-    The table is built in `state`'s buffer, so `sample_measurement` passes a
-    copy.  Each call of the returned function draws exactly as one more
-    `sample_measurement(state, rng)` call would, at O(log n) per draw.
-    """
-    weights = np.square(state, out=state)
-    np.cumsum(weights, out=weights)
-    total = float(weights[-1])
-    return lambda: int(np.searchsorted(weights, rng.random() * total, side="right"))
+    return st, trace, final
 
 
 def sample_measurement(state: np.ndarray, rng) -> int:
-    """Draw one index with probability amplitude**2; rng is a seed or Generator."""
-    return measurement_sampler(state.copy(), np.random.default_rng(rng))()
+    """The raw-amplitude reference sampler: index i with probability state[i]**2,
+    from a cumulative table bisected at one uniform draw; rng is a seed or Generator."""
+    weights = np.cumsum(np.square(state))
+    u = np.random.default_rng(rng).random() * float(weights[-1])
+    return int(np.searchsorted(weights, u, side="right"))

@@ -32,10 +32,8 @@ from .instance import (
     kth_in_class,
     verify_outcome,
 )
-from .fullstate import measurement_sampler
 from .reduced import (POLICY_PAPER_FORMULA, POLICY_ROUNDED_HALF, POLICY_SWEPT,
-                      ClosedForm, QueryStats, Schedule, final_point, run_schedule,
-                      success_probability)
+                      ClosedForm, QueryStats, Schedule, final_point, success_probability)
 
 
 def compute_theta(counts: ClassCounts) -> float:
@@ -192,36 +190,22 @@ def _uniform_below(size: int, rng: np.random.Generator) -> int:
             return j
 
 
-def run_with_repetitions(inst: ProblemInstance, sched: Schedule, max_reps: int,
-                         seed: int, state: np.ndarray | None = None) -> RunOutcome:
-    """Run the schedule, measure, verify; repeat on failure up to max_reps.
+def run_with_repetitions(inst: ProblemInstance, final: tuple[float, float, float],
+                         max_reps: int, seed: int) -> RunOutcome:
+    """Measure an engine's final (x, y, z), verify; redraw on failure up to max_reps.
 
-    Each repetition is an independent fresh start of the whole schedule, but
-    the evolution is deterministic, so the final state is computed once and
-    only the measurement is redrawn.  Without `state` that is the reduced
-    engine's closed form, and a draw picks a class, then a member by rank.
-    With `state`, the index-order final state of a `run_schedule_full` run
-    of this schedule, p is the squared norm of its target amplitudes and the
-    draws all read one cumulative table of its squared amplitudes, built in
-    its buffer (the state is consumed).  If no repetition verifies, the
-    outcome is the last draw's, with verified False and max_reps repetitions.
+    Each repetition is a fresh run of a deterministic schedule, so only the
+    measurement is redrawn: p is the point's success probability, and a
+    draw picks a class, then a member by rank (`sample_from_reduced`).  If
+    no repetition verifies, the outcome is the last draw's, with verified
+    False and max_reps repetitions.
     """
     if max_reps < 1:
         raise ValueError(f"max_reps must be >= 1, got {shown(max_reps)}")
     rng = np.random.default_rng(seed)
-    if state is None:
-        final, _, _ = run_schedule(inst.counts, sched, record_trace=False)
-        p = success_probability(final)
-        draw = lambda: sample_from_reduced(final, inst, rng)
-    else:
-        targets = state[inst.y_spec.selector()]
-        # not targets @ targets: BLAS's threaded ddot takes ms to wake idle
-        # worker threads, and its bits depend on the thread count
-        p = float(np.einsum("i,i->", targets, targets))
-        draw = measurement_sampler(state, rng)
-
+    p = success_probability(final)
     for rep in range(1, max_reps + 1):
-        index = draw()
+        index = sample_from_reduced(final, inst, rng)
         if verify_outcome(inst, index):
             return RunOutcome(index, True, rep, p, seed)
     return RunOutcome(index, False, max_reps, p, seed)

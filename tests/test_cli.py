@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import sys
@@ -85,9 +86,9 @@ class TestRun:
         real = cli.run_schedule_full
 
         def corrupted(inst, sched, **kw):
-            state, trace, stats = real(inst, sched, **kw)
+            state, trace, final = real(inst, sched, **kw)
             trace.stops[-1, 0] += 1e-6  # x of the last row
-            return state, trace, stats
+            return state, trace, final
 
         monkeypatch.setattr(cli, "run_schedule_full", corrupted)
         code = run_cli("run", "--instance", inst_path, "--engine", "both")
@@ -106,9 +107,9 @@ class TestRun:
         real = cli.run_schedule_full
 
         def corrupted(inst, sched, **kw):
-            state, trace, stats = real(inst, sched, **kw)
+            state, trace, final = real(inst, sched, **kw)
             trace.stops[-1, 0] += 1e-6
-            return state, trace, stats
+            return state, trace, final
 
         monkeypatch.setattr(cli, "run_schedule_full", corrupted)
         assert run_cli("run", "--instance", inst_path, "--engine", "both",
@@ -140,6 +141,54 @@ class TestRun:
         assert run_cli("run", "--instance", inst_path, "--engine", "full") == 0
         assert calls == [True, False]
         assert capsys.readouterr().out == traced
+
+    def test_a_failed_write_leaves_no_file(self, inst_path, tmp_path, capsys, monkeypatch):
+        # a disk that fills after `budget` bytes: at the trace's first byte, in
+        # the trace, at the report's first byte and in the report
+        trace, out = tmp_path / "t.csv", tmp_path / "r.json"
+        argv = ["run", "--instance", inst_path, "--trace", str(trace), "--out", str(out)]
+        assert run_cli(*argv) == 0
+        sizes = trace.stat().st_size, out.stat().st_size
+        trace.unlink()
+        out.unlink()
+        left = []
+
+        class FillingFile(io.FileIO):
+            def write(self, data):
+                n = super().write(data[:min(len(data), left[0])])
+                left[0] -= n
+                if n < len(data):
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return n
+
+        for module in (cli, ig.reduced):
+            monkeypatch.setattr(module, "open", lambda path, mode, buffering=-1:
+                                FillingFile(path, mode), raising=False)
+        for budget in (0, sizes[0] // 2, sizes[0], sizes[0] + sizes[1] // 2):
+            left[:] = [budget]
+            assert run_cli(*argv) == 1
+            assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+            assert not trace.exists() and not out.exists()
+        out.write_bytes(b"kept")  # a report the failed run never opened stays
+        left[:] = [sizes[0] // 2]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().out == ""
+        assert not trace.exists() and out.read_bytes() == b"kept"
+        out.unlink()
+        # an --out the run cannot open is left as it is; the trace still goes
+        monkeypatch.undo()
+        assert run_cli(*argv[:-1], str(tmp_path)) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "inst.json"]
+        out.write_bytes(b"kept")
+
+        def refusing_open(path, mode, buffering):
+            raise PermissionError(errno.EACCES, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "open", refusing_open, raising=False)
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{out}'\n"
+        assert not trace.exists() and out.read_bytes() == b"kept"
 
     def test_exit_1_on_bad_inputs(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")

@@ -124,9 +124,10 @@ class TestRunScheduleFull:
     def test_L_zero_concentrates_single_target(self):
         inst = ig.build_instance({"n": 4, "x": {"kind": "list", "members": [0]},
                                   "y": {"kind": "list", "members": [0]}})
-        state, trace, stats = ig.run_schedule_full(inst, ig.Schedule(0))
+        state, trace, final = ig.run_schedule_full(inst, ig.Schedule(0))
         np.testing.assert_allclose(state, [1.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-15)
-        assert (stats.count_x, stats.count_y) == (0, 1)
+        assert final == tuple(trace.stops[-1])  # the last stop, bit for bit
+        assert final[1:] == (0.0, pytest.approx(1.0, abs=1e-15))
         assert len(trace) == 3
 
     def test_matches_reduced_engine_pointwise(self):
@@ -135,9 +136,9 @@ class TestRunScheduleFull:
             inst = random_instance(rng, n_hi=512)
             counts = ig.partition_classes(inst)
             sched = ig.choose_L(counts)
-            _, trace_r, stats_r = ig.run_schedule(counts, sched)
-            _, trace_f, stats_f = ig.run_schedule_full(inst, sched)
-            assert stats_r == stats_f
+            final_r, trace_r, _ = ig.run_schedule(counts, sched)
+            _, trace_f, final_f = ig.run_schedule_full(inst, sched)
+            np.testing.assert_allclose(final_f, final_r, rtol=0, atol=1e-12)
             assert len(trace_r) == len(trace_f)
             assert trace_labels(trace_r) == trace_labels(trace_f)
             rows_r, rows_f = trace_rows(trace_r), trace_rows(trace_f)
@@ -151,9 +152,9 @@ class TestRunScheduleFull:
         inst = ig.build_instance({"n": n, "x": x, "y": y})
         counts = ig.partition_classes(inst)
         sched = ig.choose_L(counts)
-        _, trace_r, stats_r = ig.run_schedule(counts, sched)
-        state, trace_f, stats_f = ig.run_schedule_full(inst, sched)
-        assert stats_r == stats_f
+        final_r, trace_r, _ = ig.run_schedule(counts, sched)
+        state, trace_f, final_f = ig.run_schedule_full(inst, sched)
+        np.testing.assert_allclose(final_f, final_r, rtol=0, atol=1e-12)
         assert trace_r.gaps(trace_f).max() <= 1e-12
         # the state comes back in index order: every amplitude is its
         # class's coordinate over sqrt(class size)
@@ -481,16 +482,17 @@ class TestSampling:
         np.testing.assert_allclose(hits / m, state * state, rtol=0, atol=0.02)
 
     def test_leaves_its_state_unchanged(self):
-        # the cumulative table is built in a copy, not in the caller's state
+        # the cumulative table is a new array, not the caller's state
         state, _, _ = ig.run_schedule_full(small_inst(), ig.Schedule(2),
                                            record_trace=False)
         before = state.tobytes()
         ig.sample_measurement(state, 3)
         assert state.tobytes() == before
 
-    def test_p_success_over_many_targets_is_the_einsum_sum(self, tmp_path):
-        # past 10^4 targets BLAS would sum on threads; the record's p is
-        # np.einsum's sum of the final state's squared target amplitudes
+    def test_p_success_over_many_targets_is_the_projected_z_squared(self, tmp_path):
+        # the record's p is z * z of the full engine's final point, one
+        # amplitude per class, and agrees with the sum over the 2 * 10^4
+        # squared target amplitudes of the state it returns
         inst = ig.build_instance({"n": 1 << 16, "x": {"kind": "range", "lo": 0, "hi": 39999},
                                   "y": {"kind": "range", "lo": 0, "hi": 19999}})
         path, out = tmp_path / "inst.json", tmp_path / "out.json"
@@ -498,10 +500,12 @@ class TestSampling:
         assert cli.main(["run", "--instance", str(path), "--engine", "full",
                          "--out", str(out)]) in (0, 3)
         record = json.loads(out.read_text())
-        state, _, _ = ig.run_schedule_full(inst, ig.Schedule(record["L"]), record_trace=False)
+        state, _, final = ig.run_schedule_full(inst, ig.Schedule(record["L"]),
+                                               record_trace=False)
+        assert record["p_success_exact"].hex() == ig.success_probability(final).hex()
         targets = state[inst.y_spec.selector()]
         assert targets.size > 10 ** 4
-        assert record["p_success_exact"].hex() == float(np.einsum("i,i->", targets, targets)).hex()
+        assert record["p_success_exact"] == pytest.approx(float(targets @ targets), abs=1e-12)
 
 
 def bits(p: tuple) -> bytes:

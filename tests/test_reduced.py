@@ -359,7 +359,7 @@ class TestExactP:
         ((1024, 16, 1), None, 4, 4),            # measured 1.6 and 1.6 at the policy L, 6
         ((2 ** 20, 1024, 1), None, 2, 4),       # 0.75 and 2.2 at the policy L, 25
         ((1000, 999, 10), 100, 40, 40),         # 25.9 and 22.9
-        ((1000, 999, 10), 1000, 1200, 40),      # 788.9 and 25.1
+        ((1000, 999, 10), 1000, 1200, 40),      # 788.9 and 24.1
     ])
     def test_both_engines_within_a_bound(self, cell, L, reduced_ulps, full_ulps):
         counts, inst = make_counts(*cell), range_instance(*cell)
@@ -367,9 +367,9 @@ class TestExactP:
         exact = exact_p(counts, sched.L)
         assert ulps_off(ig.success_probability(ig.final_point(counts, sched.L)),
                         exact) <= reduced_ulps
-        # the full engine's printed p: the squared norm of its target amplitudes
-        state, _, _ = ig.run_schedule_full(inst, sched, record_trace=False)
-        outcome = ig.run_with_repetitions(inst, sched, 1, 0, state=state)
+        # the full engine's printed p: its final z, squared
+        _, _, final = ig.run_schedule_full(inst, sched, record_trace=False)
+        outcome = ig.run_with_repetitions(inst, final, 1, 0)
         assert ulps_off(outcome.p_success, exact) <= full_ulps
 
     @pytest.mark.parametrize("cell, L", [((16, 4, 1), 2), ((999, 999, 5), 3),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 
@@ -23,6 +25,46 @@ def counts_up_to(draw, n_max: int) -> ig.ClassCounts:
     n = draw(st.integers(2, n_max))
     kx = draw(st.integers(1, n))
     return make_counts(n, kx, draw(st.integers(1, kx)))
+
+
+def end_point(inst: ig.ProblemInstance, sched: ig.Schedule) -> tuple[float, float, float]:
+    """The reduced engine's final (x, y, z), which `run` hands the driver."""
+    return ig.final_point(inst.counts, sched.L)
+
+
+@st.composite
+def nested_instances(draw, n_max: int = 200) -> dict:
+    """An instance spec with Y inside X, each a list, range or mod spec; X
+    may be the universe (k00 empty) and Y may equal X (k10 empty)."""
+    n = draw(st.integers(2, n_max))
+    kind = draw(st.sampled_from(["list", "range", "mod"]))
+    if kind == "list":
+        x = {"kind": "list", "members": sorted(draw(st.lists(
+            st.integers(0, n - 1), min_size=1, max_size=40, unique=True)))}
+    elif kind == "range":
+        lo = draw(st.integers(0, n - 1))
+        x = {"kind": "range", "lo": lo, "hi": draw(st.integers(lo, n - 1))}
+    else:
+        m = draw(st.integers(1, n))
+        x = {"kind": "mod", "m": m, "r": draw(st.integers(0, m - 1))}
+    members = np.arange(n)[ig.build_instance({"n": n, "x": x, "y": x}).x_spec.selector()].tolist()
+    kind = draw(st.sampled_from(["list", "range", "mod", "same"]))
+    if kind == "same":
+        y = x
+    elif kind == "list":
+        y = {"kind": "list", "members": sorted(draw(st.lists(
+            st.sampled_from(members), min_size=1, max_size=10, unique=True)))}
+    elif kind == "range":  # a run of consecutive members
+        lo = draw(st.sampled_from(members))
+        hi = lo
+        while hi + 1 in members and draw(st.booleans()):
+            hi += 1
+        y = {"kind": "range", "lo": lo, "hi": hi}
+    else:  # a multiple of X's period (the universe's is 1; n, one member, for the rest)
+        period = x["m"] if x["kind"] == "mod" else 1 if len(members) == n else n
+        m = period * draw(st.integers(1, max(1, n // period)))
+        y = {"kind": "mod", "m": m, "r": draw(st.sampled_from(members)) % m}
+    return {"n": n, "x": x, "y": y}
 
 
 class TestAngles:
@@ -213,7 +255,7 @@ class TestRepetitions:
     def test_verified_outcome_is_a_target(self):
         inst = ig.build_instance(REF)
         sched = ig.choose_L(ig.partition_classes(inst))
-        out = ig.run_with_repetitions(inst, sched, max_reps=20, seed=0)
+        out = ig.run_with_repetitions(inst, end_point(inst, sched), max_reps=20, seed=0)
         assert out.verified
         assert out.measured_index == 2
         assert out.repetitions == 1
@@ -224,14 +266,14 @@ class TestRepetitions:
     def test_deterministic_per_seed(self):
         inst = ig.build_instance(REF)
         sched = ig.choose_L(ig.partition_classes(inst))
-        a = ig.run_with_repetitions(inst, sched, 20, seed=7)
-        b = ig.run_with_repetitions(inst, sched, 20, seed=7)
+        a = ig.run_with_repetitions(inst, end_point(inst, sched), 20, seed=7)
+        b = ig.run_with_repetitions(inst, end_point(inst, sched), 20, seed=7)
         assert a == b
 
     def test_unverified_run_returns_its_last_draw(self):
         inst = ig.build_instance(REF)
         sched = ig.choose_L(ig.partition_classes(inst))
-        out = ig.run_with_repetitions(inst, sched, max_reps=1, seed=1)
+        out = ig.run_with_repetitions(inst, end_point(inst, sched), max_reps=1, seed=1)
         assert not out.verified
         assert out.repetitions == 1
         assert out.measured_index == 3
@@ -245,7 +287,8 @@ class TestRepetitions:
         sched = ig.choose_L(ig.partition_classes(inst))
         rng = np.random.default_rng(101)
         for _ in range(50):
-            out = ig.run_with_repetitions(inst, sched, 50, seed=int(rng.integers(2**32)))
+            out = ig.run_with_repetitions(inst, end_point(inst, sched), 50,
+                                          seed=int(rng.integers(2**32)))
             record = ig.result_record(inst, sched, out, ig.CostModel())
             assert record["counts"]["repetitions"] == out.repetitions
             assert inst.in_y(out.measured_index)
@@ -257,7 +300,7 @@ class TestRepetitions:
                                   "y": {"kind": "list", "members": [0]}})
         sched = ig.Schedule(L=2, selection_policy=ig.POLICY_SWEPT)
         for seed in range(30):
-            out = ig.run_with_repetitions(inst, sched, max_reps=20, seed=seed)
+            out = ig.run_with_repetitions(inst, end_point(inst, sched), max_reps=20, seed=seed)
             assert out.verified
             assert out.repetitions == 1
             assert out.measured_index == 0
@@ -266,45 +309,45 @@ class TestRepetitions:
     def test_full_engine_agrees_on_probability(self):
         inst = ig.build_instance(REF)
         sched = ig.choose_L(ig.partition_classes(inst))
-        red = ig.run_with_repetitions(inst, sched, 50, seed=5)
-        state, _, _ = ig.run_schedule_full(inst, sched, record_trace=False)
-        ful = ig.run_with_repetitions(inst, sched, 50, seed=5, state=state)
+        red = ig.run_with_repetitions(inst, end_point(inst, sched), 50, seed=5)
+        _, _, final = ig.run_schedule_full(inst, sched, record_trace=False)
+        ful = ig.run_with_repetitions(inst, final, 50, seed=5)
         assert ful.p_success == pytest.approx(red.p_success, abs=1e-12)
+        assert (ful.measured_index, ful.repetitions) == (red.measured_index, red.repetitions)
         assert inst.in_y(ful.measured_index)
         with pytest.raises(ValueError):
-            ig.run_with_repetitions(inst, sched, 0, 0)
+            ig.run_with_repetitions(inst, final, 0, 0)
 
-    def test_full_engine_draws_match_sample_measurement(self):
-        # the repetitions draw from one cumulative table; each draw must be
-        # the one a fresh sample_measurement(state, rng) call would make,
-        # which must in turn be this table-per-draw reference
-        def draw_once(state, rng):
-            weights = np.cumsum(state * state)
-            u = rng.random() * float(weights[-1])
-            return int(np.searchsorted(weights, u, side="right"))
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("engines") / "inst.json"
 
-        inst = ig.build_instance({"n": 300, "x": {"kind": "range", "lo": 0, "hi": 39},
-                                  "y": {"kind": "list", "members": [3, 17, 30]}})
-        sched = ig.Schedule(1)
-        state, _, _ = ig.run_schedule_full(inst, sched, record_trace=False)
-        targets = [3, 17, 30]
-        z = ig.project_to_reduced(state, inst)[2]
-        seen = set()
-        for seed in range(250):
-            out = ig.run_with_repetitions(inst, sched, 4, seed, state=state.copy())
-            rng = np.random.default_rng(seed)
-            ref_rng = np.random.default_rng(seed)
-            for rep in range(1, 5):
-                index = ig.sample_measurement(state, rng)
-                assert index == draw_once(state, ref_rng)
-                if index in targets:
-                    break
-            assert (out.measured_index, out.repetitions) == (index, rep)
-            assert out.verified == (index in targets)
-            assert out.p_success == pytest.approx(z * z, abs=1e-14)
-            seen.add((out.verified, out.repetitions))
-        # the seeds reach verified draws at several repetitions and exhaustion
-        assert {(True, 1), (True, 2), (False, 4)} <= seen
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(nested_instances(), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([[], ["--policy", "half"], ["--L", "0"], ["--L", "3"],
+                            ["--reps", "1"]]))
+    @example(REF, 1, ["--reps", "1"])  # unverified: exit 3
+    @example({"n": 12, "x": {"kind": "mod", "m": 1, "r": 0},
+              "y": {"kind": "range", "lo": 3, "hi": 5}}, 4, [])  # k00 empty
+    @example({"n": 12, "x": {"kind": "mod", "m": 3, "r": 1},
+              "y": {"kind": "mod", "m": 3, "r": 1}}, 4, [])  # k10 empty
+    def test_engines_draw_the_same_index(self, path, spec, seed, flags):
+        # every engine hands its final (x, y, z) to one sampler, so only the
+        # last bits of p can tell the full engine's record from the reduced
+        path.write_text(json.dumps(spec))
+        runs = {}
+        for engine in ("reduced", "full", "both"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["run", "--instance", str(path), "--engine", engine,
+                                 "--seed", str(seed), *flags])
+            runs[engine] = code, out.getvalue()
+        assert runs["both"] == runs["reduced"]
+        (code_r, out_r), (code_f, out_f) = runs["reduced"], runs["full"]
+        assert code_f == code_r in (0, 3)
+        red, ful = json.loads(out_r), json.loads(out_f)
+        assert abs(ful.pop("p_success_exact") - red.pop("p_success_exact")) <= 1e-9
+        assert ful == red
 
     def test_sampler_matches_squared_coordinates(self):
         inst = ig.build_instance(REF)
@@ -363,7 +406,7 @@ class TestRepetitions:
             "y": {"kind": "list", "members": [0, 5 * 10 ** 6]},
         })
         sched = ig.choose_L(ig.partition_classes(inst))
-        out = ig.run_with_repetitions(inst, sched, max_reps=20, seed=3)
+        out = ig.run_with_repetitions(inst, end_point(inst, sched), max_reps=20, seed=3)
         assert not out.verified
         assert out.repetitions == 20
         assert 0 <= out.measured_index < 10 ** 12
@@ -429,7 +472,7 @@ class TestHugeClassDraw:
                                     847774930430015586]}
         inst = self.small_x(n)
         for seed, index in enumerate(pinned[n]):
-            out = ig.run_with_repetitions(inst, ig.Schedule(0), 2, seed)
+            out = ig.run_with_repetitions(inst, end_point(inst, ig.Schedule(0)), 2, seed)
             assert not out.verified
             assert out.measured_index == index
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -442,7 +485,7 @@ class TestResultRecord:
     def test_schema_and_values(self):
         inst = ig.build_instance(REF)
         sched = ig.choose_L(ig.partition_classes(inst))
-        out = ig.run_with_repetitions(inst, sched, 20, seed=0)
+        out = ig.run_with_repetitions(inst, end_point(inst, sched), 20, seed=0)
         rec = ig.result_record(inst, sched, out, ig.CostModel(t_x=1.0, t_y=10.0))
         assert rec["instance"] == REF
         assert rec["L"] == 2

@@ -195,6 +195,13 @@ def test_modules_import_in_layer_order_and_only_at_module_level():
                         (path.name, fn.name)
 
 
+def test_the_repetition_driver_takes_no_engine():
+    # scheduling draws from a final (x, y, z) whichever engine computed it
+    tree = ast.parse((Path(igrover.__file__).parent / "scheduling.py").read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "reduced" in imported and "fullstate" not in imported
+
+
 # the stdlib modules that src/ imports at module level, so that every fresh
 # `import igrover.cli` loads them: adding one is a deliberate edit
 STARTUP_STDLIB = {"__future__", "argparse", "bisect", "functools", "importlib", "json", "math",
@@ -264,7 +271,7 @@ def test_no_blas_products_in_the_package():
 def test_derived_values_are_not_parameters():
     removed = {"kth_in_class": {"counts"}, "sample_from_reduced": {"counts"},
                "choose_L": {"window"}, "run_schedule_full": {"cap"},
-               "run_with_repetitions": {"engine", "evolved"}}
+               "run_with_repetitions": {"engine", "evolved", "state"}}
     for name, params in removed.items():
         assert not params & set(inspect.signature(getattr(igrover, name)).parameters), name
 
