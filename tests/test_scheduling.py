@@ -28,7 +28,7 @@ def counts_up_to(draw, n_max: int) -> ig.ClassCounts:
 
 
 def end_point(inst: ig.ProblemInstance, sched: ig.Schedule) -> tuple[float, float, float]:
-    """The reduced engine's final (x, y, z), which `run` hands the driver."""
+    """The reduced engine's final (x, y, z), which `run` passes to `run_with_repetitions`."""
     return ig.final_point(inst.counts, sched.L)
 
 

@@ -195,7 +195,7 @@ def test_modules_import_in_layer_order_and_only_at_module_level():
                         (path.name, fn.name)
 
 
-def test_the_repetition_driver_takes_no_engine():
+def test_scheduling_imports_no_full_engine():
     # scheduling draws from a final (x, y, z) whichever engine computed it
     tree = ast.parse((Path(igrover.__file__).parent / "scheduling.py").read_text())
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
